@@ -551,9 +551,10 @@ let serve_native scale system value_size
   let s = Server.run cfg in
   Harness.printf
     "native %s done: %d responded (%d CR hits, %d forwarded, %d MR ops), \
-     %d conns, %d steals\n"
+     %d conns (%d refused), %d steals\n"
     (Harness.system_name system) s.Server.responded s.Server.cr_hits
-    s.Server.forwarded s.Server.mr_ops s.Server.conns s.Server.steals
+    s.Server.forwarded s.Server.mr_ops s.Server.conns s.Server.refused
+    s.Server.steals
 
 let serve_cmd =
   let system =
@@ -693,16 +694,16 @@ let loadgen_cmd =
       let gets = r.Loadgen.get_hits + r.Loadgen.get_misses in
       Printf.printf
         "loadgen: %d ops in %.3f s = %.0f ops/s, P50 %.1f us, P99 %.1f us, \
-         %d errors, GET hit rate %.1f%%\n%!"
+         %d errors, %d wrong, GET hit rate %.1f%%\n%!"
         r.Loadgen.completed
         (float_of_int r.Loadgen.elapsed_ns /. 1e9)
         (Loadgen.ops_per_s r)
         (Loadgen.percentile_us r 50.0)
         (Loadgen.percentile_us r 99.0)
-        r.Loadgen.errors
+        r.Loadgen.errors r.Loadgen.wrong
         (100.0 *. float_of_int r.Loadgen.get_hits
         /. float_of_int (max 1 gets));
-      if r.Loadgen.errors > 0 then exit 5
+      if r.Loadgen.errors > 0 || r.Loadgen.wrong > 0 then exit 5
     | exception Loadgen.Protocol_error msg ->
       Printf.eprintf "loadgen: protocol error: %s\n%!" msg;
       exit 5

@@ -47,7 +47,13 @@ let worker_body ?substrate (backend : Backend.t) (tr : Transport.t) ~lock
   in
   let env = sub.make_env ctx ~core:worker in
   let index = backend.Backend.index in
-  let polled = Array.make cfg.Config.batch None in
+  let batch = cfg.Config.batch in
+  let polled = Array.make batch None in
+  (* per-batch scratch, allocated once: [batch_lookup] and
+     [prefetch_batch] take a whole array, so there is one of each length *)
+  let keys_of_len = Array.init (batch + 1) (fun m -> Array.make m 0L) in
+  let addrs_of_len = Array.init (batch + 1) (fun m -> Array.make m 0) in
+  let slot = Array.make batch (-1) in  (* polled i -> its [located] index *)
   while true do
     (* drain up to a batch of requests from our slots *)
     let n = ref 0 in
@@ -64,45 +70,54 @@ let worker_body ?substrate (backend : Backend.t) (tr : Transport.t) ~lock
     else begin
       stats.batches <- stats.batches + 1;
       stats.ops <- stats.ops + !n;
-      (* batched index lookup over the point-op keys *)
-      let point_keys =
-        Array.to_list (Array.sub polled 0 !n)
-        |> List.filter_map (fun p ->
-               match p with
-               | Some (_, (msg : Message.t))
-                 when msg.Message.req.Request.kind <> Request.Scan ->
-                 Some msg.Message.req.Request.key
-               | Some _ | None -> None)
-        |> Array.of_list
-      in
+      (* batched index lookup over the point-op keys, in polled order; the
+         index is not mutated before the lookups are used, so a key
+         appearing twice locates the same item at either position *)
+      let m = ref 0 in
+      for i = 0 to !n - 1 do
+        match polled.(i) with
+        | Some (_, (msg : Message.t))
+          when msg.Message.req.Request.kind <> Request.Scan ->
+          slot.(i) <- !m;
+          incr m
+        | Some _ | None -> slot.(i) <- -1
+      done;
+      let point_keys = keys_of_len.(!m) in
+      for i = 0 to !n - 1 do
+        match polled.(i) with
+        | Some (_, msg) when slot.(i) >= 0 ->
+          point_keys.(slot.(i)) <- msg.Message.req.Request.key
+        | Some _ | None -> ()
+      done;
       let located = index.Index.batch_lookup env point_keys in
-      let by_key = Hashtbl.create 16 in
-      Array.iteri
-        (fun i key -> Hashtbl.replace by_key key located.(i))
-        point_keys;
       (* prefetch the located items before the copy stage (the paper's
          BaseKV has batching and prefetching enabled) *)
-      let item_addrs =
-        Array.of_list
-          (List.filter_map
-             (fun item -> Option.map Mutps_store.Item.addr item)
-             (Array.to_list located))
-      in
-      if Array.length item_addrs > 0 then Env.prefetch_batch env item_addrs;
+      let found = ref 0 in
+      Array.iter (fun item -> if Option.is_some item then incr found) located;
+      if !found > 0 then begin
+        let item_addrs = addrs_of_len.(!found) in
+        let k = ref 0 in
+        Array.iter
+          (function
+            | Some item ->
+              item_addrs.(!k) <- Mutps_store.Item.addr item;
+              incr k
+            | None -> ())
+          located;
+        Env.prefetch_batch env item_addrs
+      end;
       for i = 0 to !n - 1 do
         match polled.(i) with
         | None -> assert false
         | Some (seq, msg) -> (
           let req = msg.Message.req in
           let key = req.Request.key in
+          let item = if slot.(i) >= 0 then located.(slot.(i)) else None in
           match req.Request.kind with
-          | Request.Get ->
-            Exec.do_get env tr ~worker ~seq
-              (Option.join (Hashtbl.find_opt by_key key))
+          | Request.Get -> Exec.do_get env tr ~worker ~seq item
           | Request.Put ->
             Exec.do_put env tr ~lock ~index ~slab:backend.Backend.slab ~worker
-              ~seq msg
-              (Option.join (Hashtbl.find_opt by_key key))
+              ~seq msg item
           | Request.Delete -> Exec.do_delete env tr ~index ~worker ~seq key
           | Request.Scan ->
             Exec.do_scan env tr ~index ~worker ~seq ~key

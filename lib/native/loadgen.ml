@@ -27,6 +27,7 @@ type config = {
 type result = {
   completed : int;
   errors : int;  (** [-ERR] replies *)
+  wrong : int;  (** replies other than the one the operation owes *)
   get_hits : int;
   get_misses : int;
   elapsed_ns : int;
@@ -38,6 +39,7 @@ type lg_conn = {
   gen : Opgen.t;
   mutable rbuf : bytes;
   mutable rlen : int;
+  mutable op : Opgen.op;  (* the outstanding request *)
   mutable sent_ns : int;  (* when the outstanding request went out *)
   mutable outstanding : bool;
 }
@@ -73,9 +75,23 @@ let send_all fd s =
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
   done
 
+(* What [op] may be answered, every value being its key's deterministic
+   payload: a GET gets that payload (at whatever size was last written) or
+   nil, a SET or DEL gets +OK.  An -ERR is counted as an error instead. *)
+let owed (op : Opgen.op) reply =
+  match (op.Opgen.kind, reply) with
+  | (Request.Get | Request.Scan), Resp.Value v ->
+    Bytes.equal v
+      (Mutps_net.Client.payload ~key:op.Opgen.key ~size:(Bytes.length v))
+  | (Request.Get | Request.Scan), Resp.Nil -> true
+  | (Request.Put | Request.Delete), Resp.Ok_simple "OK" -> true
+  | _, Resp.Error _ -> true
+  | _, (Resp.Value _ | Resp.Nil | Resp.Ok_simple _) -> false
+
 let send_next c =
   let buf = Buffer.create 64 in
-  Resp.encode_command buf (command_of_op (Opgen.next c.gen));
+  c.op <- Opgen.next c.gen;
+  Resp.encode_command buf (command_of_op c.op);
   c.sent_ns <- Clock.now_ns ();
   c.outstanding <- true;
   send_all c.fd (Buffer.contents buf)
@@ -103,13 +119,14 @@ let run cfg =
           gen = Opgen.make cfg.spec ~seed:(cfg.seed + (1000 * i));
           rbuf = Bytes.create 4096;
           rlen = 0;
+          op = { Opgen.kind = Request.Get; key = 0L; size = 0; scan_count = 0 };
           sent_ns = 0;
           outstanding = false;
         })
   in
   let hist = Stats.Hist.create () in
   let completed = ref 0 and started = ref 0 in
-  let errors = ref 0 and get_hits = ref 0 and get_misses = ref 0 in
+  let errors = ref 0 and wrong = ref 0 and get_hits = ref 0 and get_misses = ref 0 in
   let t0 = Clock.now_ns () in
   Array.iter
     (fun c ->
@@ -145,6 +162,7 @@ let run cfg =
             Bytes.blit c.rbuf consumed c.rbuf 0 (c.rlen - consumed);
             c.rlen <- c.rlen - consumed;
             Stats.Hist.add hist (Clock.now_ns () - c.sent_ns);
+            if not (owed c.op reply) then incr wrong;
             (match reply with
             | Resp.Value _ -> incr get_hits
             | Resp.Nil -> incr get_misses
@@ -164,6 +182,7 @@ let run cfg =
   {
     completed = !completed;
     errors = !errors;
+    wrong = !wrong;
     get_hits = !get_hits;
     get_misses = !get_misses;
     elapsed_ns;

@@ -17,6 +17,10 @@ type config = {
 type result = {
   completed : int;
   errors : int;  (** [-ERR] replies *)
+  wrong : int;
+      (** replies other than the one the operation owes, given that every
+          value is its key's {!Mutps_net.Client.payload}: a GET answered
+          with another value, a SET or DEL not answered [+OK] *)
   get_hits : int;
   get_misses : int;
   elapsed_ns : int;

@@ -73,6 +73,7 @@ type summary = {
   mr_ops : int;
   steals : int;  (** scheduler cross-worker steals *)
   conns : int;  (** connections accepted *)
+  refused : int;  (** connections refused: fd beyond [select]'s reach *)
 }
 
 (* ------------------------------------------------------------------ *)
@@ -456,7 +457,14 @@ type state = {
   lfd : Unix.file_descr;
   conns_lock : Mutex.t;  (* guards the completion-lookup table only *)
   conns : (int, conn) Hashtbl.t;
-  mutable accepted : int;  (* poller-only *)
+  (* the rest is poller-only *)
+  mutable accepted : int;
+  mutable refused : int;
+  mutable live : conn list;  (* every open connection *)
+  by_fd : (Unix.file_descr, conn) Hashtbl.t;  (* readable fd -> its conn *)
+  mutable watched : Unix.file_descr list;  (* listener + non-closing conns *)
+  mutable rewatch : bool;  (* [watched] is stale: a conn opened or began closing *)
+  mutable closing_conns : int;  (* live conns with [closing] set *)
 }
 
 let complete_by_id st ~cid ~ticket reply =
@@ -466,6 +474,28 @@ let complete_by_id st ~cid ~ticket reply =
   match conn with
   | Some conn -> conn_complete conn ~ticket reply
   | None -> ()  (* connection closed with replies in flight *)
+
+(* Stop reading [conn]: it leaves the watched set at the next select and
+   closes once its replies have drained. *)
+let begin_close st conn =
+  if not conn.closing then begin
+    conn.closing <- true;
+    st.closing_conns <- st.closing_conns + 1;
+    st.rewatch <- true
+  end
+
+(* The peer is gone: nothing more can reach it, so drop the replies still
+   owed and let the close sweep take the connection at once.  A reply
+   completing later parks in [pending] and is never encoded. *)
+let conn_drop st conn =
+  begin_close st conn;
+  conn.wpend <- "";
+  conn.woff <- 0;
+  Mutex.lock conn.out_lock;
+  Hashtbl.reset conn.pending;
+  Buffer.clear conn.obuf;
+  conn.next_out <- conn.tickets;
+  Mutex.unlock conn.out_lock
 
 (* Dispatch one parsed command: route KVS ops to their shard's transport
    (the reply arrives through the shard's response callback), answer
@@ -495,7 +525,7 @@ let dispatch st conn cmd =
   | Resp.Set (key, v) ->
     if Bytes.length v > Request.max_size then begin
       conn_complete conn ~ticket (Resp.Error "value too large");
-      conn.closing <- true
+      begin_close st conn
     end
     else send (Request.put ~key ~size:(Bytes.length v) ~buf:0) (Some v)
 
@@ -508,7 +538,7 @@ let conn_parse st conn =
       let ticket = conn.tickets in
       conn.tickets <- ticket + 1;
       conn_complete conn ~ticket (Resp.Error reason);
-      conn.closing <- true
+      begin_close st conn
     | `Ok (cmd, consumed) ->
       Bytes.blit conn.rbuf consumed conn.rbuf 0 (conn.rlen - consumed);
       conn.rlen <- conn.rlen - consumed;
@@ -524,16 +554,17 @@ let conn_read st conn =
     conn.rbuf <- bigger
   end;
   match Unix.read conn.fd conn.rbuf conn.rlen read_chunk with
-  | 0 -> conn.closing <- true  (* peer shutdown; flush replies then close *)
+  | 0 -> begin_close st conn  (* peer shutdown; flush replies then close *)
   | n ->
     conn.rlen <- conn.rlen + n;
     conn_parse st conn
   | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
     -> ()
+  | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) ->
+    conn_drop st conn
 
-(* Move sequenced replies to the socket; true while the write side still
-   has (or may get) bytes to emit. *)
-let conn_flush conn =
+(* Move sequenced replies to the socket. *)
+let conn_flush st conn =
   if conn.woff >= String.length conn.wpend then begin
     Mutex.lock conn.out_lock;
     if Buffer.length conn.obuf > 0 then begin
@@ -550,6 +581,8 @@ let conn_flush conn =
     | exception
         Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
       -> ()
+    | exception Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) ->
+      conn_drop st conn
   end
 
 (* A closing connection drains once every issued ticket has its reply
@@ -566,12 +599,34 @@ let close_conn st conn =
   Mutex.lock st.conns_lock;
   Hashtbl.remove st.conns conn.cid;
   Mutex.unlock st.conns_lock;
+  Hashtbl.remove st.by_fd conn.fd;
   (try Unix.close conn.fd with Unix.Unix_error _ -> ())
 
-let accept_conns st live =
+(* [Unix.select] cannot watch an fd at or above FD_SETSIZE: it raises
+   EINVAL before making the syscall.  Probing with the call itself keeps
+   the limit the platform's, at one zero-timeout select per accept. *)
+let rec selectable fd =
+  match Unix.select [ fd ] [] [] 0.0 with
+  | _ -> true
+  | exception Unix.Unix_error (Unix.EINVAL, _, _) -> false
+  | exception Unix.Unix_error (Unix.EINTR, _, _) -> selectable fd
+
+let too_many_clients = "-ERR max number of clients reached\r\n"
+
+let refuse st fd =
+  st.refused <- st.refused + 1;
+  (try
+     ignore
+       (Unix.write_substring fd too_many_clients 0
+          (String.length too_many_clients))
+   with Unix.Unix_error _ -> ());
+  try Unix.close fd with Unix.Unix_error _ -> ()
+
+let accept_conns st =
   let continue = ref true in
   while !continue do
     match Unix.accept ~cloexec:true st.lfd with
+    | fd, _ when not (selectable fd) -> refuse st fd
     | fd, _ ->
       Unix.set_nonblock fd;
       let conn =
@@ -594,29 +649,72 @@ let accept_conns st live =
       Mutex.lock st.conns_lock;
       Hashtbl.replace st.conns conn.cid conn;
       Mutex.unlock st.conns_lock;
-      live := conn :: !live
+      st.live <- conn :: st.live;
+      Hashtbl.replace st.by_fd fd conn;
+      st.rewatch <- true
     | exception
-        Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
+        Unix.Unix_error
+          ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR | Unix.EMFILE
+           | Unix.ENFILE), _, _)
       -> continue := false
+    | exception Unix.Unix_error (Unix.ECONNABORTED, _, _) -> ()
   done
 
+let close_sweep st =
+  match List.partition (fun c -> c.closing && conn_drained c) st.live with
+  | [], _ -> ()
+  | closed, kept ->
+    List.iter (close_conn st) closed;
+    st.live <- kept;
+    st.closing_conns <- st.closing_conns - List.length closed
+
+(* One poller turn, driven by readiness: replies finished during the last
+   pass over the shard fibers leave first, then one zero-timeout select
+   names the sockets worth an accept or a read, and nothing else is
+   touched. *)
+let poll_turn st =
+  List.iter (conn_flush st) st.live;
+  if st.rewatch then begin
+    st.watched <-
+      st.lfd
+      :: List.filter_map
+           (fun c -> if c.closing then None else Some c.fd)
+           st.live;
+    st.rewatch <- false
+  end;
+  let readable =
+    match Unix.select st.watched [] [] 0.0 with
+    | r, _, _ -> r
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> []
+  in
+  List.iter
+    (fun fd ->
+      if fd = st.lfd then accept_conns st
+      else
+        match Hashtbl.find_opt st.by_fd fd with
+        | Some conn -> conn_read st conn
+        | None -> ())
+    readable;
+  if st.closing_conns > 0 then close_sweep st
+
 (* The poller fiber: owns the listener and every connection's socket I/O.
-   Purely polling (accept/read/write are non-blocking, then yield), like
-   the shard fibers — the whole server is a busy-poll runtime. *)
+   It never blocks (the select polls, accept/read/write are non-blocking)
+   and yields after every turn, like the shard fibers — the whole server
+   is a busy-poll runtime. *)
 let poller_fiber st () =
   let deadline_ns =
     Option.map
       (fun s -> Clock.now_ns () + int_of_float (s *. 1e9))
       st.cfg.duration_s
   in
-  let live = ref [] in
   let finished = ref false in
   while not !finished do
     (match deadline_ns with
     | Some d when Clock.now_ns () >= d -> Atomic.set st.stop true
     | Some _ | None -> ());
     if Atomic.get st.stop then begin
-      List.iter (fun c -> close_conn st c) !live;
+      List.iter (close_conn st) st.live;
+      st.live <- [];
       (try Unix.close st.lfd with Unix.Unix_error _ -> ());
       (match st.cfg.listen with
       | Unix_path p -> ( try Sys.remove p with Sys_error _ -> ())
@@ -624,17 +722,7 @@ let poller_fiber st () =
       finished := true
     end
     else begin
-      accept_conns st live;
-      List.iter
-        (fun conn ->
-          if not conn.closing then conn_read st conn;
-          conn_flush conn)
-        !live;
-      let closed, kept =
-        List.partition (fun c -> c.closing && conn_drained c) !live
-      in
-      List.iter (fun c -> close_conn st c) closed;
-      live := kept;
+      poll_turn st;
       Fiber.yield ()
     end
   done;
@@ -668,6 +756,10 @@ let listen_to_string = function
 let prepare (cfg : config) =
   if cfg.shards < 1 then invalid_arg "Server: shards < 1";
   if cfg.domains < 1 then invalid_arg "Server: domains < 1";
+  (* a client that vanishes with replies in flight must surface as EPIPE
+     on its own connection, not kill the process with SIGPIPE *)
+  (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
+   with Invalid_argument _ -> ());
   let stop = Atomic.make false in
   let shards = Array.init cfg.shards (make_shard cfg ~stop) in
   let lfd = listen_socket cfg in
@@ -681,6 +773,12 @@ let prepare (cfg : config) =
       conns_lock = Mutex.create ();
       conns = Hashtbl.create 64;
       accepted = 0;
+      refused = 0;
+      live = [];
+      by_fd = Hashtbl.create 64;
+      watched = [ lfd ];
+      rewatch = false;
+      closing_conns = 0;
     }
   in
   Array.iter
@@ -725,6 +823,7 @@ let summarize st =
     mr_ops = !mr_ops;
     steals = Sched.steals st.sched;
     conns = st.accepted;
+    refused = st.refused;
   }
 
 let serve st =

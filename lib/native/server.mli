@@ -10,7 +10,12 @@
     charge or DES effect is ever produced.
 
     Per-connection replies are released in request order regardless of
-    which shard fiber completes them. *)
+    which shard fiber completes them.  One poller fiber serves every
+    connection: each turn flushes the sequenced replies, makes one
+    zero-timeout [Unix.select], and accepts or reads only where the
+    kernel reports readiness.  Starting a server sets SIGPIPE to ignored
+    for the whole process, so a vanished client costs only its own
+    connection. *)
 
 type mode =
   | Rtc_pool of Mutps_kvs.Exec.lock_mode
@@ -44,6 +49,9 @@ type summary = {
   mr_ops : int;
   steals : int;  (** scheduler cross-worker steals *)
   conns : int;  (** connections accepted *)
+  refused : int;
+      (** connections refused with [-ERR max number of clients reached]:
+          their fd is at or above [FD_SETSIZE], beyond [Unix.select] *)
 }
 
 val run : config -> summary

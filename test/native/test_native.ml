@@ -512,6 +512,219 @@ let test_serve_ping_and_errors () =
   Server.stop handle;
   ignore (Server.wait handle)
 
+(* ------------------------------------------------------------------ *)
+(* The readiness-driven poller                                         *)
+(* ------------------------------------------------------------------ *)
+
+let poller_keyspace = 64
+let poller_value_size = 16
+
+let launch_poller_server ?(mode = Server.Split) name =
+  let path = Filename.temp_file name ".sock" in
+  Sys.remove path;
+  let handle =
+    Server.launch
+      {
+        Server.default_config with
+        Server.mode;
+        listen = Server.Unix_path path;
+        domains = 2;
+        shards = 2;
+        keyspace = poller_keyspace;
+        value_size = poller_value_size;
+        hot_cap = 16;
+      }
+  in
+  (path, handle)
+
+let connect_unix path =
+  let fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.connect fd (Unix.ADDR_UNIX path);
+  fd
+
+let write_all fd s =
+  let off = ref 0 in
+  while !off < String.length s do
+    off := !off + Unix.write_substring fd s !off (String.length s - !off)
+  done
+
+(* Read exactly [n] bytes, failing rather than hanging if they stop (a
+   receive timeout, not [select], which cannot watch every fd). *)
+let read_exactly fd n =
+  Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.0;
+  let buf = Bytes.create n in
+  let got = ref 0 in
+  while !got < n do
+    match Unix.read fd buf !got (n - !got) with
+    | 0 -> Alcotest.fail (Printf.sprintf "EOF after %d of %d bytes" !got n)
+    | k -> got := !got + k
+    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+      Alcotest.fail (Printf.sprintf "stalled after %d of %d bytes" !got n)
+  done;
+  Bytes.to_string buf
+
+let ping_ok fd =
+  write_all fd (encode_cmd Resp.Ping);
+  check_string "still serving" "+PONG\r\n" (read_exactly fd 7)
+
+(* One write carries hundreds of commands over both shards — hits on
+   preloaded keys (repeated, so a batch sees duplicates), SETs, PINGs and
+   misses — and must come back in order, each answered exactly once; then
+   a command split over two writes is reassembled. *)
+let test_poller_pipelined mode () =
+  let path, handle = launch_poller_server ~mode "mutps-pipe" in
+  let fd = connect_unix path in
+  let cmds = Buffer.create 16384 and want = Buffer.create 16384 in
+  for i = 0 to 399 do
+    let cmd, reply =
+      match i mod 4 with
+      | 0 ->
+        let key = Int64.of_int (i / 4 mod 16) in
+        ( Resp.Get key,
+          Resp.Value (Mutps_net.Client.payload ~key ~size:poller_value_size) )
+      | 1 ->
+        let key = Int64.of_int (1000 + (i / 4)) in
+        (Resp.Set (key, Mutps_net.Client.payload ~key ~size:24), Resp.Ok_simple "OK")
+      | 2 -> (Resp.Ping, Resp.Ok_simple "PONG")
+      | _ -> (Resp.Get (Int64.of_int (5000 + (i / 4))), Resp.Nil)
+    in
+    Resp.encode_command cmds cmd;
+    Buffer.add_string want (Resp.reply_to_string reply)
+  done;
+  write_all fd (Buffer.contents cmds);
+  check_string "in-order replies" (Buffer.contents want)
+    (read_exactly fd (Buffer.length want));
+  (* exactly once: the next bytes are the next command's reply *)
+  ping_ok fd;
+  let key = 7000L in
+  let value = Mutps_net.Client.payload ~key ~size:40 in
+  let set = encode_cmd (Resp.Set (key, value)) in
+  write_all fd (String.sub set 0 9);
+  Unix.sleepf 0.02;
+  write_all fd (String.sub set 9 (String.length set - 9));
+  check_string "split command answered" "+OK\r\n" (read_exactly fd 5);
+  write_all fd (encode_cmd (Resp.Get key));
+  let want = Resp.reply_to_string (Resp.Value value) in
+  check_string "split command applied" want (read_exactly fd (String.length want));
+  Unix.close fd;
+  Server.stop handle;
+  ignore (Server.wait handle)
+
+(* 64 closed loops at once, every reply checked against the value its key
+   owes. *)
+let test_poller_many_conns () =
+  let path, handle = launch_poller_server "mutps-many" in
+  let spec =
+    {
+      Opgen.name = "many";
+      keyspace = poller_keyspace;
+      key_dist = Opgen.Zipfian 0.9;
+      size_dist = Opgen.Fixed poller_value_size;
+      mix = { Opgen.get = 0.7; put = 0.3; scan = 0.0 };
+      scan_len = 1;
+    }
+  in
+  let ops = 6_400 in
+  let r =
+    Loadgen.run
+      { Loadgen.connect = Server.Unix_path path; conns = 64; ops; spec; seed = 9 }
+  in
+  check_int "every op answered" ops r.Loadgen.completed;
+  check_int "no errors" 0 r.Loadgen.errors;
+  check_int "every reply the one owed" 0 r.Loadgen.wrong;
+  check_int "every key preloaded" 0 r.Loadgen.get_misses;
+  Server.stop handle;
+  let s = Server.wait handle in
+  check_int "connections accepted" 64 s.Server.conns
+
+let open_fds () = Array.length (Sys.readdir "/proc/self/fd")
+
+(* Poll until the server has closed what it should have, or give up. *)
+let await_fds want =
+  let deadline = Unix.gettimeofday () +. 10.0 in
+  while open_fds () <> want && Unix.gettimeofday () < deadline do
+    Unix.sleepf 0.01
+  done;
+  check_int "fd count back at baseline" want (open_fds ())
+
+(* Clients come and go in every way a client can: a clean round trip, a
+   connect-and-leave, a half-sent command, and one that pipelines 5000
+   GETs and vanishes with every reply still in flight (its replies hit
+   EPIPE/ECONNRESET).  The server must keep serving and leak no fd. *)
+let test_poller_churn () =
+  let path, handle = launch_poller_server "mutps-churn" in
+  let baseline = open_fds () in
+  let gets =
+    String.concat ""
+      (List.init 5000 (fun i -> encode_cmd (Resp.Get (Int64.of_int (i mod 64)))))
+  in
+  for round = 1 to 5 do
+    let fd = connect_unix path in
+    ping_ok fd;
+    Unix.close fd;
+    Unix.close (connect_unix path);
+    let fd = connect_unix path in
+    write_all fd (String.sub (encode_cmd (Resp.Get 3L)) 0 6);
+    Unix.close fd;
+    let fd = connect_unix path in
+    write_all fd gets;
+    if round mod 2 = 0 then Unix.shutdown fd Unix.SHUTDOWN_SEND;
+    Unix.close fd
+  done;
+  await_fds baseline;
+  let fd = connect_unix path in
+  ping_ok fd;
+  Unix.close fd;
+  await_fds baseline;
+  Server.stop handle;
+  let s = Server.wait handle in
+  check_int "every connection accepted" 21 s.Server.conns
+
+(* Fill every fd below FD_SETSIZE so the server's next accept lands
+   beyond [select]'s reach: that client must be refused with an error,
+   and the server must go on serving the next one. *)
+let test_poller_fd_setsize () =
+  let path, handle = launch_poller_server "mutps-fdmax" in
+  let spares = ref [] in
+  let selectable fd =
+    match Unix.select [ fd ] [] [] 0.0 with
+    | _ -> true
+    | exception Unix.Unix_error (Unix.EINVAL, _, _) -> false
+  in
+  let rec fill () =
+    match Unix.openfile "/dev/null" [ Unix.O_RDONLY; Unix.O_CLOEXEC ] 0 with
+    | fd ->
+      spares := fd :: !spares;
+      if selectable fd then fill () else true
+    | exception Unix.Unix_error ((Unix.EMFILE | Unix.ENFILE), _, _) -> false
+  in
+  let reached = fill () in
+  let release () =
+    List.iter Unix.close !spares;
+    spares := []
+  in
+  if not reached then begin
+    (* ulimit -n <= FD_SETSIZE: no fd can be out of reach *)
+    release ();
+    Server.stop handle;
+    ignore (Server.wait handle);
+    Alcotest.skip ()
+  end;
+  let fd = connect_unix path in
+  let refusal = "-ERR max number of clients reached\r\n" in
+  check_string "refused with an error" refusal
+    (read_exactly fd (String.length refusal));
+  check_int "then closed" 0 (Unix.read fd (Bytes.create 1) 0 1);
+  Unix.close fd;
+  release ();
+  let fd = connect_unix path in
+  ping_ok fd;
+  Unix.close fd;
+  Server.stop handle;
+  let s = Server.wait handle in
+  check_int "refusal counted" 1 s.Server.refused;
+  check_int "the next client served" 1 s.Server.conns
+
 let () =
   let qt = QCheck_alcotest.to_alcotest in
   Alcotest.run "native"
@@ -557,5 +770,15 @@ let () =
           Alcotest.test_case "serve + loadgen" `Quick test_serve_loadgen;
           Alcotest.test_case "ping and protocol errors" `Quick
             test_serve_ping_and_errors;
+          Alcotest.test_case "pipelined writes, split" `Quick
+            (test_poller_pipelined Server.Split);
+          Alcotest.test_case "pipelined writes, basekv" `Quick
+            (test_poller_pipelined (Server.Rtc_pool Kvs.Exec.Locked));
+          Alcotest.test_case "64 loadgen connections" `Quick
+            test_poller_many_conns;
+          Alcotest.test_case "churn and vanishing clients" `Quick
+            test_poller_churn;
+          Alcotest.test_case "fd beyond FD_SETSIZE refused" `Quick
+            test_poller_fd_setsize;
         ] );
     ]
