@@ -6,36 +6,40 @@
                      [DIR-OR-FILE ...]
                                           (default roots: lib bin bench examples)
 
-   Runs in project mode: every file is parsed once, checked with the
-   intra-procedural rules (R1/R2/R4 plus everything but the lexical R3),
-   and the whole set is then analyzed as one closed world three times —
-   by the interprocedural charge pass (lib/lint/interp.ml), which
-   refines R3 across call sites and catches R2 leaks through sanctioned
-   raw-access helpers; by the allocation certifier (lib/lint/alloc.ml),
-   which proves every function reachable from a [@hot] root free of heap
-   allocation (A1), boxing (A2) and observability escapes (A3); and by
-   the domain-safety certifier (lib/lint/dom.ml), which proves
-   module-level mutable state synchronized (D1), spawn captures
-   protected (D2), the lock-order graph acyclic (D3) and effect performs
-   handler-dominated per domain (D4).  [--intra-only] restores the
-   purely lexical R3 rule and skips the project passes — useful when
-   linting a lone file out of context.
+   Runs in project mode: every file is parsed once and checked with the
+   intra-procedural rules (R1/R2/R4 plus everything but the lexical R3).
+   The parsed files then become one closed world (lib/lint/world.ml: one
+   walk over the top-level bindings, one function index and resolver,
+   one suppression registry, one worklist) that three client passes
+   judge: the interprocedural charge pass (interp.ml), which refines R3
+   across call sites and catches R2 leaks through sanctioned raw-access
+   helpers; the allocation certifier (alloc.ml), which proves every
+   function reachable from a [@hot] root free of heap allocation (A1),
+   boxing (A2) and observability escapes (A3); and the domain-safety
+   certifier (dom.ml), which proves module-level mutable state
+   synchronized (D1), spawn captures protected (D2), the lock-order
+   graph acyclic (D3) and effect performs handler-dominated per domain
+   (D4).  [--intra-only] restores the purely lexical R3 rule and builds
+   no world — useful when linting a lone file out of context.
 
    Emits "file:line:col: [RULE] message" per finding (the shape the CI
    problem matcher parses), or a JSON object with [--format json], and
    exits non-zero when any finding or parse error is produced.
    Suppressions are accounted per rule family (R vs A vs D) and stale
    sites of all three attributes ([@lint.allow], [@alloc.allow],
-   [@dom.allow]) — ones that no longer cover any would-be finding — are
-   listed so they can be deleted; [--strict-suppressions] turns any
-   stale site into a non-zero exit (CI runs this).  [--lock-graph FILE]
-   writes the D3 lock-order graph as DOT.  Wired to `dune build @lint`;
-   see DESIGN.md "Determinism invariants", §9 and §10. *)
+   [@dom.allow], one shared registry) — ones that no longer cover any
+   would-be finding — are listed so they can be deleted;
+   [--strict-suppressions] turns any stale site into a non-zero exit (CI
+   runs this).  [--lock-graph FILE] writes the D3 lock-order graph as
+   DOT.  Wired to `dune build @lint`; see DESIGN.md §5 ("Determinism
+   invariants" and "The closed world the project passes share"), §9 and
+   §10. *)
 
 module Lint = Mutps_lint.Lint
 module Interp = Mutps_lint.Interp
 module Alloc = Mutps_lint.Alloc
 module Dom = Mutps_lint.Dom
+module World = Mutps_lint.World
 
 let rec collect acc path =
   let base = Filename.basename path in
@@ -46,6 +50,8 @@ let rec collect acc path =
   else if Filename.check_suffix path ".ml" then path :: acc
   else acc
 
+(* The same bytes as Mutps_trace.Json.escape: the driver links only
+   mutps.lint and compiler-libs. *)
 let json_escape s =
   let b = Buffer.create (String.length s + 8) in
   String.iter
@@ -115,12 +121,12 @@ let print_json findings ~r_suppressed ~(alloc : Alloc.result option)
       (List.length a.Alloc.hot_set)
       (String.concat ","
          (List.map
-            (fun (s : Alloc.allow_site) ->
+            (fun (s : Lint.allow_site) ->
               Printf.sprintf
                 "\n      { \"file\": \"%s\", \"line\": %d, \"uses\": %d, \
                  \"reason\": \"%s\" }"
-              (json_escape s.Alloc.al_file) s.Alloc.al_line s.Alloc.al_uses
-              (json_escape s.Alloc.al_reason))
+              (json_escape s.as_file) s.as_line s.as_uses
+              (json_escape s.as_payload))
             a.Alloc.allow_sites)));
   (match dom with
   | None -> print_string "  \"dom\": null\n"
@@ -233,9 +239,9 @@ let () =
   let on_suppressed ~rule ~loc:(_ : Location.t) =
     r_suppressed := (rule, ()) :: !r_suppressed
   in
-  (* one registry shared across the intra, interprocedural and domain
-     passes: [@lint.allow]/[@dom.allow] use counters accumulate so a
-     site is stale only if no pass consumed it *)
+  (* one registry shared by every pass: use counters of all three
+     suppression families accumulate so a site is stale only if no pass
+     consumed it *)
   let registry = Lint.new_allow_registry () in
   let intra =
     List.concat_map
@@ -244,17 +250,20 @@ let () =
           ~on_suppressed ~registry str)
       parsed
   in
-  let interp =
-    if !intra_only then []
-    else Interp.check_project ~on_suppressed ~registry parsed
+  (* the project passes share one closed world *)
+  let world =
+    if !intra_only then None else Some (World.build ~registry parsed)
   in
-  let alloc = if !intra_only then None else Some (Alloc.check_project parsed) in
+  let interp =
+    match world with
+    | Some w -> Interp.check_project ~on_suppressed w
+    | None -> []
+  in
+  let alloc = Option.map Alloc.check_project world in
   let alloc_findings =
     match alloc with Some a -> a.Alloc.findings | None -> []
   in
-  let dom =
-    if !intra_only then None else Some (Dom.check_project ~registry parsed)
-  in
+  let dom = Option.map Dom.check_project world in
   let dom_findings = match dom with Some d -> d.Dom.findings | None -> [] in
   (match (!lock_graph, dom) with
   | Some file, Some d ->
@@ -269,27 +278,27 @@ let () =
     List.sort Lint.compare_finding
       (intra @ interp @ alloc_findings @ dom_findings)
   in
-  let lint_sites = Lint.allow_sites registry in
+  (* the A sites are listed in their own "alloc" section *)
+  let is_alloc (s : Lint.allow_site) = s.as_attr = "alloc.allow" in
+  let lint_sites =
+    List.filter (fun s -> not (is_alloc s)) (Lint.allow_sites registry)
+  in
   (match !format with
   | `Json ->
     print_json findings ~r_suppressed:!r_suppressed ~alloc ~dom ~lint_sites
   | `Text ->
     List.iter (fun f -> print_endline (Lint.finding_to_string f)) findings);
-  (* per-family suppression summary + stale [@alloc.allow] report, on
-     stderr so it shows in CI logs without disturbing the parseable
-     stdout *)
+  (* per-family suppression summary + stale-site report, on stderr so it
+     shows in CI logs without disturbing the parseable stdout *)
   let r_total = List.length !r_suppressed in
-  let a_used, a_sites, a_stale =
+  let a_used, a_sites =
     match alloc with
-    | None -> (0, 0, [])
+    | None -> (0, 0)
     | Some a ->
       ( List.fold_left
-          (fun acc (s : Alloc.allow_site) -> acc + s.Alloc.al_uses)
+          (fun acc (s : Lint.allow_site) -> acc + s.as_uses)
           0 a.Alloc.allow_sites,
-        List.length a.Alloc.allow_sites,
-        List.filter
-          (fun (s : Alloc.allow_site) -> s.Alloc.al_uses = 0)
-          a.Alloc.allow_sites )
+        List.length a.Alloc.allow_sites )
   in
   let d_total = match dom with Some d -> d.Dom.suppressed | None -> 0 in
   let d_sites =
@@ -308,23 +317,19 @@ let () =
       (if d_total = 1 then "" else "s")
       d_sites
       (if d_sites = 1 then "" else "s");
-  (* stale-suppression report: all three attribute families *)
-  let registry_stale = Lint.stale_allow_sites registry in
+  (* stale-suppression report: all three attribute families, the R and
+     D sites first *)
+  let a_stale, rd_stale =
+    List.partition is_alloc (Lint.stale_allow_sites registry)
+  in
   List.iter
     (fun (s : Lint.allow_site) ->
       Printf.eprintf
         "mutps_lint: stale [@%s] at %s:%d (%S) — covers no finding, delete \
          it\n"
         s.Lint.as_attr s.Lint.as_file s.Lint.as_line s.Lint.as_payload)
-    registry_stale;
-  List.iter
-    (fun (s : Alloc.allow_site) ->
-      Printf.eprintf
-        "mutps_lint: stale [@alloc.allow] at %s:%d (%S) — covers no \
-         finding, delete it\n"
-        s.Alloc.al_file s.Alloc.al_line s.Alloc.al_reason)
-    a_stale;
-  let n_stale = List.length registry_stale + List.length a_stale in
+    (rd_stale @ a_stale);
+  let n_stale = List.length rd_stale + List.length a_stale in
   if !strict_suppressions && n_stale > 0 then begin
     Printf.eprintf
       "mutps_lint: --strict-suppressions: %d stale suppression site%s\n"

@@ -83,19 +83,6 @@ let float_to_string v =
     if s = "-0" then "0" else s
   end
 
-let escape b s =
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | '\r' -> Buffer.add_string b "\\r"
-      | c when Char.code c < 0x20 -> Printf.bprintf b "\\u%04x" (Char.code c)
-      | c -> Buffer.add_char b c)
-    s
-
 let row_to_buffer b r =
   (* field order is fixed and alphabetical: axis, experiment, metrics,
      system *)
@@ -104,24 +91,24 @@ let row_to_buffer b r =
     (fun i (k, v) ->
       if i > 0 then Buffer.add_char b ',';
       Buffer.add_char b '"';
-      escape b k;
+      Mutps_trace.Json.escape b k;
       Buffer.add_string b "\":\"";
-      escape b v;
+      Mutps_trace.Json.escape b v;
       Buffer.add_char b '"')
     (List.sort by_key r.axis);
   Buffer.add_string b "},\"experiment\":\"";
-  escape b r.experiment;
+  Mutps_trace.Json.escape b r.experiment;
   Buffer.add_string b "\",\"metrics\":{";
   List.iteri
     (fun i (k, v) ->
       if i > 0 then Buffer.add_char b ',';
       Buffer.add_char b '"';
-      escape b k;
+      Mutps_trace.Json.escape b k;
       Buffer.add_string b "\":";
       Buffer.add_string b (float_to_string v))
     (List.sort by_key r.metrics);
   Buffer.add_string b "},\"system\":\"";
-  escape b r.system;
+  Mutps_trace.Json.escape b r.system;
   Buffer.add_string b "\"}"
 
 let schema = "mutps-bench/v1"

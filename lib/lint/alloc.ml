@@ -1,11 +1,11 @@
 (* Interprocedural zero-allocation certifier (rule family A).  See
    alloc.mli for the contract.
 
-   Pipeline, mirroring Interp: extract one summary per top-level binding
-   (allocation/boxing/escape sites, outgoing calls, bare mentions, arity,
-   [@hot] flag), index the bindings, propagate hotness from the [@hot]
-   roots through resolvable calls and mentions, then classify every site
-   and call of every hot function.
+   A client of the shared closed world ({!World}): summarize every
+   top-level binding (allocation/boxing/escape sites, outgoing calls, bare
+   mentions, [@hot] flag), propagate hotness from the [@hot] roots
+   through resolvable calls and mentions, then classify every site and
+   call of every hot function.
 
    The walk is over the Parsetree, so the judgments are syntactic
    approximations of what ocamlopt actually emits:
@@ -26,21 +26,13 @@
    The runtime zero-allocation test (test/sim: Gc.minor_words delta over
    an event churn) backstops both approximations. *)
 
-module SS = Set.Make (String)
 open Lint.Internal
-
-type allow_site = {
-  al_file : string;
-  al_line : int;
-  al_reason : string;
-  mutable al_uses : int;
-}
 
 type result = {
   findings : Lint.finding list;
   hot_roots : string list;
   hot_set : string list;
-  allow_sites : allow_site list;
+  allow_sites : Lint.allow_site list;
 }
 
 (* ------------------------------------------------------------------ *)
@@ -131,7 +123,7 @@ type site = {
   s_rule : string;  (* "A1" | "A2" | "A3" *)
   s_what : string;
   s_loc : Location.t;
-  s_allow : int;  (* covering [@alloc.allow] id, or -1 *)
+  s_allow : Lint.allow_site option;  (* covering [@alloc.allow] *)
 }
 
 type call = {
@@ -139,17 +131,15 @@ type call = {
   c_loc : Location.t;
   c_nargs : int;
   c_labeled : bool;  (* any labelled/optional argument *)
-  c_allow : int;
+  c_allow : Lint.allow_site option;
 }
 
-type afn = {
-  a_key : string;
-  a_file : string;
-  a_hot : bool;
-  a_arity : int;  (* leading Nolabel params; -1 when any is labelled *)
-  a_sites : site list;
-  a_calls : call list;
-  a_mentions : (string * int) list;  (* path, covering allow id *)
+type summary = {
+  b : World.binding;
+  hot : bool;
+  sites : site list;
+  calls : call list;
+  mentions : (string * Lint.allow_site option) list;
 }
 
 (* Literals, constant constructors, and structured constants built only
@@ -161,60 +151,6 @@ let rec is_constant (e : Parsetree.expression) =
   | Pexp_construct (_, Some a) | Pexp_variant (_, Some a) -> is_constant a
   | Pexp_tuple es -> List.for_all is_constant es
   | _ -> false
-
-let reason_of_payload (p : Parsetree.payload) =
-  match p with
-  | Parsetree.PStr
-      [
-        {
-          pstr_desc =
-            Pstr_eval
-              ({ pexp_desc = Pexp_constant (Pconst_string (s, _, _)); _ }, _);
-          _;
-        };
-      ] ->
-    Some s
-  | _ -> None
-
-type xstate = {
-  x_file : string;
-  allow_sites : allow_site array ref;  (* grow-only registry, id = index *)
-  mutable sites : site list;
-  mutable calls : call list;
-  mutable mentions : (string * int) list;
-  mutable allow : int;  (* innermost covering allow id, or -1 *)
-  mutable live : bool;  (* false inside diverging args / guard branches *)
-}
-
-let new_allow st ~loc reason =
-  let a =
-    {
-      al_file = st.x_file;
-      al_line = loc.Location.loc_start.pos_lnum;
-      al_reason = reason;
-      al_uses = 0;
-    }
-  in
-  let arr = !(st.allow_sites) in
-  st.allow_sites := Array.append arr [| a |];
-  Array.length arr
-
-let allow_of_alloc_attrs st (attrs : Parsetree.attributes) =
-  List.fold_left
-    (fun acc (a : Parsetree.attribute) ->
-      if a.attr_name.txt = "alloc.allow" then
-        let reason =
-          match reason_of_payload a.attr_payload with
-          | Some r -> r
-          | None -> "<no reason given>"
-        in
-        Some (new_allow st ~loc:a.attr_loc reason)
-      else acc)
-    None attrs
-
-let site st rule what (loc : Location.t) =
-  if st.live then
-    st.sites <- { s_rule = rule; s_what = what; s_loc = loc; s_allow = st.allow } :: st.sites
 
 let is_guard_scrutinee (e : Parsetree.expression) =
   match e.pexp_desc with
@@ -228,140 +164,124 @@ let is_some_pattern (p : Parsetree.pattern) =
     match Longident.last txt with "Some" -> true | _ -> false)
   | _ -> false
 
-let extract_events st (body : Parsetree.expression) =
-  let with_allow st id f =
-    match id with
-    | None -> f ()
-    | Some id ->
-      let saved = st.allow in
-      st.allow <- id;
-      Fun.protect ~finally:(fun () -> st.allow <- saved) f
-  in
-  let with_dead st f =
-    let saved = st.live in
-    st.live <- false;
-    Fun.protect ~finally:(fun () -> st.live <- saved) f
-  in
-  let rec walk (e : Parsetree.expression) =
-    with_allow st (allow_of_alloc_attrs st e.pexp_attributes) @@ fun () ->
-    walk_desc e
-  and walk_desc (e : Parsetree.expression) =
+(* Walk one binding.  [allow] is the innermost covering [@alloc.allow];
+   [live] is false inside diverging arguments and trace-guard branches. *)
+let summarize (w : World.t) (b : World.binding) =
+  let sites = ref [] and calls = ref [] and mentions = ref [] in
+  let rec walk ~allow ~live (e : Parsetree.expression) =
+    let allow =
+      World.allow w ~file:b.file "alloc.allow" allow e.pexp_attributes
+    in
+    let walk' = walk ~allow ~live and dead = walk ~allow ~live:false in
+    let site rule what =
+      if live then
+        sites :=
+          { s_rule = rule; s_what = what; s_loc = e.pexp_loc; s_allow = allow }
+          :: !sites
+    in
     match e.pexp_desc with
     | Pexp_fun (_, default, _, lam_body) ->
-      site st "A1" "closure allocation (lambda with captured environment)"
-        e.pexp_loc;
-      Option.iter walk default;
-      walk lam_body
+      site "A1" "closure allocation (lambda with captured environment)";
+      Option.iter walk' default;
+      walk' lam_body
     | Pexp_function cases ->
-      site st "A1" "closure allocation (function with captured environment)"
-        e.pexp_loc;
+      site "A1" "closure allocation (function with captured environment)";
       List.iter
         (fun (c : Parsetree.case) ->
-          Option.iter walk c.pc_guard;
-          walk c.pc_rhs)
+          Option.iter walk' c.pc_guard;
+          walk' c.pc_rhs)
         cases
     | Pexp_tuple es ->
-      if not (is_constant e) then
-        site st "A1" "tuple construction" e.pexp_loc;
-      List.iter walk es
+      if not (is_constant e) then site "A1" "tuple construction";
+      List.iter walk' es
     | Pexp_record (fields, base) ->
-      site st "A1" "record construction" e.pexp_loc;
-      Option.iter walk base;
-      List.iter (fun (_, v) -> walk v) fields
+      site "A1" "record construction";
+      Option.iter walk' base;
+      List.iter (fun (_, v) -> walk' v) fields
     | Pexp_construct (_, Some arg) ->
       if not (is_constant e) then
-        site st "A1" "variant construction (constructor with payload)"
-          e.pexp_loc;
-      walk arg
+        site "A1" "variant construction (constructor with payload)";
+      walk' arg
     | Pexp_variant (_, Some arg) ->
-      if not (is_constant e) then
-        site st "A1" "polymorphic-variant construction" e.pexp_loc;
-      walk arg
+      if not (is_constant e) then site "A1" "polymorphic-variant construction";
+      walk' arg
     | Pexp_array [] -> ()
     | Pexp_array es ->
-      site st "A1" "array literal" e.pexp_loc;
-      List.iter walk es
+      site "A1" "array literal";
+      List.iter walk' es
     | Pexp_lazy inner ->
-      site st "A1" "lazy suspension" e.pexp_loc;
-      walk inner
-    | Pexp_object _ -> site st "A1" "object construction" e.pexp_loc
-    | Pexp_pack _ -> site st "A1" "first-class module packing" e.pexp_loc
+      site "A1" "lazy suspension";
+      walk' inner
+    | Pexp_object _ -> site "A1" "object construction"
+    | Pexp_pack _ -> site "A1" "first-class module packing"
     | Pexp_constant (Pconst_float _) ->
       (* a float literal is a static box; only flag computed floats *)
       ()
     | Pexp_ident { txt; _ } ->
-      if st.live then
-        st.mentions <-
-          (strip_stdlib (path_of_lid txt), st.allow) :: st.mentions
-    | Pexp_apply ({ pexp_desc = Pexp_ident { txt; loc }; _ }, args) -> (
-      let path = strip_stdlib (path_of_lid txt) in
-      match (path, args) with
-      | "@@", [ (_, l); (_, r) ] -> walk_infix_app l r
-      | "|>", [ (_, l); (_, r) ] -> walk_infix_app r l
-      | _ -> walk_app path loc args)
-    | Pexp_apply (f, args) ->
-      (* call through a closure or field: opaque, trusted *)
-      walk f;
-      List.iter (fun (_, a) -> walk a) args
+      if live then
+        mentions := (strip_stdlib (path_of_lid txt), allow) :: !mentions
+    | Pexp_apply (f, args) -> (
+      match World.call f args with
+      | Named (path, _, args) when List.mem path diverging_calls ->
+        (* the call terminates the simulation; its message may allocate *)
+        List.iter (fun (_, a) -> dead a) args
+      | Named (path, loc, args) ->
+        List.iter (fun (_, a) -> walk' a) args;
+        if live then
+          calls :=
+            {
+              c_path = path;
+              c_loc = loc;
+              c_nargs = List.length args;
+              c_labeled =
+                List.exists
+                  (fun ((l : Asttypes.arg_label), _) -> l <> Asttypes.Nolabel)
+                  args;
+              c_allow = allow;
+            }
+            :: !calls
+      | Opaque parts ->
+        (* call through a closure or field: opaque, trusted *)
+        List.iter walk' parts)
     | Pexp_match (scrut, cases) when is_guard_scrutinee scrut ->
-      walk scrut;
+      walk' scrut;
       List.iter
         (fun (c : Parsetree.case) ->
-          Option.iter walk c.pc_guard;
-          if is_some_pattern c.pc_lhs then with_dead st (fun () -> walk c.pc_rhs)
-          else walk c.pc_rhs)
+          Option.iter walk' c.pc_guard;
+          (if is_some_pattern c.pc_lhs then dead else walk') c.pc_rhs)
         cases
     | Pexp_ifthenelse (cond, then_, else_) when is_guard_scrutinee cond ->
-      walk cond;
-      with_dead st (fun () -> walk then_);
-      Option.iter walk else_
+      walk' cond;
+      dead then_;
+      Option.iter walk' else_
     | Pexp_let (_, vbs, let_body) ->
       List.iter
         (fun (vb : Parsetree.value_binding) ->
-          with_allow st (allow_of_alloc_attrs st vb.pvb_attributes)
-            (fun () -> walk vb.pvb_expr))
+          walk ~live vb.pvb_expr
+            ~allow:
+              (World.allow w ~file:b.file "alloc.allow" allow
+                 vb.pvb_attributes))
         vbs;
-      walk let_body
-    | _ ->
-      let it =
-        { Ast_iterator.default_iterator with expr = (fun _ e -> walk e) }
-      in
-      Ast_iterator.default_iterator.expr it e
-  and walk_infix_app f_expr arg =
-    match f_expr.Parsetree.pexp_desc with
-    | Pexp_apply ({ pexp_desc = Pexp_ident { txt; loc }; _ }, fargs) ->
-      walk_app
-        (strip_stdlib (path_of_lid txt))
-        loc
-        (fargs @ [ (Asttypes.Nolabel, arg) ])
-    | Pexp_ident { txt; loc } ->
-      walk_app (strip_stdlib (path_of_lid txt)) loc [ (Asttypes.Nolabel, arg) ]
-    | _ ->
-      walk f_expr;
-      walk arg
-  and walk_app path loc args =
-    if List.mem path diverging_calls then
-      (* the call terminates the simulation; its message may allocate *)
-      with_dead st (fun () -> List.iter (fun (_, a) -> walk a) args)
-    else begin
-      List.iter (fun (_, a) -> walk a) args;
-      if st.live then
-        st.calls <-
-          {
-            c_path = path;
-            c_loc = loc;
-            c_nargs = List.length args;
-            c_labeled =
-              List.exists
-                (fun ((l : Asttypes.arg_label), _) -> l <> Asttypes.Nolabel)
-                args;
-            c_allow = st.allow;
-          }
-          :: st.calls
-    end
+      walk' let_body
+    | _ -> World.children walk' e
   in
-  walk body
+  let walk =
+    walk ~live:true
+      ~allow:(World.allow w ~file:b.file "alloc.allow" None b.vb.pvb_attributes)
+  in
+  walk (World.body walk b.vb.pvb_expr);
+  {
+    b;
+    hot =
+      List.exists
+        (fun (a : Parsetree.attribute) -> a.attr_name.txt = "hot")
+        b.vb.pvb_attributes;
+    sites = List.rev !sites;
+    calls = List.rev !calls;
+    mentions = List.rev !mentions;
+  }
 
+(* Leading Nolabel parameters; -1 when any is labelled. *)
 let binding_arity (e : Parsetree.expression) =
   let rec go acc (e : Parsetree.expression) =
     match e.pexp_desc with
@@ -372,137 +292,12 @@ let binding_arity (e : Parsetree.expression) =
   in
   go 0 e
 
-(* Walk the binding body past its parameter chain (the parameters are the
-   function itself, not a closure it builds). *)
-let rec strip_params walk (e : Parsetree.expression) =
-  match e.Parsetree.pexp_desc with
-  | Pexp_fun (_, default, _, body) ->
-    Option.iter walk default;
-    strip_params walk body
-  | Pexp_newtype (_, body) | Pexp_constraint (body, _) -> strip_params walk body
-  | _ -> walk e
-
-let has_hot_attr (attrs : Parsetree.attributes) =
-  List.exists (fun (a : Parsetree.attribute) -> a.attr_name.txt = "hot") attrs
-
-let module_name_of_file file =
-  String.capitalize_ascii Filename.(remove_extension (basename file))
-
-let extract_file ~allow_sites ~file (str : Parsetree.structure) =
-  let modname = module_name_of_file file in
-  let fns = ref [] in
-  let anon = ref 0 in
-  let rec items ~prefix str =
-    List.iter
-      (fun (si : Parsetree.structure_item) ->
-        match si.pstr_desc with
-        | Pstr_value (_, vbs) ->
-          List.iter
-            (fun (vb : Parsetree.value_binding) ->
-              let name =
-                match vb.pvb_pat.ppat_desc with
-                | Ppat_var { txt; _ } -> txt
-                | Ppat_constraint ({ ppat_desc = Ppat_var { txt; _ }; _ }, _)
-                  ->
-                  txt
-                | _ ->
-                  incr anon;
-                  Printf.sprintf "<toplevel:%d>" !anon
-              in
-              let st =
-                {
-                  x_file = file;
-                  allow_sites;
-                  sites = [];
-                  calls = [];
-                  mentions = [];
-                  allow = -1;
-                  live = true;
-                }
-              in
-              (match allow_of_alloc_attrs st vb.pvb_attributes with
-              | Some id -> st.allow <- id
-              | None -> ());
-              strip_params (extract_events st) vb.pvb_expr;
-              fns :=
-                {
-                  a_key = prefix ^ name;
-                  a_file = file;
-                  a_hot = has_hot_attr vb.pvb_attributes;
-                  a_arity = binding_arity vb.pvb_expr;
-                  a_sites = List.rev st.sites;
-                  a_calls = List.rev st.calls;
-                  a_mentions = List.rev st.mentions;
-                }
-                :: !fns)
-            vbs
-        | Pstr_module
-            {
-              pmb_name = { txt = Some sub; _ };
-              pmb_expr = { pmod_desc = Pmod_structure s; _ };
-              _;
-            } ->
-          items ~prefix:(prefix ^ sub ^ ".") s
-        | _ -> ())
-      str
-  in
-  items ~prefix:(modname ^ ".") str;
-  List.rev !fns
-
-(* ------------------------------------------------------------------ *)
-(* Resolution (same scheme as Interp)                                  *)
-(* ------------------------------------------------------------------ *)
-
-type index = {
-  by_key : (string, afn) Hashtbl.t;
-  by_short : (string * string, afn) Hashtbl.t;
-  keys : string list;
-  ambiguous : SS.t;
-}
-
-let build_index fns =
-  let by_key = Hashtbl.create 256 and by_short = Hashtbl.create 256 in
-  let ambiguous = ref SS.empty in
-  let keys = ref [] in
-  List.iter
-    (fun f ->
-      if Hashtbl.mem by_key f.a_key then
-        ambiguous := SS.add f.a_key !ambiguous
-      else begin
-        Hashtbl.replace by_key f.a_key f;
-        keys := f.a_key :: !keys
-      end;
-      let short =
-        match String.rindex_opt f.a_key '.' with
-        | Some i -> String.sub f.a_key (i + 1) (String.length f.a_key - i - 1)
-        | None -> f.a_key
-      in
-      Hashtbl.replace by_short (f.a_file, short) f)
-    fns;
-  { by_key; by_short; keys = List.rev !keys; ambiguous = !ambiguous }
-
-let resolve idx ~file path =
-  if path = "" then None
-  else if not (String.contains path '.') then
-    Hashtbl.find_opt idx.by_short (file, path)
-  else
-    match Hashtbl.find_opt idx.by_key path with
-    | Some f when not (SS.mem f.a_key idx.ambiguous) -> Some f
-    | _ -> (
-      match
-        List.filter
-          (fun k -> matches k path && not (SS.mem k idx.ambiguous))
-          idx.keys
-      with
-      | [ k ] -> Hashtbl.find_opt idx.by_key k
-      | _ -> None)
-
 (* ------------------------------------------------------------------ *)
 (* Classification of an outgoing call                                  *)
 (* ------------------------------------------------------------------ *)
 
 (* [None] = provably fine; [Some (rule, what)] = would be a finding. *)
-let classify_call idx ~file (c : call) =
+let classify_call w ~file (c : call) =
   let p = c.c_path in
   if List.mem p safe_calls || List.mem p diverging_calls then None
   else
@@ -530,17 +325,16 @@ let classify_call idx ~file (c : call) =
       else if has_suffix "_opt" p && String.contains p '.' then
         Some ("A1", "option-allocating call " ^ p)
       else
-        match resolve idx ~file p with
+        match World.resolve w ~file p with
         | Some g ->
-          if
-            g.a_arity >= 0 && (not c.c_labeled) && c.c_nargs < g.a_arity
-          then
+          let arity = binding_arity g.vb.pvb_expr in
+          if arity >= 0 && (not c.c_labeled) && c.c_nargs < arity then
             Some
               ( "A1",
                 Printf.sprintf
                   "partial application of %s (%d of %d arguments) builds a \
                    closure"
-                  g.a_key c.c_nargs g.a_arity )
+                  g.key c.c_nargs arity )
           else None
         | None ->
           if String.contains p '.' then
@@ -555,98 +349,67 @@ let classify_call idx ~file (c : call) =
 (* The analysis                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let check_project (sources : (string * string * Parsetree.structure) list) =
-  let allow_sites = ref [||] in
-  let fns =
-    List.concat_map
-      (fun (file, _rule_path, str) -> extract_file ~allow_sites ~file str)
-      sources
-  in
-  let idx = build_index fns in
+let check_project (w : World.t) =
+  let fns = List.map (summarize w) w.bindings in
   (* hot set: roots = [@hot] bindings; propagate through calls and bare
      mentions outside allow regions.  [root_of] remembers which root made
      each function hot, for the finding messages. *)
-  let root_of = Hashtbl.create 64 in
-  let work = Queue.create () in
-  let mark key ~root =
-    if not (Hashtbl.mem root_of key) then begin
-      Hashtbl.replace root_of key root;
-      Queue.add key work
-    end
-  in
   let hot_roots =
-    List.filter_map (fun f -> if f.a_hot then Some f.a_key else None) fns
+    List.filter_map (fun f -> if f.hot then Some f.b.key else None) fns
   in
-  List.iter (fun r -> mark r ~root:r) hot_roots;
-  while not (Queue.is_empty work) do
-    let key = Queue.pop work in
-    let root = Hashtbl.find root_of key in
-    match Hashtbl.find_opt idx.by_key key with
-    | None -> ()
-    | Some fn ->
-      List.iter
-        (fun (c : call) ->
-          if c.c_allow < 0 then
-            match resolve idx ~file:fn.a_file c.c_path with
-            | Some g -> mark g.a_key ~root
-            | None -> ())
-        fn.a_calls;
-      List.iter
-        (fun (path, allow) ->
-          if allow < 0 then
-            match resolve idx ~file:fn.a_file path with
-            | Some g -> mark g.a_key ~root
-            | None -> ())
-        fn.a_mentions
-  done;
+  let edge f (path, allow) =
+    match (allow, World.resolve w ~file:f.b.file path) with
+    | None, Some (g : World.binding) -> Some (f.b.key, g.key)
+    | _ -> None
+  in
+  let root_of =
+    World.reach
+      (List.concat_map
+         (fun f ->
+           List.filter_map (fun c -> edge f (c.c_path, c.c_allow)) f.calls
+           @ List.filter_map (edge f) f.mentions)
+         fns)
+      (List.map (fun r -> (r, r)) hot_roots)
+  in
   let findings = ref [] in
-  let report fn rule (loc : Location.t) msg =
-    findings :=
-      {
-        Lint.rule;
-        file = fn.a_file;
-        line = loc.Location.loc_start.pos_lnum;
-        col = loc.Location.loc_start.pos_cnum - loc.Location.loc_start.pos_bol;
-        msg;
-      }
-      :: !findings
-  in
-  let use id = (!allow_sites).(id).al_uses <- (!allow_sites).(id).al_uses + 1 in
-  let provenance fn =
-    let root = Hashtbl.find root_of fn.a_key in
-    if root = fn.a_key then Printf.sprintf "%s ([@hot] root)" fn.a_key
-    else Printf.sprintf "%s (hot: reachable from [@hot] %s)" fn.a_key root
+  let judge f allow rule loc msg =
+    match allow with
+    | Some site -> use site
+    | None -> findings := finding rule ~file:f.b.file loc msg :: !findings
   in
   List.iter
-    (fun fn ->
-      if Hashtbl.mem root_of fn.a_key then begin
+    (fun f ->
+      match Hashtbl.find_opt root_of f.b.key with
+      | None -> ()
+      | Some root ->
+        let provenance =
+          if root = f.b.key then Printf.sprintf "%s ([@hot] root)" root
+          else Printf.sprintf "%s (hot: reachable from [@hot] %s)" f.b.key root
+        in
         List.iter
-          (fun (s : site) ->
-            if s.s_allow >= 0 then use s.s_allow
-            else
-              report fn s.s_rule s.s_loc
-                (Printf.sprintf
-                   "%s in %s; the DES hot path must stay off the OCaml heap \
-                    — hoist the value, encode it in ints, or justify with \
-                    [@alloc.allow \"reason\"]"
-                   s.s_what (provenance fn)))
-          fn.a_sites;
+          (fun s ->
+            judge f s.s_allow s.s_rule s.s_loc
+              (Printf.sprintf
+                 "%s in %s; the DES hot path must stay off the OCaml heap — \
+                  hoist the value, encode it in ints, or justify with \
+                  [@alloc.allow \"reason\"]"
+                 s.s_what provenance))
+          f.sites;
         List.iter
-          (fun (c : call) ->
-            match classify_call idx ~file:fn.a_file c with
+          (fun c ->
+            match classify_call w ~file:f.b.file c with
             | None -> ()
             | Some (rule, what) ->
-              if c.c_allow >= 0 then use c.c_allow
-              else
-                report fn rule c.c_loc
-                  (Printf.sprintf "%s in %s" what (provenance fn)))
-          fn.a_calls
-      end)
+              judge f c.c_allow rule c.c_loc
+                (Printf.sprintf "%s in %s" what provenance))
+          f.calls)
     fns;
   {
     findings = List.sort_uniq Lint.compare_finding !findings;
     hot_roots;
-    hot_set =
-      List.sort compare (List.of_seq (Hashtbl.to_seq_keys root_of));
-    allow_sites = Array.to_list !allow_sites;
+    hot_set = List.sort compare (List.of_seq (Hashtbl.to_seq_keys root_of));
+    allow_sites =
+      List.filter
+        (fun (s : Lint.allow_site) -> s.as_attr = "alloc.allow")
+        (Lint.allow_sites w.registry);
   }

@@ -27,34 +27,27 @@
       the hot set — the zero-cost-when-{e off} contract only constrains
       the [None] path.
 
-    Anything else must be annotated
-    [(e [@alloc.allow "reason"])] at the covering expression; suppressions
-    are counted so stale ones surface (see {!result.allow_sites}).
+    Anything else must be annotated [(e [@alloc.allow "reason"])] at the
+    covering expression or [[\@\@alloc.allow]] at the binding; there is
+    no file-level scope, so a [[\@\@\@alloc.allow]] is never used.  The
+    sites join the shared {!Lint.allow_registry}, so stale ones surface
+    with the other families.
 
-    The analysis walks the Parsetree (same substrate as {!Lint} and
+    The analysis walks the Parsetree (a client of {!World}, like
     {!Interp}), so it is syntactic: calls through closures and record
     fields are trusted opaque, and unqualified unresolved names are
     assumed local and safe.  The companion runtime test
     (test/sim, [Gc.minor_words] delta over an event churn) backstops the
     approximation. *)
 
-type allow_site = {
-  al_file : string;
-  al_line : int;
-  al_reason : string;
-  mutable al_uses : int;  (** findings suppressed by this attribute *)
-}
-
 type result = {
   findings : Lint.finding list;  (** rules "A1" | "A2" | "A3", sorted *)
   hot_roots : string list;  (** keys of [\[@hot\]]-annotated bindings *)
   hot_set : string list;  (** every function certified (roots + reachable) *)
-  allow_sites : allow_site list;
-      (** every [\[@alloc.allow\]] in the world, with use counts; a site
-          with [al_uses = 0] is stale *)
+  allow_sites : Lint.allow_site list;
+      (** every [\[@alloc.allow\]] in the world's registry, with use
+          counts; a site with [as_uses = 0] is stale *)
 }
 
-val check_project : (string * string * Parsetree.structure) list -> result
-(** [check_project sources] takes [(file, rule_path, ast)] triples — the
-    same closed world as {!Interp.check_project} — and certifies the hot
-    set. *)
+val check_project : World.t -> result
+(** Certify the world's hot set. *)

@@ -239,22 +239,10 @@ let is_perform p = matches "perform" p || matches "Effect.perform" p
 (* World facts: mutable record fields, globals                         *)
 (* ------------------------------------------------------------------ *)
 
-let module_name_of_file file =
-  String.capitalize_ascii Filename.(remove_extension (basename file))
-
-let in_reported_dir rule_path =
-  let in_dir dir =
-    let pre = dir ^ "/" and mid = "/" ^ dir ^ "/" in
-    let starts p s =
-      String.length s >= String.length p && String.sub s 0 (String.length p) = p
-    in
-    let rec contains i =
-      i + String.length mid <= String.length rule_path
-      && (String.sub rule_path i (String.length mid) = mid || contains (i + 1))
-    in
-    starts pre rule_path || contains 0
-  in
-  not (in_dir "bin" || in_dir "bench" || in_dir "examples")
+let reported_path rule_path =
+  not
+    (in_dir "bin" rule_path || in_dir "bench" rule_path
+    || in_dir "examples" rule_path)
 
 (* Every record type in the world contributes its mutable field names;
    a type with at least one mutable field counts as instance-local
@@ -351,128 +339,54 @@ type global = {
   mutable g_status : status;
 }
 
-type gindex = {
-  g_by_key : (string, global) Hashtbl.t;
-  g_by_short : (string * string, global) Hashtbl.t;
-  g_keys : string list;
-}
-
-let resolve_in ~by_key ~by_short ~keys ~file path =
-  if path = "" then None
-  else if not (String.contains path '.') then
-    Hashtbl.find_opt by_short (file, path)
-  else
-    match Hashtbl.find_opt by_key path with
-    | Some g -> Some g
-    | None -> (
-      match List.filter (fun k -> matches k path) keys with
-      | [ k ] -> Hashtbl.find_opt by_key k
-      | _ -> None)
+let rec is_function_rhs (e : Parsetree.expression) =
+  match e.pexp_desc with
+  | Pexp_fun _ | Pexp_function _ -> true
+  | Pexp_constraint (e, _) | Pexp_newtype (_, e) -> is_function_rhs e
+  | _ -> false
 
 (* ------------------------------------------------------------------ *)
 (* Per-binding extraction                                              *)
 (* ------------------------------------------------------------------ *)
 
-type mention = {
-  m_global : string;  (** key of the global touched *)
-  m_fn : string;  (** enclosing binding *)
-  m_file : string;
-  m_rule : string;
-  m_loc : Location.t;
-  m_write : bool;
-  m_held : SS.t;
-  m_init : bool;  (** depth-zero code of an immediate binding *)
-  m_allow : Lint.allow_site option;
+type ctx = {
+  held : SS.t;  (** locks held *)
+  spawn : bool;  (** inside a Domain.spawn closure *)
+  handled : bool;  (** under an effect-handler installer *)
+  depth : int;  (** lambda depth *)
+  allow : Lint.allow_site option;  (** innermost covering [@dom.allow] *)
 }
 
-type cap = {
-  c_name : string;  (** local variable captured by a spawn closure *)
-  c_what : string;
-  c_fn : string;
-  c_file : string;
-  c_rule : string;
-  c_loc : Location.t;
-  c_write : bool;
-  c_held : SS.t;
-  c_allow : Lint.allow_site option;
-}
+type event =
+  | Mention of string * bool  (** global key, write *)
+  | Capture of string * string * bool
+      (** mutable local captured by a spawn closure: name, what, write *)
+  | Call of string  (** callee path as written *)
+  | Acquire of string  (** lock identity *)
+  | Perform
 
-type dcall = {
-  dc_path : string;
-  dc_fn : string;
-  dc_file : string;
-  dc_rule : string;
-  dc_loc : Location.t;
-  dc_held : SS.t;
-  dc_spawn : bool;
-  dc_handled : bool;
-  dc_allow : Lint.allow_site option;
-}
+type site = { ev : event; b : World.binding; loc : Location.t; ctx : ctx }
 
-type acq = {
-  aq_lock : string;
-  aq_fn : string;
-  aq_file : string;
-  aq_loc : Location.t;
-  aq_held : SS.t;
-}
-
-type pf = {
-  pf_fn : string;
-  pf_file : string;
-  pf_rule : string;
-  pf_loc : Location.t;
-  pf_spawn : bool;
-  pf_handled : bool;
-  pf_allow : Lint.allow_site option;
-}
-
-type dfn = { d_key : string; d_file : string }
-
-type world = {
-  mutable mentions : mention list;
-  mutable caps : cap list;
-  mutable dcalls : dcall list;
-  mutable acqs : acq list;
-  mutable performs : pf list;
-  mutable fns : dfn list;
-}
-
-type wctx = {
-  held : SS.t;
-  spawn : bool;
-  handled : bool;
-  depth : int;
-  allow : Lint.allow_site option;
-}
-
-let dom_allow_site registry ~file (a : Parsetree.attribute) =
-  Lint.register_allow registry ~attr:"dom.allow" ~file
-    ~line:a.attr_loc.Location.loc_start.pos_lnum
-    ~payload:(Option.value (payload_string a.attr_payload) ~default:"")
-
-let dom_allow_of_attrs registry ~file (attrs : Parsetree.attributes) =
-  List.find_map
-    (fun (a : Parsetree.attribute) ->
-      if a.attr_name.txt = "dom.allow" then
-        Some (dom_allow_site registry ~file a)
-      else None)
-    attrs
-
-(* Walk one top-level binding's body.  [immediate] marks a binding whose
-   RHS is not a function: its depth-zero code runs at module
-   initialization, which happens-before any spawn. *)
-let walk_binding ~world ~gidx ~mutable_fields ~registry ~fn_key ~file
-    ~rule_path ~immediate ~allow0 (rhs : Parsetree.expression) =
+(* Walk one top-level binding's body, emitting its events in walk
+   order. *)
+let walk_binding (w : World.t) ~globals ~mutable_fields ~emit
+    (b : World.binding) =
   let spawn_visited = ref SS.empty in
   let local_muts : (string, string) Hashtbl.t = Hashtbl.create 8 in
   let local_lams : (string, Parsetree.expression) Hashtbl.t =
     Hashtbl.create 8
   in
-  let resolve_global p =
-    resolve_in ~by_key:gidx.g_by_key ~by_short:gidx.g_by_short
-      ~keys:gidx.g_keys ~file p
+  (* a path names a global only among the globals: an accessor that
+     shares its short name never hides one *)
+  let global p =
+    match
+      World.resolve w ~file:b.file p ~among:(fun (g : World.binding) ->
+          Hashtbl.mem globals g.key)
+    with
+    | Some (g : World.binding) -> Hashtbl.find_opt globals g.key
+    | None -> None
   in
+  let emit ctx loc ev = emit { ev; b; loc; ctx } in
   (* Identity of a lock expression: a resolvable global mutex keeps its
      key; a local name is scoped to the enclosing binding; a record
      field keeps its field name (all instances of a per-instance lock
@@ -482,59 +396,32 @@ let walk_binding ~world ~gidx ~mutable_fields ~registry ~fn_key ~file
     match e.pexp_desc with
     | Pexp_ident { txt; _ } -> (
       let p = strip_stdlib (path_of_lid txt) in
-      match resolve_global p with
+      match global p with
       | Some g -> g.g_key
-      | None ->
-        if String.contains p '.' then p else fn_key ^ "/" ^ p)
+      | None -> if String.contains p '.' then p else b.key ^ "/" ^ p)
     | Pexp_field (_, { txt; _ }) -> (
       match Longident.last txt with
       | f -> "<." ^ f ^ ">"
       | exception _ -> "<.lock>")
     | _ ->
-      Printf.sprintf "<anon:%s:%d>" file
+      Printf.sprintf "<anon:%s:%d>" b.file
         e.pexp_loc.Location.loc_start.pos_lnum
   in
   let mention ctx ~(loc : Location.t) ~write p =
     let p = strip_stdlib p in
-    match resolve_global p with
-    | Some g when (match g.g_kind with Mut _ -> true | _ -> false) ->
-      world.mentions <-
-        {
-          m_global = g.g_key;
-          m_fn = fn_key;
-          m_file = file;
-          m_rule = rule_path;
-          m_loc = loc;
-          m_write = write;
-          m_held = ctx.held;
-          m_init = immediate && ctx.depth = 0 && not ctx.spawn;
-          m_allow = ctx.allow;
-        }
-        :: world.mentions
+    match global p with
+    | Some { g_key; g_kind = Mut _; _ } -> emit ctx loc (Mention (g_key, write))
     | _ -> (
       if not (String.contains p '.') then
         match Hashtbl.find_opt local_muts p with
-        | Some what when ctx.spawn ->
-          world.caps <-
-            {
-              c_name = p;
-              c_what = what;
-              c_fn = fn_key;
-              c_file = file;
-              c_rule = rule_path;
-              c_loc = loc;
-              c_write = write;
-              c_held = ctx.held;
-              c_allow = ctx.allow;
-            }
-            :: world.caps
+        | Some what when ctx.spawn -> emit ctx loc (Capture (p, what, write))
         | _ -> ())
   in
   let rec walk ctx (e : Parsetree.expression) : SS.t =
-    match dom_allow_of_attrs registry ~file e.pexp_attributes with
-    | Some site -> walk_desc { ctx with allow = Some site } e
-    | None -> walk_desc ctx e
-  and walk_desc ctx (e : Parsetree.expression) : SS.t =
+    let allow =
+      World.allow w ~file:b.file "dom.allow" ctx.allow e.pexp_attributes
+    in
+    let ctx = { ctx with allow } in
     match e.pexp_desc with
     | Pexp_ident { txt; loc } ->
       mention ctx ~loc ~write:false (path_of_lid txt);
@@ -544,24 +431,19 @@ let walk_binding ~world ~gidx ~mutable_fields ~registry ~fn_key ~file
       ignore (walk { ctx with depth = ctx.depth + 1 } body);
       ctx.held
     | Pexp_function cases ->
+      let inner = { ctx with depth = ctx.depth + 1 } in
       List.iter
         (fun (c : Parsetree.case) ->
-          Option.iter
-            (fun g -> ignore (walk { ctx with depth = ctx.depth + 1 } g))
-            c.pc_guard;
-          ignore (walk { ctx with depth = ctx.depth + 1 } c.pc_rhs))
+          Option.iter (fun g -> ignore (walk inner g)) c.pc_guard;
+          ignore (walk inner c.pc_rhs))
         cases;
       ctx.held
-    | Pexp_apply ({ pexp_desc = Pexp_ident { txt; loc }; _ }, args) -> (
-      let p = strip_stdlib (path_of_lid txt) in
-      match (p, args) with
-      | "@@", [ (_, l); (_, r) ] -> walk_infix ctx l r
-      | "|>", [ (_, l); (_, r) ] -> walk_infix ctx r l
-      | _ -> walk_app ctx loc p args)
-    | Pexp_apply (f, args) ->
-      ignore (walk ctx f);
-      List.iter (fun (_, a) -> ignore (walk ctx a)) args;
-      ctx.held
+    | Pexp_apply (f, args) -> (
+      match World.call f args with
+      | Named (p, loc, args) -> call ctx loc p args
+      | Opaque parts ->
+        List.iter (fun e -> ignore (walk ctx e)) parts;
+        ctx.held)
     | Pexp_let (_, vbs, body) ->
       let held =
         List.fold_left
@@ -608,28 +490,9 @@ let walk_binding ~world ~gidx ~mutable_fields ~registry ~fn_key ~file
     | Pexp_constraint (e, _) | Pexp_newtype (_, e) | Pexp_open (_, e) ->
       walk ctx e
     | _ ->
-      let it =
-        {
-          Ast_iterator.default_iterator with
-          expr = (fun _ e -> ignore (walk ctx e));
-        }
-      in
-      Ast_iterator.default_iterator.expr it e;
+      World.children (fun e -> ignore (walk ctx e)) e;
       ctx.held
-  and walk_infix ctx f_expr arg =
-    match f_expr.Parsetree.pexp_desc with
-    | Pexp_apply ({ pexp_desc = Pexp_ident { txt; loc }; _ }, fargs) ->
-      walk_app ctx loc
-        (strip_stdlib (path_of_lid txt))
-        (fargs @ [ (Asttypes.Nolabel, arg) ])
-    | Pexp_ident { txt; loc } ->
-      walk_app ctx loc
-        (strip_stdlib (path_of_lid txt))
-        [ (Asttypes.Nolabel, arg) ]
-    | _ ->
-      let held = walk ctx f_expr in
-      walk { ctx with held } arg
-  and walk_app ctx (loc : Location.t) p args : SS.t =
+  and call ctx (loc : Location.t) p args : SS.t =
     let nolabel =
       List.filter_map
         (fun ((l, a) : Asttypes.arg_label * Parsetree.expression) ->
@@ -640,10 +503,7 @@ let walk_binding ~world ~gidx ~mutable_fields ~registry ~fn_key ~file
       match nolabel with
       | [ l ] ->
         let lid = lock_id l in
-        world.acqs <-
-          { aq_lock = lid; aq_fn = fn_key; aq_file = file; aq_loc = loc;
-            aq_held = ctx.held }
-          :: world.acqs;
+        emit ctx loc (Acquire lid);
         SS.add lid ctx.held
       | _ -> ctx.held)
     else if matches "Mutex.unlock" p then (
@@ -654,10 +514,7 @@ let walk_binding ~world ~gidx ~mutable_fields ~registry ~fn_key ~file
       match nolabel with
       | l :: rest ->
         let lid = lock_id l in
-        world.acqs <-
-          { aq_lock = lid; aq_fn = fn_key; aq_file = file; aq_loc = loc;
-            aq_held = ctx.held }
-          :: world.acqs;
+        emit ctx loc (Acquire lid);
         let inner = { ctx with held = SS.add lid ctx.held } in
         List.iter (fun a -> ignore (walk inner a)) rest;
         ctx.held
@@ -669,24 +526,14 @@ let walk_binding ~world ~gidx ~mutable_fields ~registry ~fn_key ~file
       ctx.held
     end
     else if matches_any handler_installers p then begin
-      record_call ctx loc p;
+      emit ctx loc (Call p);
       List.iter
         (fun (_, a) -> ignore (walk { ctx with handled = true } a))
         args;
       ctx.held
     end
     else if is_perform p then begin
-      world.performs <-
-        {
-          pf_fn = fn_key;
-          pf_file = file;
-          pf_rule = rule_path;
-          pf_loc = loc;
-          pf_spawn = ctx.spawn;
-          pf_handled = ctx.handled;
-          pf_allow = ctx.allow;
-        }
-        :: world.performs;
+      emit ctx loc Perform;
       List.iter (fun (_, a) -> ignore (walk ctx a)) args;
       ctx.held
     end
@@ -710,81 +557,41 @@ let walk_binding ~world ~gidx ~mutable_fields ~registry ~fn_key ~file
             mention ctx ~loc:iloc ~write:true (path_of_lid txt)
           | _ -> ignore (walk ctx a))
         args;
-      (* the call itself *)
-      (if (not (String.contains p '.')) && Hashtbl.mem local_lams p then begin
-         (* local worker function: in a spawn region its body runs on the
-            spawned domain — inline it (once per spawn region) *)
-         if ctx.spawn && not (SS.mem p !spawn_visited) then begin
-           spawn_visited := SS.add p !spawn_visited;
-           inline_lam ctx (Hashtbl.find local_lams p)
-         end
-       end
-       else record_call ctx loc p);
+      call_named ctx loc p;
       ctx.held
     end
-  and record_call ctx loc p =
-    world.dcalls <-
-      {
-        dc_path = p;
-        dc_fn = fn_key;
-        dc_file = file;
-        dc_rule = rule_path;
-        dc_loc = loc;
-        dc_held = ctx.held;
-        dc_spawn = ctx.spawn;
-        dc_handled = ctx.handled;
-        dc_allow = ctx.allow;
-      }
-      :: world.dcalls
+  (* the call itself; a local worker function in a spawn region runs on
+     the spawned domain — inline its body, once per spawn region *)
+  and call_named ctx loc p =
+    if (not (String.contains p '.')) && Hashtbl.mem local_lams p then begin
+      if ctx.spawn && not (SS.mem p !spawn_visited) then begin
+        spawn_visited := SS.add p !spawn_visited;
+        inline_lam ctx (Hashtbl.find local_lams p)
+      end
+    end
+    else emit ctx loc (Call p)
   and inline_lam ctx (lam : Parsetree.expression) =
-    let rec strip (e : Parsetree.expression) =
-      match e.pexp_desc with
-      | Pexp_fun (_, d, _, b) ->
-        Option.iter (fun d -> ignore (walk ctx d)) d;
-        strip b
-      | Pexp_newtype (_, b) | Pexp_constraint (b, _) -> strip b
-      | _ -> ignore (walk ctx e)
-    in
-    strip lam
+    ignore (walk ctx (World.body (fun d -> ignore (walk ctx d)) lam))
   and spawn_walk ctx loc (closure : Parsetree.expression) =
     let inner =
       { ctx with spawn = true; handled = false; depth = ctx.depth + 1 }
     in
     match closure.pexp_desc with
     | Pexp_fun _ | Pexp_function _ -> inline_lam inner closure
-    | Pexp_ident { txt; _ } -> (
-      let p = strip_stdlib (path_of_lid txt) in
-      if (not (String.contains p '.')) && Hashtbl.mem local_lams p then begin
-        if not (SS.mem p !spawn_visited) then begin
-          spawn_visited := SS.add p !spawn_visited;
-          inline_lam inner (Hashtbl.find local_lams p)
-        end
-      end
-      else record_call inner loc p)
+    | Pexp_ident { txt; _ } ->
+      call_named inner loc (strip_stdlib (path_of_lid txt))
     | _ -> ignore (walk inner closure)
   in
-  world.fns <- { d_key = fn_key; d_file = file } :: world.fns;
-  let rec strip_params (e : Parsetree.expression) =
-    match e.Parsetree.pexp_desc with
-    | Pexp_fun (_, default, _, body) ->
-      Option.iter
-        (fun d ->
-          ignore
-            (walk
-               { held = SS.empty; spawn = false; handled = false; depth = 0;
-                 allow = allow0 }
-               d))
-        default;
-      strip_params body
-    | Pexp_newtype (_, body) | Pexp_constraint (body, _) -> strip_params body
-    | _ ->
-      ignore
-        (walk
-           { held = SS.empty; spawn = false; handled = false; depth = 0;
-             allow = allow0 }
-           e)
+  (* a binding's own [@@dom.allow], else the file-level one in force *)
+  let allow =
+    World.allow w ~file:b.file "dom.allow"
+      (World.allow w ~file:b.file "dom.allow" None b.file_allows)
+      b.vb.pvb_attributes
   in
-  strip_params rhs
+  let ctx =
+    { held = SS.empty; spawn = false; handled = false; depth = 0; allow }
+  in
+  inline_lam ctx b.vb.pvb_expr
 
 (* ------------------------------------------------------------------ *)
 (* The analysis                                                        *)
@@ -799,291 +606,191 @@ type result = {
   allow_sites : Lint.allow_site list;  (** [@dom.allow] sites, file order *)
 }
 
-(* Iterate the top-level bindings of one file (including nested
-   [module X = struct ... end]), tracking [@@@dom.allow] file scope. *)
-let fold_bindings ~registry ~file str f =
-  let rec items ~prefix ~file_allow str =
-    let fa = ref file_allow in
-    List.iter
-      (fun (si : Parsetree.structure_item) ->
-        match si.pstr_desc with
-        | Pstr_attribute a when a.attr_name.txt = "dom.allow" ->
-          fa := Some (dom_allow_site registry ~file a)
-        | Pstr_value (_, vbs) ->
-          List.iter (fun vb -> f ~prefix ~file_allow:!fa vb) vbs
-        | Pstr_module
-            {
-              pmb_name = { txt = Some sub; _ };
-              pmb_expr = { pmod_desc = Pmod_structure s; _ };
-              _;
-            } ->
-          items ~prefix:(prefix ^ sub ^ ".") ~file_allow:!fa s
-        | _ -> ())
-      str
-  in
-  items ~prefix:(module_name_of_file file ^ ".") ~file_allow:None str
-
-let binding_name anon (vb : Parsetree.value_binding) =
-  match vb.pvb_pat.ppat_desc with
-  | Ppat_var { txt; _ }
-  | Ppat_constraint ({ ppat_desc = Ppat_var { txt; _ }; _ }, _) ->
-    txt
-  | _ ->
-    incr anon;
-    Printf.sprintf "<toplevel:%d>" !anon
-
-let rec is_function_rhs (e : Parsetree.expression) =
-  match e.pexp_desc with
-  | Pexp_fun _ | Pexp_function _ -> true
-  | Pexp_constraint (e, _) | Pexp_newtype (_, e) -> is_function_rhs e
-  | _ -> false
-
-let check_project ?registry
-    (sources : (string * string * Parsetree.structure) list) =
-  let registry =
-    match registry with Some r -> r | None -> Lint.new_allow_registry ()
-  in
-  let mutable_fields, mutable_types = collect_type_facts sources in
+let check_project (w : World.t) =
+  let mutable_fields, mutable_types = collect_type_facts w.sources in
   (* pass 1: classify module-level bindings *)
-  let globals = ref [] in
-  List.iter
-    (fun (file, _rule_path, str) ->
-      let anon = ref 0 in
-      fold_bindings ~registry ~file str
-        (fun ~prefix ~file_allow:_ (vb : Parsetree.value_binding) ->
-          let name = binding_name anon vb in
-          match classify_rhs ~mutable_fields vb.pvb_expr with
-          | Imm -> ()
-          | Sync k ->
-            globals :=
-              {
-                g_key = prefix ^ name;
-                g_file = file;
-                g_line = vb.pvb_loc.Location.loc_start.pos_lnum;
-                g_what = k;
-                g_kind = Sync k;
-                g_status = S_sync k;
-              }
-              :: !globals
-          | Mut w ->
-            globals :=
-              {
-                g_key = prefix ^ name;
-                g_file = file;
-                g_line = vb.pvb_loc.Location.loc_start.pos_lnum;
-                g_what = w;
-                g_kind = Mut w;
-                g_status = S_frozen;
-              }
-              :: !globals))
-    sources;
   let globals =
-    List.sort (fun a b -> compare (a.g_file, a.g_line) (b.g_file, b.g_line))
-      !globals
-  in
-  let gidx =
-    let g_by_key = Hashtbl.create 64 and g_by_short = Hashtbl.create 64 in
-    let keys = ref [] in
-    List.iter
-      (fun g ->
-        if not (Hashtbl.mem g_by_key g.g_key) then begin
-          Hashtbl.replace g_by_key g.g_key g;
-          keys := g.g_key :: !keys
-        end;
-        let short =
-          match String.rindex_opt g.g_key '.' with
-          | Some i -> String.sub g.g_key (i + 1) (String.length g.g_key - i - 1)
-          | None -> g.g_key
+    List.filter_map
+      (fun (b : World.binding) ->
+        let global what kind status =
+          Some
+            {
+              g_key = b.key;
+              g_file = b.file;
+              g_line = b.vb.pvb_loc.Location.loc_start.pos_lnum;
+              g_what = what;
+              g_kind = kind;
+              g_status = status;
+            }
         in
-        Hashtbl.replace g_by_short (g.g_file, short) g)
-      globals;
-    { g_by_key; g_by_short; g_keys = List.rev !keys }
+        match classify_rhs ~mutable_fields b.vb.pvb_expr with
+        | Imm -> None
+        | Sync k -> global k (Sync k) (S_sync k)
+        | Mut m -> global m (Mut m) S_frozen)
+      w.bindings
+    |> List.sort (fun a b -> compare (a.g_file, a.g_line) (b.g_file, b.g_line))
   in
+  let by_key = Hashtbl.create 64 in
+  List.iter
+    (fun g ->
+      if not (Hashtbl.mem by_key g.g_key) then Hashtbl.replace by_key g.g_key g)
+    globals;
   (* pass 2: walk every binding body *)
-  let world =
-    { mentions = []; caps = []; dcalls = []; acqs = []; performs = [];
-      fns = [] }
-  in
+  let sites = ref [] in
   List.iter
-    (fun (file, rule_path, str) ->
-      let anon = ref 0 in
-      fold_bindings ~registry ~file str
-        (fun ~prefix ~file_allow (vb : Parsetree.value_binding) ->
-          let name = binding_name anon vb in
-          let allow0 =
-            match
-              dom_allow_of_attrs registry ~file vb.pvb_attributes
-            with
-            | Some s -> Some s
-            | None -> file_allow
-          in
-          walk_binding ~world ~gidx ~mutable_fields ~registry
-            ~fn_key:(prefix ^ name) ~file ~rule_path
-            ~immediate:(not (is_function_rhs vb.pvb_expr))
-            ~allow0 vb.pvb_expr))
-    sources;
-  (* function index, for resolving recorded calls *)
-  let fidx_by_key = Hashtbl.create 256 and fidx_by_short = Hashtbl.create 256 in
-  let fidx_keys = ref [] in
-  List.iter
-    (fun (f : dfn) ->
-      if not (Hashtbl.mem fidx_by_key f.d_key) then begin
-        Hashtbl.replace fidx_by_key f.d_key f;
-        fidx_keys := f.d_key :: !fidx_keys
-      end;
-      let short =
-        match String.rindex_opt f.d_key '.' with
-        | Some i -> String.sub f.d_key (i + 1) (String.length f.d_key - i - 1)
-        | None -> f.d_key
-      in
-      Hashtbl.replace fidx_by_short (f.d_file, short) f)
-    world.fns;
-  let resolve_fn ~file p =
-    resolve_in ~by_key:fidx_by_key ~by_short:fidx_by_short
-      ~keys:(List.rev !fidx_keys) ~file p
-  in
+    (walk_binding w ~globals:by_key ~mutable_fields ~emit:(fun s ->
+         sites := s :: !sites))
+    w.bindings;
+  let sites = List.rev !sites in
   (* findings, with [@dom.allow] accounting *)
   let findings = ref [] and suppressed = ref 0 in
-  let report ?allow rule ~file ~(loc : Location.t) msg =
-    match (allow : Lint.allow_site option) with
+  let report rule s msg =
+    match s.ctx.allow with
     | Some site ->
-      site.as_uses <- site.as_uses + 1;
+      use site;
       incr suppressed
-    | None ->
-      findings :=
-        {
-          Lint.rule;
-          file;
-          line = loc.loc_start.pos_lnum;
-          col = loc.loc_start.pos_cnum - loc.loc_start.pos_bol;
-          msg;
-        }
-        :: !findings
+    | None -> findings := finding rule ~file:s.b.file s.loc msg :: !findings
   in
-  let mentions = List.rev world.mentions in
+  let reported s = reported_path s.b.rule_path in
+  (* depth-zero code of an immediate (non-function) binding runs at module
+     initialization, which happens-before any spawn *)
+  let at_init s =
+    (not (is_function_rhs s.b.vb.pvb_expr))
+    && s.ctx.depth = 0 && not s.ctx.spawn
+  in
   (* D1: judge every module-level mutable binding *)
   List.iter
     (fun g ->
       match g.g_kind with
       | Sync _ | Imm -> ()
       | Mut what ->
-        let ms = List.filter (fun m -> m.m_global = g.g_key) mentions in
-        let runtime = List.filter (fun m -> not m.m_init) ms in
-        let writes = List.filter (fun m -> m.m_write) runtime in
-        if writes = [] then g.g_status <- S_frozen
+        let runtime =
+          List.filter_map
+            (function
+              | { ev = Mention (k, write); _ } as s
+                when k = g.g_key && not (at_init s) ->
+                Some (s, write)
+              | _ -> None)
+            sites
+        in
+        if List.for_all (fun (_, write) -> not write) runtime then
+          g.g_status <- S_frozen
         else begin
           let common =
             match runtime with
             | [] -> SS.empty
-            | m :: tl ->
-              List.fold_left (fun acc m -> SS.inter acc m.m_held) m.m_held tl
+            | (s, _) :: tl ->
+              List.fold_left
+                (fun acc (s, _) -> SS.inter acc s.ctx.held)
+                s.ctx.held tl
           in
           if not (SS.is_empty common) then
             g.g_status <- S_locked (SS.min_elt common)
           else begin
             g.g_status <- S_flagged;
             let unheld =
-              List.filter (fun m -> SS.is_empty m.m_held) runtime
+              List.filter (fun (s, _) -> SS.is_empty s.ctx.held) runtime
             in
             let offenders = if unheld <> [] then unheld else runtime in
-            let inconsistent = unheld = [] in
             List.iter
-              (fun m ->
-                if in_reported_dir m.m_rule then
-                  report ?allow:m.m_allow "D1" ~file:m.m_file ~loc:m.m_loc
+              (fun (s, write) ->
+                if reported s then
+                  report "D1" s
                     (Printf.sprintf
                        "%s of module-level mutable %s (%s) in %s %s; every \
                         cross-domain access must hold one common mutex, or \
                         the state must become Atomic, Domain.DLS or an \
                         engine-instance field"
-                       (if m.m_write then "write" else "read")
-                       g.g_key what m.m_fn
-                       (if inconsistent then
+                       (if write then "write" else "read")
+                       g.g_key what s.b.key
+                       (if unheld = [] then
                           "holds no lock common to all accesses"
                         else "holds no lock")))
               offenders
           end
         end)
     globals;
-  (* D2: mutable locals captured by Domain.spawn closures *)
-  let caps = List.rev world.caps in
-  let cap_groups = Hashtbl.create 16 in
+  (* D2: mutable locals captured by Domain.spawn closures, racing when
+     some capture of the same local writes it without a lock *)
+  let caps =
+    List.filter_map
+      (function
+        | { ev = Capture (name, what, write); _ } as s ->
+          Some (s, name, what, write)
+        | _ -> None)
+      sites
+  in
   List.iter
-    (fun c ->
-      let k = (c.c_fn, c.c_name) in
-      Hashtbl.replace cap_groups k
-        (c :: Option.value (Hashtbl.find_opt cap_groups k) ~default:[]))
-    caps;
-  Hashtbl.to_seq cap_groups |> List.of_seq
-  |> List.sort (fun (k1, _) (k2, _) -> compare k1 k2)
-  |> List.iter (fun ((_fn, name), group) ->
-      let group = List.rev group in
-      let unprotected_writes =
-        List.filter (fun c -> c.c_write && SS.is_empty c.c_held) group
+    (fun (s, name, what, write) ->
+      let racy =
+        List.exists
+          (fun (s', name', _, write') ->
+            write' && SS.is_empty s'.ctx.held && name' = name
+            && s'.b.key = s.b.key)
+          caps
       in
-      if unprotected_writes <> [] then
-        List.iter
-          (fun c ->
-            if SS.is_empty c.c_held && in_reported_dir c.c_rule then
-              report ?allow:c.c_allow "D2" ~file:c.c_file ~loc:c.c_loc
-                (Printf.sprintf
-                   "mutable local %s (%s) is captured by a Domain.spawn \
-                    closure in %s and %s without holding a lock; workers \
-                    race on it — protect it with a mutex or give each \
-                    worker a disjoint slot ([@dom.allow \"reason\"] if \
-                    disjointness is provable)"
-                   name c.c_what c.c_fn
-                   (if c.c_write then "written" else
-                      "read while another access writes it")))
-          group);
-  (* D3: lock-order graph, direct and interprocedural *)
-  let acqs = List.rev world.acqs in
-  let dcalls = List.rev world.dcalls in
-  let acquires = Hashtbl.create 64 in
-  let get_acq k = Option.value (Hashtbl.find_opt acquires k) ~default:SS.empty in
-  List.iter
-    (fun a -> Hashtbl.replace acquires a.aq_fn (SS.add a.aq_lock (get_acq a.aq_fn)))
-    acqs;
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    List.iter
-      (fun (c : dcall) ->
-        match resolve_fn ~file:c.dc_file c.dc_path with
-        | Some g ->
-          let mine = get_acq c.dc_fn and theirs = get_acq g.d_key in
-          if not (SS.subset theirs mine) then begin
-            Hashtbl.replace acquires c.dc_fn (SS.union mine theirs);
-            changed := true
-          end
-        | None -> ())
-      dcalls
-  done;
+      if racy && SS.is_empty s.ctx.held && reported s then
+        report "D2" s
+          (Printf.sprintf
+             "mutable local %s (%s) is captured by a Domain.spawn closure in \
+              %s and %s without holding a lock; workers race on it — \
+              protect it with a mutex or give each worker a disjoint slot \
+              ([@dom.allow \"reason\"] if disjointness is provable)"
+             name what s.b.key
+             (if write then "written"
+              else "read while another access writes it")))
+    caps;
+  (* D3: lock-order graph, direct and interprocedural.  acquires(f): the
+     locks f takes, directly or through its callees *)
+  let calls =
+    List.filter_map
+      (function
+        | { ev = Call p; _ } as s ->
+          Option.map (fun g -> (s, g)) (World.resolve w ~file:s.b.file p)
+        | _ -> None)
+      sites
+  in
+  let acqs =
+    List.filter_map
+      (function { ev = Acquire l; _ } as s -> Some (l, s) | _ -> None)
+      sites
+  in
+  let acquirers =
+    World.reach
+      (List.map (fun (s, (g : World.binding)) -> (g.key, s.b.key)) calls)
+  in
+  let by_lock =
+    List.map
+      (fun l ->
+        ( l,
+          acquirers
+            (List.filter_map
+               (fun (l', s) -> if l' = l then Some (s.b.key, ()) else None)
+               acqs) ))
+      (List.sort_uniq compare (List.map fst acqs))
+  in
+  let acquires key =
+    List.fold_left
+      (fun acc (l, fns) -> if Hashtbl.mem fns key then SS.add l acc else acc)
+      SS.empty by_lock
+  in
   let graph = Lockgraph.create () in
+  let edge s ~src ~dst =
+    Lockgraph.add_edge graph ~src ~dst ~file:s.b.file
+      ~line:s.loc.Location.loc_start.pos_lnum
+  in
   List.iter
-    (fun a ->
-      Lockgraph.add_node graph a.aq_lock;
-      SS.iter
-        (fun h ->
-          Lockgraph.add_edge graph ~src:h ~dst:a.aq_lock ~file:a.aq_file
-            ~line:a.aq_loc.Location.loc_start.pos_lnum)
-        a.aq_held)
+    (fun (l, s) ->
+      Lockgraph.add_node graph l;
+      SS.iter (fun h -> edge s ~src:h ~dst:l) s.ctx.held)
     acqs;
   List.iter
-    (fun (c : dcall) ->
-      if not (SS.is_empty c.dc_held) then
-        match resolve_fn ~file:c.dc_file c.dc_path with
-        | Some g ->
-          SS.iter
-            (fun h ->
-              SS.iter
-                (fun l ->
-                  Lockgraph.add_edge graph ~src:h ~dst:l ~file:c.dc_file
-                    ~line:c.dc_loc.Location.loc_start.pos_lnum)
-                (get_acq g.d_key))
-            c.dc_held
-        | None -> ())
-    dcalls;
+    (fun (s, (g : World.binding)) ->
+      if not (SS.is_empty s.ctx.held) then
+        SS.iter
+          (fun h -> SS.iter (fun l -> edge s ~src:h ~dst:l) (acquires g.key))
+          s.ctx.held)
+    calls;
   List.iter
     (fun cycle ->
       let in_cycle n = List.mem n cycle in
@@ -1111,50 +818,44 @@ let check_project ?registry
         }
         :: !findings)
     (Lockgraph.cycles graph);
-  (* D4: performs must stay under their handler's domain *)
-  let performs = List.rev world.performs in
-  let performers = Hashtbl.create 32 in
+  (* D4: performs must stay under their handler's domain; performer-ness
+     propagates from callee to caller through unhandled calls *)
+  let performs = List.filter (fun s -> s.ev = Perform) sites in
+  let performers =
+    World.reach
+      (List.filter_map
+         (fun (s, (g : World.binding)) ->
+           if s.ctx.handled then None else Some (g.key, s.b.key))
+         calls)
+      (List.filter_map
+         (fun s -> if s.ctx.handled then None else Some (s.b.key, ()))
+         performs)
+  in
   List.iter
-    (fun p -> if not p.pf_handled then Hashtbl.replace performers p.pf_fn ())
-    performs;
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    List.iter
-      (fun (c : dcall) ->
-        if not (c.dc_handled || Hashtbl.mem performers c.dc_fn) then
-          match resolve_fn ~file:c.dc_file c.dc_path with
-          | Some g when Hashtbl.mem performers g.d_key ->
-            Hashtbl.replace performers c.dc_fn ();
-            changed := true
-          | _ -> ())
-      dcalls
-  done;
-  List.iter
-    (fun p ->
-      if p.pf_spawn && (not p.pf_handled) && in_reported_dir p.pf_rule then
-        report ?allow:p.pf_allow "D4" ~file:p.pf_file ~loc:p.pf_loc
+    (fun s ->
+      if s.ctx.spawn && (not s.ctx.handled) && reported s then
+        report "D4" s
           (Printf.sprintf
              "effect perform inside a Domain.spawn closure in %s has no \
               handler on the spawned domain; effects must be handled \
               (Simthread.spawn's match_with) in the domain that performs \
               them"
-             p.pf_fn))
+             s.b.key))
     performs;
   List.iter
-    (fun (c : dcall) ->
-      if c.dc_spawn && (not c.dc_handled) && in_reported_dir c.dc_rule then
-        match resolve_fn ~file:c.dc_file c.dc_path with
-        | Some g when Hashtbl.mem performers g.d_key ->
-          report ?allow:c.dc_allow "D4" ~file:c.dc_file ~loc:c.dc_loc
-            (Printf.sprintf
-               "call to %s inside a Domain.spawn closure in %s reaches an \
-                effect perform with no handler on the spawned domain; \
-                wrap the computation in Simthread.spawn (or another \
-                handler) before it performs"
-               g.d_key c.dc_fn)
-        | _ -> ())
-    dcalls;
+    (fun (s, (g : World.binding)) ->
+      if
+        s.ctx.spawn && (not s.ctx.handled) && reported s
+        && Hashtbl.mem performers g.key
+      then
+        report "D4" s
+          (Printf.sprintf
+             "call to %s inside a Domain.spawn closure in %s reaches an \
+              effect perform with no handler on the spawned domain; wrap \
+              the computation in Simthread.spawn (or another handler) \
+              before it performs"
+             g.key s.b.key))
+    calls;
   {
     findings = List.sort_uniq Lint.compare_finding !findings;
     globals;
@@ -1164,5 +865,5 @@ let check_project ?registry
     allow_sites =
       List.filter
         (fun (s : Lint.allow_site) -> s.as_attr = "dom.allow")
-        (Lint.allow_sites registry);
+        (Lint.allow_sites w.registry);
   }

@@ -1,7 +1,7 @@
 (** Interprocedural domain-safety & lock-order analysis (the D rules).
 
-    Certifies, over the same closed Parsetree world as {!Interp}, the
-    contract that lets code cross OCaml 5 domains — today the parallel
+    Certifies, over the shared closed world ({!World}), the contract that
+    lets code cross OCaml 5 domains — today the parallel
     experiment runner, tomorrow the native backend (ROADMAP #2):
 
     - [D1] — every module-level mutable value must be a synchronization
@@ -82,11 +82,6 @@ type result = {
   allow_sites : Lint.allow_site list;  (** [dom.allow] sites, file order *)
 }
 
-val check_project :
-  ?registry:Lint.allow_registry ->
-  (string * string * Parsetree.structure) list ->
-  result
-(** [check_project sources] analyzes [(file, rule_path, ast)] triples as
-    one closed world.  Pass the registry shared with
-    {!Lint.check_structure} / {!Interp.check_project} so
-    [[\@dom.allow]] sites join the common stale-suppression report. *)
+val check_project : World.t -> result
+(** Certify the world; [[\@dom.allow]] sites join the world's shared
+    registry and so the common stale-suppression report. *)

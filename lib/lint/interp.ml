@@ -12,9 +12,9 @@
      containing — a helper whose raw access was sanctioned with a local
      suppression.
 
-   This pass builds a call graph over the closed world handed to
-   {!check_project} (the whole tree: lib, bin, bench, examples) and
-   computes three relations:
+   This pass is a client of the shared closed world ({!World}: the whole
+   tree, lib, bin, bench and examples) and computes three relations over
+   its call graph:
 
    - [commits f] — f's body reaches a commit-family call at lambda depth
      zero, directly or by calling a committing function.  Same
@@ -53,68 +53,42 @@ type ev =
   | Call of {
       path : string;
       loc : Location.t;
-      r2_allow : Lint.allow_site option option;
-          (** [Some _] = a covering [@lint.allow "R2"] is in force (its
-              site, when a registry tracks use counts) *)
+      r2_allow : Lint.allow_site option;
+          (** the covering [@lint.allow "R2"], if any *)
     }  (** syntactic application of a named target *)
   | Mention of string  (** bare reference: the target escapes as a closure *)
   | Read of {
       field : string;
       what : string;
       loc : Location.t;
-      r3_allow : Lint.allow_site option option;
+      r3_allow : Lint.allow_site option;
     }
   | Open_lam of bool  (** [true] = transparent (runs inline exactly once) *)
   | Close_lam
 
-type fn = {
-  key : string;  (** "Module.binding" (or "Module.Sub.binding") *)
-  f_file : string;
-  f_rule : string;  (** rule path, for directory-scoped decisions *)
-  events : ev list;  (** traversal order *)
-  in_mem : bool;  (** defined under lib/mem (sanctioned raw access) *)
-}
-
-let in_dir dir rule_path =
-  let pre = dir ^ "/" and mid = "/" ^ dir ^ "/" in
-  let starts p s =
-    String.length s >= String.length p && String.sub s 0 (String.length p) = p
-  in
-  let rec contains i =
-    i + String.length mid <= String.length rule_path
-    && (String.sub rule_path i (String.length mid) = mid || contains (i + 1))
-  in
-  starts pre rule_path || contains 0
-
-let module_name_of_file file =
-  String.capitalize_ascii Filename.(remove_extension (basename file))
-
-(* ------------------------------------------------------------------ *)
-(* Extraction                                                          *)
-(* ------------------------------------------------------------------ *)
-
-(* Walk one binding body, producing its event stream.  [allows0] carries
-   the binding- and file-level suppression entries already in force. *)
-let extract_events ?registry ~file ~allows0 (body : Parsetree.expression) =
+(* Walk one binding body, producing its event stream. *)
+let events (w : World.t) (b : World.binding) =
   let buf = ref [] in
-  let allows = ref allows0 in
+  let emit e = buf := e :: !buf in
+  let entries = allow_entries ~registry:w.registry ~file:b.file in
+  let allows = ref (entries (b.vb.pvb_attributes @ b.file_allows)) in
   let allowed r =
     match
       List.find_opt (fun (s, _) -> SS.mem r s || SS.mem "all" s) !allows
     with
-    | Some (_, site) -> Some site
+    | Some (_, site) -> site
     | None -> None
   in
-  let emit e = buf := e :: !buf in
-  let rec walk (e : Parsetree.expression) =
-    match allow_entries ?registry ~file e.pexp_attributes with
-    | [] -> walk_desc e
+  let with_allows attrs f =
+    match entries attrs with
+    | [] -> f ()
     | att ->
       let saved = !allows in
       allows := att @ !allows;
-      Fun.protect ~finally:(fun () -> allows := saved) (fun () ->
-          walk_desc e)
-  and walk_desc (e : Parsetree.expression) =
+      Fun.protect ~finally:(fun () -> allows := saved) f
+  in
+  let rec walk (e : Parsetree.expression) =
+    with_allows e.pexp_attributes @@ fun () ->
     match e.pexp_desc with
     | Pexp_fun (_, default, _, body) ->
       Option.iter walk default;
@@ -130,16 +104,10 @@ let extract_events ?registry ~file ~allows0 (body : Parsetree.expression) =
         cases;
       emit Close_lam
     | Pexp_newtype (_, body) -> walk body
-    | Pexp_apply ({ pexp_desc = Pexp_ident { txt; loc }; _ }, args) ->
-      let path = strip_stdlib (path_of_lid txt) in
-      (match (path, args) with
-      | "@@", [ (_, l); (_, r) ] -> walk_infix_app l r
-      | "|>", [ (_, l); (_, r) ] -> walk_infix_app r l
-      | _ -> walk_app path loc args)
-    | Pexp_apply (f, args) ->
-      (* call through a closure / field: opaque target *)
-      walk f;
-      List.iter (fun (_, a) -> walk a) args
+    | Pexp_apply (f, args) -> (
+      match World.call f args with
+      | Named (path, loc, args) -> call path loc args
+      | Opaque parts -> List.iter walk parts)
     | Pexp_field (inner, { txt; loc }) ->
       walk inner;
       let name = try Longident.last txt with _ -> "" in
@@ -152,39 +120,11 @@ let extract_events ?registry ~file ~allows0 (body : Parsetree.expression) =
     | Pexp_let (_, vbs, body) ->
       List.iter
         (fun (vb : Parsetree.value_binding) ->
-          match allow_entries ?registry ~file vb.pvb_attributes with
-          | [] -> walk vb.pvb_expr
-          | att ->
-            let saved = !allows in
-            allows := att @ !allows;
-            Fun.protect
-              ~finally:(fun () -> allows := saved)
-              (fun () -> walk vb.pvb_expr))
+          with_allows vb.pvb_attributes (fun () -> walk vb.pvb_expr))
         vbs;
       walk body
-    | _ ->
-      (* generic recursion over sub-expressions *)
-      let it =
-        {
-          Ast_iterator.default_iterator with
-          expr = (fun _ e -> walk e);
-        }
-      in
-      Ast_iterator.default_iterator.expr it e
-  (* [f_expr applied-to arg] spelt with @@ or |>: recover the call shape *)
-  and walk_infix_app f_expr arg =
-    match f_expr.Parsetree.pexp_desc with
-    | Pexp_apply ({ pexp_desc = Pexp_ident { txt; loc }; _ }, fargs) ->
-      walk_app
-        (strip_stdlib (path_of_lid txt))
-        loc
-        (fargs @ [ (Asttypes.Nolabel, arg) ])
-    | Pexp_ident { txt; loc } ->
-      walk_app (strip_stdlib (path_of_lid txt)) loc [ (Asttypes.Nolabel, arg) ]
-    | _ ->
-      walk f_expr;
-      walk arg
-  and walk_app path loc args =
+    | _ -> World.children walk e
+  and call path loc args =
     (* [Env.tagged env "site" (fun () -> ...)]: the lambda runs inline,
        exactly once — analyze it at the caller's depth so commits and
        reads inside it belong to the enclosing function *)
@@ -194,15 +134,7 @@ let extract_events ?registry ~file ~allows0 (body : Parsetree.expression) =
         match a.pexp_desc with
         | (Pexp_fun _ | Pexp_function _) when transparent ->
           emit (Open_lam true);
-          (let rec strip (e : Parsetree.expression) =
-             match e.pexp_desc with
-             | Pexp_fun (_, d, _, b) ->
-               Option.iter walk d;
-               strip b
-             | Pexp_newtype (_, b) -> strip b
-             | _ -> walk e
-           in
-           strip a);
+          walk (World.body walk a);
           emit Close_lam
         | _ -> walk a)
       args;
@@ -210,135 +142,15 @@ let extract_events ?registry ~file ~allows0 (body : Parsetree.expression) =
        pass (commit_dominators runs after the argument traversal) *)
     emit (Call { path; loc; r2_allow = allowed "R2" })
   in
-  (* parameter chain of the binding is the function's own body: walk it
-     transparently (no lambda frame) *)
-  let rec strip_params (e : Parsetree.expression) =
-    match e.Parsetree.pexp_desc with
-    | Pexp_fun (_, default, _, body) ->
-      Option.iter walk default;
-      strip_params body
-    | Pexp_newtype (_, body) -> strip_params body
-    | Pexp_constraint (body, _) -> strip_params body
-    | _ -> walk e
-  in
-  strip_params body;
+  walk (World.body walk b.vb.pvb_expr);
   List.rev !buf
 
-(* Collect the top-level bindings of one parsed file (including bindings
-   in nested [module X = struct ... end]), respecting [@@@lint.allow]. *)
-let extract_file ?registry ~file ~rule_path (str : Parsetree.structure) =
-  let modname = module_name_of_file file in
-  let in_mem = in_dir "lib/mem" rule_path in
-  let fns = ref [] in
-  let anon = ref 0 in
-  let rec items ~prefix ~file_allows str =
-    let file_allows = ref file_allows in
-    List.iter
-      (fun (si : Parsetree.structure_item) ->
-        match si.pstr_desc with
-        | Pstr_attribute a when a.attr_name.txt = "lint.allow" ->
-          file_allows := allow_entries ?registry ~file [ a ] @ !file_allows
-        | Pstr_value (_, vbs) ->
-          List.iter
-            (fun (vb : Parsetree.value_binding) ->
-              let name =
-                match vb.pvb_pat.ppat_desc with
-                | Ppat_var { txt; _ } -> txt
-                | Ppat_constraint ({ ppat_desc = Ppat_var { txt; _ }; _ }, _)
-                  ->
-                  txt
-                | _ ->
-                  incr anon;
-                  Printf.sprintf "<toplevel:%d>" !anon
-              in
-              let allows0 =
-                allow_entries ?registry ~file vb.pvb_attributes
-                @ !file_allows
-              in
-              fns :=
-                {
-                  key = prefix ^ name;
-                  f_file = file;
-                  f_rule = rule_path;
-                  events = extract_events ?registry ~file ~allows0 vb.pvb_expr;
-                  in_mem;
-                }
-                :: !fns)
-            vbs
-        | Pstr_module
-            {
-              pmb_name = { txt = Some sub; _ };
-              pmb_expr = { pmod_desc = Pmod_structure s; _ };
-              _;
-            } ->
-          items ~prefix:(prefix ^ sub ^ ".") ~file_allows:!file_allows s
-        | _ -> ())
-      str
-  in
-  items ~prefix:(modname ^ ".") ~file_allows:[] str;
-  List.rev !fns
-
-(* ------------------------------------------------------------------ *)
-(* Resolution                                                          *)
-(* ------------------------------------------------------------------ *)
-
-type index = {
-  by_key : (string, fn) Hashtbl.t;
-  by_short : (string * string, fn) Hashtbl.t;  (** (file, binding name) *)
-  keys : string list;
-  ambiguous : SS.t;  (** module-name collisions: never resolved *)
-}
-
-let build_index fns =
-  let by_key = Hashtbl.create 256 and by_short = Hashtbl.create 256 in
-  let ambiguous = ref SS.empty in
-  let keys = ref [] in
-  List.iter
-    (fun f ->
-      if Hashtbl.mem by_key f.key then ambiguous := SS.add f.key !ambiguous
-      else begin
-        Hashtbl.replace by_key f.key f;
-        keys := f.key :: !keys
-      end;
-      let short =
-        match String.rindex_opt f.key '.' with
-        | Some i -> String.sub f.key (i + 1) (String.length f.key - i - 1)
-        | None -> f.key
-      in
-      Hashtbl.replace by_short (f.f_file, short) f)
-    fns;
-  { by_key; by_short; keys = List.rev !keys; ambiguous = !ambiguous }
-
-(* Resolve a call path written in [file] to a known function, or None for
-   targets outside the closed world (stdlib, closures, locals). *)
-let resolve idx ~file path =
-  if path = "" then None
-  else if not (String.contains path '.') then
-    Hashtbl.find_opt idx.by_short (file, path)
-  else
-    match Hashtbl.find_opt idx.by_key path with
-    | Some f when not (SS.mem f.key idx.ambiguous) -> Some f
-    | _ -> (
-      (* alias / fully-qualified spelling: unique suffix match *)
-      match
-        List.filter
-          (fun k -> matches k path && not (SS.mem k idx.ambiguous))
-          idx.keys
-      with
-      | [ k ] -> Hashtbl.find_opt idx.by_key k
-      | _ -> None)
-
-(* ------------------------------------------------------------------ *)
-(* Replay                                                              *)
-(* ------------------------------------------------------------------ *)
-
-(* Interpret a function's event stream: track lexical commit domination
-   (with lambda save/restore) and opaque-lambda depth, calling back on
-   each call, read and mention. *)
-let replay ~call_commits fn ~on_call ~on_read ~on_mention =
-  let committed = ref false in
-  let depth = ref 0 in
-  let stack = ref [] in
+(* Replay an event stream: every call, read and mention with whether it
+   is lexically commit-dominated (lambdas save and restore the state) and
+   its opaque-lambda depth.  [commits path] says whether a call commits. *)
+let replay ~commits evs =
+  let committed = ref false and depth = ref 0 in
+  let stack = ref [] and out = ref [] in
   List.iter
     (fun ev ->
       match ev with
@@ -354,216 +166,158 @@ let replay ~call_commits fn ~on_call ~on_read ~on_mention =
           committed := c;
           decr depth
         | [] -> ())
-      | Read { field; what; loc; r3_allow } ->
-        on_read ~field ~what ~loc ~r3_allow ~dominated:!committed
-          ~depth:!depth
-      | Mention p -> on_mention p
-      | Call { path; loc; r2_allow } ->
-        on_call ~path ~loc ~r2_allow ~dominated:!committed ~depth:!depth;
-        if matches_any commit_family path || call_commits path then
-          committed := true)
-    fn.events
+      | Call { path; _ } ->
+        out := (ev, !committed, !depth) :: !out;
+        if commits path then committed := true
+      | Read _ | Mention _ -> out := (ev, !committed, !depth) :: !out)
+    evs;
+  List.rev !out
 
 (* ------------------------------------------------------------------ *)
 (* The analysis                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let check_project ?(on_suppressed = fun ~rule:_ ~loc:_ -> ()) ?registry
-    (sources : (string * string * Parsetree.structure) list) =
-  let fns =
+let check_project ?(on_suppressed = fun ~rule:_ ~loc:_ -> ()) (w : World.t) =
+  let fns = List.map (fun b -> (b, events w b)) w.bindings in
+  let resolve (b : World.binding) path = World.resolve w ~file:b.file path in
+  let in_mem (b : World.binding) = in_dir "lib/mem" b.rule_path in
+  (* commits(f): f calls, at lambda depth zero, a commit-family function
+     or a committing one *)
+  let depth0 =
     List.concat_map
-      (fun (file, rule_path, str) ->
-        extract_file ?registry ~file ~rule_path str)
-      sources
-  in
-  let idx = build_index fns in
-  (* commits(f): least fixpoint over "calls a committing function at
-     lambda depth zero" *)
-  let commits = ref SS.empty in
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    List.iter
-      (fun fn ->
-        if not (SS.mem fn.key !commits) then begin
-          let c = ref false in
-          replay fn
-            ~call_commits:(fun path ->
-              match resolve idx ~file:fn.f_file path with
-              | Some g -> SS.mem g.key !commits
-              | None -> false)
-            ~on_call:(fun ~path ~loc:_ ~r2_allow:_ ~dominated:_ ~depth ->
-              if
-                depth = 0
-                && (matches_any commit_family path
-                   ||
-                   match resolve idx ~file:fn.f_file path with
-                   | Some g -> SS.mem g.key !commits
-                   | None -> false)
-              then c := true)
-            ~on_read:(fun ~field:_ ~what:_ ~loc:_ ~r3_allow:_ ~dominated:_
-                          ~depth:_ -> ())
-            ~on_mention:ignore;
-          if !c then begin
-            commits := SS.add fn.key !commits;
-            changed := true
-          end
-        end)
+      (fun (b, evs) ->
+        List.filter_map
+          (function Call { path; _ }, _, 0 -> Some (b, path) | _ -> None)
+          (replay ~commits:(fun _ -> false) evs))
       fns
-  done;
-  let commits = !commits in
-  (* one replay per function with the final commit set: collect resolved
-     call sites, shared-field reads and escaping mentions *)
-  let calls = Hashtbl.create 256 in (* caller key -> (callee, dominated, loc, r2_allow) list *)
-  let reads = Hashtbl.create 256 in (* caller key -> (read, dominated) list *)
-  let has_site = Hashtbl.create 256 in (* callee key -> unit *)
-  let escapes = ref SS.empty in
-  let push tbl k v =
-    Hashtbl.replace tbl k
-      (v :: (match Hashtbl.find_opt tbl k with Some l -> l | None -> []))
   in
-  List.iter
-    (fun fn ->
-      let call_commits path =
-        match resolve idx ~file:fn.f_file path with
-        | Some g -> SS.mem g.key commits
-        | None -> false
-      in
-      replay fn ~call_commits
-        ~on_call:(fun ~path ~loc ~r2_allow ~dominated ~depth:_ ->
-          match resolve idx ~file:fn.f_file path with
-          | Some g ->
-            Hashtbl.replace has_site g.key ();
-            push calls fn.key (g, dominated, loc, r2_allow)
-          | None -> ())
-        ~on_read:(fun ~field ~what ~loc ~r3_allow ~dominated ~depth:_ ->
-          push reads fn.key (field, what, loc, r3_allow, dominated))
-        ~on_mention:(fun p ->
-          match resolve idx ~file:fn.f_file p with
-          | Some g -> escapes := SS.add g.key !escapes
-          | None -> ()))
-    fns;
-  (* exposed(f): least fixpoint from entry points and escaping closures,
+  let commits =
+    World.reach
+      (List.filter_map
+         (fun ((b : World.binding), path) ->
+           Option.map
+             (fun (g : World.binding) -> (g.key, b.key))
+             (resolve b path))
+         depth0)
+      (List.filter_map
+         (fun ((b : World.binding), path) ->
+           if matches_any commit_family path then Some (b.key, ()) else None)
+         depth0)
+  in
+  let call_commits b path =
+    matches_any commit_family path
+    ||
+    match resolve b path with
+    | Some g -> Hashtbl.mem commits g.key
+    | None -> false
+  in
+  (* one replay per function with the final commit set: resolved call
+     sites (caller, callee, dominated, loc, allow), reads, mentions *)
+  let replayed =
+    List.map (fun (b, evs) -> (b, replay ~commits:(call_commits b) evs)) fns
+  in
+  let calls =
+    List.concat_map
+      (fun (b, evs) ->
+        List.filter_map
+          (function
+            | Call { path; loc; r2_allow }, dominated, _ ->
+              Option.map
+                (fun g -> (b, g, dominated, loc, r2_allow))
+                (resolve b path)
+            | _ -> None)
+          evs)
+      replayed
+  in
+  (* exposed(f): entry points (no call site) and escaping closures,
      propagated caller -> callee through undominated call sites *)
-  let exposed = Hashtbl.create 256 in
-  let work = Queue.create () in
-  let mark k =
-    if not (Hashtbl.mem exposed k) then begin
-      Hashtbl.replace exposed k ();
-      Queue.add k work
-    end
+  let has_site = Hashtbl.create 256 in
+  List.iter
+    (fun (_, (g : World.binding), _, _, _) -> Hashtbl.replace has_site g.key ())
+    calls;
+  let exposed =
+    World.reach
+      (List.filter_map
+         (fun ((b : World.binding), (g : World.binding), dominated, _, _) ->
+           if dominated then None else Some (b.key, g.key))
+         calls)
+      (List.filter_map
+         (fun ((b : World.binding), _) ->
+           if Hashtbl.mem has_site b.key then None else Some (b.key, ()))
+         replayed
+      @ List.concat_map
+          (fun (b, evs) ->
+            List.filter_map
+              (function
+                | Mention p, _, _ ->
+                  Option.map
+                    (fun (g : World.binding) -> (g.key, ()))
+                    (resolve b p)
+                | _ -> None)
+              evs)
+          replayed)
   in
-  List.iter (fun fn -> if not (Hashtbl.mem has_site fn.key) then mark fn.key) fns;
-  SS.iter mark !escapes;
-  while not (Queue.is_empty work) do
-    let caller = Queue.pop work in
-    match Hashtbl.find_opt calls caller with
-    | None -> ()
-    | Some sites ->
-      List.iter
-        (fun ((g : fn), dominated, _, _) -> if not dominated then mark g.key)
-        sites
-  done;
   let findings = ref [] in
-  let report rule fn (loc : Location.t) msg =
-    findings :=
-      {
-        Lint.rule;
-        file = fn.f_file;
-        line = loc.loc_start.pos_lnum;
-        col = loc.loc_start.pos_cnum - loc.loc_start.pos_bol;
-        msg;
-      }
-      :: !findings
+  let judge rule allow (b : World.binding) loc msg =
+    match allow with
+    | Some site ->
+      use site;
+      on_suppressed ~rule ~loc
+    | None -> findings := finding rule ~file:b.file loc msg :: !findings
   in
   (* R3, interprocedural: an undominated read in an exposed function *)
   List.iter
-    (fun fn ->
-      if Hashtbl.mem exposed fn.key then
-        match Hashtbl.find_opt reads fn.key with
-        | None -> ()
-        | Some rs ->
-          List.iter
-            (fun (field, what, loc, r3_allow, dominated) ->
-              match (dominated, r3_allow) with
-              | true, _ -> ()
-              | false, Some site ->
-                Option.iter
-                  (fun (s : Lint.allow_site) -> s.as_uses <- s.as_uses + 1)
-                  site;
-                on_suppressed ~rule:"R3" ~loc
-              | false, None ->
-                report "R3" fn loc
-                  (Printf.sprintf
-                       "read of shared-mutable field .%s (%s): %s can run \
-                        with uncommitted cycles (it is an entry point, \
-                        escapes as a closure, or has a call site that is \
-                        not commit-dominated); commit before the read or \
-                        at every call site"
-                       field what fn.key))
-            rs)
-    fns;
+    (fun ((b : World.binding), evs) ->
+      if Hashtbl.mem exposed b.key then
+        List.iter
+          (function
+            | Read { field; what; loc; r3_allow }, false, _ ->
+              judge "R3" r3_allow b loc
+                (Printf.sprintf
+                   "read of shared-mutable field .%s (%s): %s can run with \
+                    uncommitted cycles (it is an entry point, escapes as a \
+                    closure, or has a call site that is not \
+                    commit-dominated); commit before the read or at every \
+                    call site"
+                   field what b.key)
+            | _ -> ())
+          evs)
+    replayed;
   (* R2, interprocedural: reaches(f) = performs Hierarchy traffic outside
      lib/mem, directly or through calls that do not pass through lib/mem *)
-  let reaches = ref SS.empty in
+  let reaches =
+    World.reach
+      (List.filter_map
+         (fun ((b : World.binding), (g : World.binding), _, _, _) ->
+           if in_mem g then None else Some (g.key, b.key))
+         calls)
+      (List.filter_map
+         (fun ((b : World.binding), evs) ->
+           if
+             (not (in_mem b))
+             && List.exists
+                  (function
+                    | Call { path; _ }, _, _ ->
+                      matches_any hierarchy_traffic path
+                    | _ -> false)
+                  evs
+           then Some (b.key, ())
+           else None)
+         replayed)
+  in
   List.iter
-    (fun fn ->
-      if not fn.in_mem then
-        replay fn
-          ~call_commits:(fun _ -> false)
-          ~on_call:(fun ~path ~loc:_ ~r2_allow:_ ~dominated:_ ~depth:_ ->
-            if matches_any hierarchy_traffic path then
-              reaches := SS.add fn.key !reaches)
-          ~on_read:(fun ~field:_ ~what:_ ~loc:_ ~r3_allow:_ ~dominated:_
-                        ~depth:_ -> ())
-          ~on_mention:ignore)
-    fns;
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    List.iter
-      (fun fn ->
-        if not (SS.mem fn.key !reaches) then
-          match Hashtbl.find_opt calls fn.key with
-          | None -> ()
-          | Some sites ->
-            if
-              List.exists
-                (fun ((g : fn), _, _, _) ->
-                  (not g.in_mem) && SS.mem g.key !reaches)
-                sites
-            then begin
-              reaches := SS.add fn.key !reaches;
-              changed := true
-            end)
-      fns
-  done;
-  List.iter
-    (fun fn ->
-      if in_dir "lib" fn.f_rule then
-        match Hashtbl.find_opt calls fn.key with
-        | None -> ()
-        | Some sites ->
-          List.iter
-            (fun ((g : fn), _, loc, r2_allow) ->
-              match
-                ((not g.in_mem) && SS.mem g.key !reaches, r2_allow)
-              with
-              | false, _ -> ()
-              | true, Some site ->
-                Option.iter
-                  (fun (s : Lint.allow_site) -> s.as_uses <- s.as_uses + 1)
-                  site;
-                on_suppressed ~rule:"R2" ~loc
-              | true, None ->
-                report "R2" fn loc
-                  (Printf.sprintf
-                     "call to %s reaches uncharged Hierarchy traffic (a \
-                      sanctioned raw access further down the call graph); \
-                      route this path through Env.load / Env.store / \
-                      Env.prefetch_batch so the cycles land in the \
-                      thread's accumulator"
-                     g.key))
-            sites)
-    fns;
+    (fun ((b : World.binding), (g : World.binding), _, loc, r2_allow) ->
+      if
+        in_dir "lib" b.rule_path
+        && (not (in_mem g))
+        && Hashtbl.mem reaches g.key
+      then
+        judge "R2" r2_allow b loc
+          (Printf.sprintf
+             "call to %s reaches uncharged Hierarchy traffic (a sanctioned \
+              raw access further down the call graph); route this path \
+              through Env.load / Env.store / Env.prefetch_batch so the \
+              cycles land in the thread's accumulator"
+             g.key))
+    calls;
   List.sort_uniq Lint.compare_finding !findings

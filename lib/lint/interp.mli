@@ -21,14 +21,10 @@
 
 val check_project :
   ?on_suppressed:(rule:string -> loc:Location.t -> unit) ->
-  ?registry:Lint.allow_registry ->
-  (string * string * Parsetree.structure) list ->
+  World.t ->
   Lint.finding list
-(** [check_project sources] analyzes [(file, rule_path, ast)] triples as
-    one closed world and returns the interprocedural findings, sorted.
-    Parse with {!Lint.parse_implementation} so the per-file (intra) and
-    project passes share one AST per file.  [on_suppressed] fires instead
-    of a finding when an [[\@lint.allow]] covers it (default: ignore).
-    [registry] tracks suppression attributes as {!Lint.allow_site}s; pass
-    the same registry to {!Lint.check_structure} so both passes share the
-    per-site use counters. *)
+(** The interprocedural findings over the world, sorted.  Build the world
+    from the ASTs and registry the per-file (intra) pass used, so both
+    passes share one parse and one set of per-site use counters.
+    [on_suppressed] fires instead of a finding when an [[\@lint.allow]]
+    covers it (default: ignore). *)

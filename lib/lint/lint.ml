@@ -50,10 +50,10 @@ let compare_finding a b =
 (* Suppression sites                                                   *)
 (* ------------------------------------------------------------------ *)
 
-(* Every [@lint.allow] / [@dom.allow] attribute a pass walks registers one
-   site here, keyed by (attribute, file, line) so the intra and
-   interprocedural passes — which walk the same attributes — share a
-   single use counter.  A site whose counter stays zero suppresses
+(* Every [@lint.allow] / [@alloc.allow] / [@dom.allow] attribute a pass
+   walks registers one site here, keyed by (attribute, file, line) so the
+   intra and interprocedural passes — which walk the same attributes —
+   share a single use counter.  A site whose counter stays zero suppresses
    nothing: it is stale, and [--strict-suppressions] fails on it. *)
 type allow_site = {
   as_attr : string;  (** attribute name, e.g. "lint.allow" *)
@@ -167,34 +167,8 @@ let path_of_lid lid =
   | parts -> String.concat "." parts
   | exception _ -> ""
 
-(* Parse the payload of a [lint.allow] attribute: a string constant holding
-   space- or comma-separated rule names. *)
-let allow_of_payload (p : Parsetree.payload) =
-  match p with
-  | Parsetree.PStr
-      [
-        {
-          pstr_desc =
-            Pstr_eval
-              ({ pexp_desc = Pexp_constant (Pconst_string (s, _, _)); _ }, _);
-          _;
-        };
-      ] ->
-    String.split_on_char ' ' s
-    |> List.concat_map (String.split_on_char ',')
-    |> List.filter (fun r -> r <> "")
-    |> SS.of_list
-  | _ -> SS.empty
-
-let allow_of_attrs (attrs : Parsetree.attributes) =
-  List.fold_left
-    (fun acc (a : Parsetree.attribute) ->
-      if a.attr_name.txt = "lint.allow" then
-        SS.union acc (allow_of_payload a.attr_payload)
-      else acc)
-    SS.empty attrs
-
-(* Raw payload text, for registry bookkeeping. *)
+(* The string constant a suppression attribute carries: its rule list or
+   its reason. *)
 let payload_string (p : Parsetree.payload) =
   match p with
   | Parsetree.PStr
@@ -209,23 +183,31 @@ let payload_string (p : Parsetree.payload) =
     Some s
   | _ -> None
 
+(* A [lint.allow] payload: space- or comma-separated rule names. *)
+let rules_of_payload p =
+  match payload_string p with
+  | Some s ->
+    String.split_on_char ' ' s
+    |> List.concat_map (String.split_on_char ',')
+    |> List.filter (fun r -> r <> "")
+    |> SS.of_list
+  | None -> SS.empty
+
+(* The registry site of one suppression attribute of any family. *)
+let register reg ~file (a : Parsetree.attribute) =
+  register_allow reg ~attr:a.attr_name.txt ~file
+    ~line:a.attr_loc.Location.loc_start.pos_lnum
+    ~payload:(Option.value (payload_string a.attr_payload) ~default:"")
+
 (* One suppression-stack entry per [@lint.allow] attribute, each carrying
    its registry site (when a registry is attached) for use counting. *)
 let allow_entries ?registry ~file (attrs : Parsetree.attributes) =
   List.filter_map
     (fun (a : Parsetree.attribute) ->
       if a.attr_name.txt = "lint.allow" then
-        let rules = allow_of_payload a.attr_payload in
-        let site =
-          Option.map
-            (fun reg ->
-              register_allow reg ~attr:"lint.allow" ~file
-                ~line:a.attr_loc.Location.loc_start.pos_lnum
-                ~payload:(Option.value (payload_string a.attr_payload)
-                            ~default:""))
-            registry
-        in
-        Some (rules, site)
+        Some
+          ( rules_of_payload a.attr_payload,
+            Option.map (fun reg -> register reg ~file a) registry )
       else None)
     attrs
 
@@ -253,15 +235,19 @@ type state = {
       (** the next lambda visited is a [Simthread.spawn] callback *)
 }
 
-let contains_sub ~sub s =
-  let n = String.length sub and m = String.length s in
-  let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
-  n = 0 || go 0
-
-let in_dir dir st =
-  contains_sub ~sub:(dir ^ "/") st.rule_path
-  || String.length st.rule_path > String.length dir
-     && String.sub st.rule_path 0 (String.length dir + 1) = dir ^ "/"
+(* [in_dir dir path]: [dir] is a run of whole components of [path] — a
+   prefix ["dir/"] or an infix ["/dir/"], so "examples/mylib/mem/x.ml" is
+   not under "lib/mem". *)
+let in_dir dir path =
+  let has_at i sub =
+    i + String.length sub <= String.length path
+    && String.sub path i (String.length sub) = sub
+  in
+  let mid = "/" ^ dir ^ "/" in
+  let rec inside i =
+    i < String.length path && (has_at i mid || inside (i + 1))
+  in
+  has_at 0 (dir ^ "/") || inside 0
 
 let cur_scope st =
   match st.scopes with s :: _ -> s | [] -> assert false
@@ -269,21 +255,23 @@ let cur_scope st =
 let find_allow st rule =
   List.find_opt (fun (s, _) -> SS.mem rule s || SS.mem "all" s) st.allows
 
+let finding rule ~file (loc : Location.t) msg =
+  {
+    rule;
+    file;
+    line = loc.loc_start.pos_lnum;
+    col = loc.loc_start.pos_cnum - loc.loc_start.pos_bol;
+    msg;
+  }
+
+let use site = site.as_uses <- site.as_uses + 1
+
 let report st rule (loc : Location.t) msg =
   match find_allow st rule with
   | Some (_, site) ->
-    Option.iter (fun s -> s.as_uses <- s.as_uses + 1) site;
+    Option.iter use site;
     st.on_suppressed ~rule ~loc
-  | None ->
-    st.findings <-
-      {
-        rule;
-        file = st.file;
-        line = loc.loc_start.pos_lnum;
-        col = loc.loc_start.pos_cnum - loc.loc_start.pos_bol;
-        msg;
-      }
-      :: st.findings
+  | None -> st.findings <- finding rule ~file:st.file loc msg :: st.findings
 
 let rec pattern_binds_ctx (p : Parsetree.pattern) =
   match p.ppat_desc with
@@ -326,7 +314,10 @@ let check_ident st (loc : Location.t) path =
           ordered map"
          p);
   (* R2: uncharged memory traffic *)
-  if (not (in_dir "lib/mem" st)) && matches_any hierarchy_traffic path then
+  if
+    (not (in_dir "lib/mem" st.rule_path))
+    && matches_any hierarchy_traffic path
+  then
     report st "R2" loc
       (Printf.sprintf
          "%s bypasses the charge discipline; route traffic through Env.load \
@@ -366,7 +357,7 @@ let check_apply st (loc : Location.t) path args =
   (* R4: Simthread operations need a thread context *)
   if
     matches_any simthread_ops path
-    && (not (in_dir "lib/sim" st))
+    && (not (in_dir "lib/sim" st.rule_path))
     && (not (cur_scope st).sim)
     && not (arg_is_ctx_field args)
   then
@@ -524,17 +515,18 @@ let check_string ?(file = "<string>") ?(rule_path = file) ?intra_r3 src =
   | exception Syntaxerr.Error _ ->
     Error (Printf.sprintf "%s: syntax error" file)
 
-(* Shared vocabulary for the interprocedural pass (Interp). *)
+(* Shared vocabulary for the project passes (World and its clients). *)
 module Internal = struct
   let matches = matches
   let matches_any = matches_any
   let path_of_lid = path_of_lid
   let strip_stdlib = strip_stdlib
+  let in_dir = in_dir
   let commit_family = commit_family
   let shared_fields = shared_fields
   let hierarchy_traffic = hierarchy_traffic
-  let allow_of_attrs = allow_of_attrs
-  let allow_of_payload = allow_of_payload
   let allow_entries = allow_entries
-  let payload_string = payload_string
+  let register = register
+  let finding = finding
+  let use = use
 end

@@ -31,11 +31,11 @@ val compare_finding : finding -> finding -> int
 
 (** {1 Suppression sites}
 
-    Every suppression attribute ([[\@lint.allow]], [[\@dom.allow]]) a pass
-    walks registers one {!allow_site}, keyed by (attribute, file, line) so
-    that passes sharing the same source (intra + interprocedural) share a
-    single use counter.  A site whose [as_uses] stays [0] covered no
-    finding: it is stale and should be deleted
+    Every suppression attribute ([[\@lint.allow]], [[\@alloc.allow]],
+    [[\@dom.allow]]) a pass walks registers one {!allow_site}, keyed by
+    (attribute, file, line) so that passes sharing the same source (intra
+    + interprocedural) share a single use counter.  A site whose [as_uses]
+    stays [0] covered no finding: it is stale and should be deleted
     ([bin/lint_main --strict-suppressions] fails on it). *)
 
 type allow_site = {
@@ -103,17 +103,20 @@ val parse_implementation : string -> Parsetree.structure
 
 (**/**)
 
-(** Rule vocabulary shared with the interprocedural pass ({!Interp}). *)
+(** Vocabulary shared with the project passes ({!World} and its clients). *)
 module Internal : sig
   val matches : string -> string -> bool
   val matches_any : string list -> string -> bool
   val path_of_lid : Longident.t -> string
   val strip_stdlib : string -> string
+
+  val in_dir : string -> string -> bool
+  (** [in_dir dir path]: [dir] occurs in [path] as whole components — a
+      prefix ["dir/"] or an infix ["/dir/"]. *)
+
   val commit_family : string list
   val shared_fields : (string * string) list
   val hierarchy_traffic : string list
-  val allow_of_attrs : Parsetree.attributes -> Set.Make(String).t
-  val allow_of_payload : Parsetree.payload -> Set.Make(String).t
 
   val allow_entries :
     ?registry:allow_registry ->
@@ -121,7 +124,13 @@ module Internal : sig
     Parsetree.attributes ->
     (Set.Make(String).t * allow_site option) list
 
-  val payload_string : Parsetree.payload -> string option
+  val register :
+    allow_registry -> file:string -> Parsetree.attribute -> allow_site
+  (** The registry site of one suppression attribute, of any family. *)
+
+  val finding : string -> file:string -> Location.t -> string -> finding
+  val use : allow_site -> unit
+  (** Count one finding suppressed by the site. *)
 end
 
 (**/**)

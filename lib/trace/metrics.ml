@@ -82,17 +82,6 @@ let to_csv t =
     (entries t);
   Buffer.contents b
 
-let json_escape b s =
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | c when Char.code c < 0x20 ->
-        Printf.bprintf b "\\u%04x" (Char.code c)
-      | c -> Buffer.add_char b c)
-    s
-
 let to_json t =
   let b = Buffer.create 512 in
   Buffer.add_string b "[";
@@ -100,11 +89,11 @@ let to_json t =
     (fun i (e : entry) ->
       if i > 0 then Buffer.add_char b ',';
       Buffer.add_string b "{\"scope\":\"";
-      json_escape b e.scope;
+      Json.escape b e.scope;
       Buffer.add_string b "\",\"subsystem\":\"";
-      json_escape b e.subsystem;
+      Json.escape b e.subsystem;
       Buffer.add_string b "\",\"name\":\"";
-      json_escape b e.name;
+      Json.escape b e.name;
       Buffer.add_string b "\",\"kind\":\"";
       Buffer.add_string b (kind_name e.kind);
       Buffer.add_string b "\",\"value\":";

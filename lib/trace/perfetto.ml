@@ -7,16 +7,6 @@
    microseconds at the configured clock rate, so the timeline reads in
    wall units of the simulated machine. *)
 
-let esc b s =
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | c when Char.code c < 0x20 -> Printf.bprintf b "\\u%04x" (Char.code c)
-      | c -> Buffer.add_char b c)
-    s
-
 let add_ts b ~ghz cycles =
   (* microseconds with sub-nanosecond resolution at realistic clocks *)
   Printf.bprintf b "%.4f" (float_of_int cycles /. (ghz *. 1000.0))
@@ -30,7 +20,7 @@ let to_json ?(ghz = 2.5) traces =
     sep ();
     Printf.bprintf b "{\"ph\":\"M\",\"name\":\"%s\",\"pid\":%d,\"tid\":%d,\"args\":{\"name\":\""
       kind pid tid;
-    esc b value;
+    Json.escape b value;
     Buffer.add_string b "\"}}"
   in
   List.iter
@@ -52,7 +42,7 @@ let to_json ?(ghz = 2.5) traces =
           Buffer.add_string b ",\"dur\":";
           add_ts b ~ghz (s.Trace.s_t1 - s.Trace.s_t0);
           Buffer.add_string b ",\"name\":\"";
-          esc b s.Trace.s_name;
+          Json.escape b s.Trace.s_name;
           Buffer.add_string b "\"}");
       Trace.iter_instants tr (fun (i : Trace.instant) ->
           sep ();
@@ -62,16 +52,16 @@ let to_json ?(ghz = 2.5) traces =
             (i.Trace.i_tid + 1);
           add_ts b ~ghz i.Trace.i_time;
           Buffer.add_string b ",\"name\":\"";
-          esc b i.Trace.i_name;
+          Json.escape b i.Trace.i_name;
           Buffer.add_string b "\",\"args\":{\"info\":\"";
-          esc b i.Trace.i_arg;
+          Json.escape b i.Trace.i_arg;
           Buffer.add_string b "\"}}");
       Trace.iter_counters tr (fun (c : Trace.counter) ->
           sep ();
           Printf.bprintf b "{\"ph\":\"C\",\"pid\":%d,\"tid\":0,\"ts\":" pid;
           add_ts b ~ghz c.Trace.c_time;
           Buffer.add_string b ",\"name\":\"";
-          esc b c.Trace.c_track;
+          Json.escape b c.Trace.c_track;
           Buffer.add_string b "\",\"args\":{\"value\":";
           Buffer.add_string b (Metrics.value_to_string c.Trace.c_value);
           Buffer.add_string b "}}"))

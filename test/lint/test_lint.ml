@@ -6,6 +6,7 @@
 module Lint = Mutps_lint.Lint
 module Interp = Mutps_lint.Interp
 module Alloc = Mutps_lint.Alloc
+module World = Mutps_lint.World
 module Engine = Mutps_sim.Engine
 open Mutps_experiments
 
@@ -86,16 +87,21 @@ let test_check_string () =
 
 (* --- interprocedural pass (project mode) --- *)
 
-(* parse inline sources into the (file, rule_path, ast) triples
-   Interp.check_project takes *)
-let project sources =
-  Interp.check_project
+(* a closed world of inline sources, each file its own rule path *)
+let world_of_sources sources =
+  World.build
     (List.map
        (fun (file, src) ->
          let lexbuf = Lexing.from_string src in
          Lexing.set_filename lexbuf file;
          (file, file, Parse.implementation lexbuf))
        sources)
+
+(* a closed world of parsed files *)
+let world_of_files files =
+  World.build (List.map (fun f -> (f, f, Lint.parse_implementation f)) files)
+
+let project sources = Interp.check_project (world_of_sources sources)
 
 let test_interp_r3_proven () =
   (* an undominated read is fine when every call site is commit-dominated,
@@ -169,11 +175,7 @@ let test_interp_r2_env_sanctioned () =
 
 let alloc_check files =
   Alloc.check_project
-    (List.map
-       (fun file ->
-         let path = Filename.concat fixture_dir file in
-         (path, path, Lint.parse_implementation path))
-       files)
+    (world_of_files (List.map (Filename.concat fixture_dir) files))
 
 let test_alloc_closure_tuple () =
   let r = alloc_check [ "alloc_bad_closure.ml" ] in
@@ -193,13 +195,13 @@ let test_alloc_ref_in_loop () =
 
 let test_alloc_allow_accounting () =
   (* the growth-branch allow absorbs its finding; the second attribute
-     covers nothing and must read as stale (al_uses = 0) *)
+     covers nothing and must read as stale (as_uses = 0) *)
   let r = alloc_check [ "alloc_allow.ml" ] in
   check_int "suppressed clean" 0 (List.length r.Alloc.findings);
   check_int "both allow sites recorded" 2 (List.length r.Alloc.allow_sites);
   let used, stale =
     List.partition
-      (fun (s : Alloc.allow_site) -> s.Alloc.al_uses > 0)
+      (fun (s : Lint.allow_site) -> s.Lint.as_uses > 0)
       r.Alloc.allow_sites
   in
   check_int "one live site" 1 (List.length used);
@@ -253,10 +255,7 @@ let test_alloc_hot_tree_certified () =
   | None -> ()
   | Some lib ->
     let files = List.sort compare (collect_ml [] lib) in
-    let r =
-      Alloc.check_project
-        (List.map (fun f -> (f, f, Lint.parse_implementation f)) files)
-    in
+    let r = Alloc.check_project (world_of_files files) in
     List.iter
       (fun (f : Lint.finding) -> print_endline (Lint.finding_to_string f))
       r.Alloc.findings;
@@ -269,11 +268,11 @@ let test_alloc_hot_tree_certified () =
       "at most 3 [@alloc.allow] suppressions" true
       (List.length r.Alloc.allow_sites <= 3);
     List.iter
-      (fun (s : Alloc.allow_site) ->
+      (fun (s : Lint.allow_site) ->
         Alcotest.(check bool)
-          (Printf.sprintf "allow at %s:%d is live" s.Alloc.al_file
-             s.Alloc.al_line)
-          true (s.Alloc.al_uses > 0))
+          (Printf.sprintf "allow at %s:%d is live" s.Lint.as_file
+             s.Lint.as_line)
+          true (s.Lint.as_uses > 0))
       r.Alloc.allow_sites
 
 let test_syntax_error () =
@@ -288,11 +287,7 @@ module San = Mutps_san.San
 
 let dom_check files =
   Dom.check_project
-    (List.map
-       (fun file ->
-         let path = Filename.concat fixture_dir file in
-         (path, path, Lint.parse_implementation path))
-       files)
+    (world_of_files (List.map (Filename.concat fixture_dir) files))
 
 let contains hay needle =
   let n = String.length needle and m = String.length hay in
@@ -443,7 +438,7 @@ let test_dom_san_subset () =
     Alcotest.(check bool)
       "sanitizer sees the race" true
       (List.length reports >= 1);
-    let r = Dom.check_project [ (src, src, Lint.parse_implementation src) ] in
+    let r = Dom.check_project (world_of_files [ src ]) in
     let msgs = List.map (fun (f : Lint.finding) -> f.Lint.msg) r.Dom.findings in
     Alcotest.(check bool)
       "static pass flags the module" true
@@ -481,10 +476,7 @@ let test_dom_tree_certified () =
   | None -> ()
   | Some lib ->
     let files = List.sort compare (collect_ml [] lib) in
-    let r =
-      Dom.check_project
-        (List.map (fun f -> (f, f, Lint.parse_implementation f)) files)
-    in
+    let r = Dom.check_project (world_of_files files) in
     List.iter
       (fun (f : Lint.finding) -> print_endline (Lint.finding_to_string f))
       r.Dom.findings;
@@ -511,6 +503,195 @@ let test_dom_tree_certified () =
              s.Lint.as_line)
           true (s.Lint.as_uses > 0))
       r.Dom.allow_sites
+
+(* --- the shared closed world --- *)
+
+(* one resolution policy: qualified keys, alias / fully-qualified
+   spellings by unique dotted suffix, unqualified names as the last
+   binding of that name in the caller's file, and a key two files define
+   resolves nowhere *)
+let test_world_resolve () =
+  let w =
+    world_of_sources
+      [
+        ( "lib/x/alpha.ml",
+          "let f () = ()\n\
+           module Sub = struct let g () = () end\n\
+           let g () = ()" );
+        ("lib/y/m.ml", "let h () = ()");
+        ("lib/z/m.ml", "let h () = ()");
+      ]
+  in
+  let key file p =
+    match World.resolve w ~file p with Some b -> b.World.key | None -> "-"
+  in
+  check_string "qualified" "Alpha.f" (key "lib/y/m.ml" "Alpha.f");
+  check_string "alias spelling" "Alpha.Sub.g"
+    (key "lib/y/m.ml" "Mutps_x.Alpha.Sub.g");
+  check_string "unqualified: last binding of the file" "Alpha.g"
+    (key "lib/x/alpha.ml" "g");
+  check_string "ambiguous key" "-" (key "lib/x/alpha.ml" "M.h");
+  check_string "unqualified in its own file" "M.h" (key "lib/z/m.ml" "h")
+
+(* the worklist is FIFO from the seeds: the first label to arrive wins *)
+let test_world_reach () =
+  let label =
+    World.reach
+      [ ("a", "b"); ("b", "c"); ("x", "c"); ("c", "a"); ("y", "a") ]
+      [ ("a", 1); ("x", 2) ]
+  in
+  let get k = Option.value (Hashtbl.find_opt label k) ~default:0 in
+  check_int "seed a" 1 (get "a");
+  check_int "b from a" 1 (get "b");
+  check_int "c from x, one hop earlier than from b" 2 (get "c");
+  check_int "y is not reached" 0 (get "y");
+  check_int "a, b, c and x" 4 (Hashtbl.length label)
+
+(* directory-scoped rules match whole path components: a file under
+   examples/mylib/mem/ or bench/notlib/mem/ is not under lib/mem, in the
+   intra pass as in the interprocedural one *)
+let test_lookalike_mem () =
+  let raw = "let touch h = Hierarchy.load h ~core:0 ~addr:0 ~size:8" in
+  List.iter
+    (fun rule_path ->
+      (match Lint.check_string ~rule_path raw with
+      | Ok fs -> check_int (rule_path ^ ": intra R2") 1 (count "R2" fs)
+      | Error m -> Alcotest.fail m);
+      (* a raw access sanctioned there leaks to its lib/ caller *)
+      let fs =
+        project
+          [
+            ( rule_path,
+              "let touch h =\n\
+              \  (Hierarchy.load h ~core:0 ~addr:0 ~size:8) [@lint.allow \
+               \"R2\"]" );
+            ("lib/store/user.ml", "let use h = X.touch h");
+          ]
+      in
+      check_int (rule_path ^ ": interprocedural R2") 1 (count "R2" fs))
+    [ "examples/mylib/mem/x.ml"; "bench/notlib/mem/x.ml" ];
+  match Lint.check_string ~rule_path:"lib/mem/x.ml" raw with
+  | Ok fs -> check_int "lib/mem keeps its exemption" 0 (List.length fs)
+  | Error m -> Alcotest.fail m
+
+(* the same component rule for R4's lib/sim exemption *)
+let test_lookalike_sim () =
+  let src = "let nap () = Simthread.yield ()" in
+  let r4 rule_path =
+    match Lint.check_string ~rule_path src with
+    | Ok fs -> count "R4" fs
+    | Error m -> Alcotest.fail m
+  in
+  check_int "examples/mylib/sim is not lib/sim" 1
+    (r4 "examples/mylib/sim/x.ml");
+  check_int "bench/notlib/sim is not lib/sim" 1 (r4 "bench/notlib/sim/x.ml");
+  check_int "lib/sim keeps its exemption" 0 (r4 "lib/sim/x.ml")
+
+(* two files define [M], so [M.f] is ambiguous: R, A and D apply one
+   policy in either file order — it resolves nowhere — and the lock-order
+   graph records no C.k -> M.l1 edge through it *)
+let test_file_order () =
+  let a =
+    ( "lib/a/m.ml",
+      "type t = { mutable version : int }\n\
+       let l1 = Mutex.create ()\n\
+       let f t = Mutex.lock l1; ignore t.version; Mutex.unlock l1" )
+  and b = ("lib/b/m.ml", "let f _ = ()")
+  and c =
+    ( "lib/c/c.ml",
+      "let k = Mutex.create ()\n\
+       let[@hot] g env t =\n\
+      \  Env.commit env; Mutex.lock k; M.f t; Mutex.unlock k" )
+  in
+  let run sources =
+    let w = world_of_sources sources in
+    let d = Dom.check_project w in
+    let strs = List.map Lint.finding_to_string in
+    ( strs (Interp.check_project w),
+      strs (Alloc.check_project w).Alloc.findings,
+      strs d.Dom.findings,
+      List.map
+        (fun (src, dst, _, _) -> src ^ " -> " ^ dst)
+        (Dom.Lockgraph.edges d.Dom.graph) )
+  in
+  let r1, a1, d1, e1 = run [ a; b; c ] and r2, a2, d2, e2 = run [ b; a; c ] in
+  let same = Alcotest.(check (list string)) in
+  same "R agrees across orders" r1 r2;
+  same "A agrees across orders" a1 a2;
+  same "D agrees across orders" d1 d2;
+  same "lock graph agrees across orders" e1 e2;
+  Alcotest.(check bool) "no edge through the ambiguous M.f" false
+    (List.mem "C.k -> M.l1" e1)
+
+(* within one file a later definition shadows an earlier one, so a
+   qualified [M.f] from another file is the last [f] of m.ml, and D3
+   records the lock it takes *)
+let test_world_shadowing () =
+  let w =
+    world_of_sources
+      [
+        ( "lib/m/m.ml",
+          "let l1 = Mutex.create ()\n\
+           let f () = ()\n\
+           let f () = Mutex.lock l1; Mutex.unlock l1" );
+        ( "lib/c/c.ml",
+          "let k = Mutex.create ()\n\
+           let g () = Mutex.lock k; M.f (); Mutex.unlock k" );
+      ]
+  in
+  (match World.resolve w ~file:"lib/c/c.ml" "M.f" with
+  | Some b ->
+    check_int "last definition" 3 b.World.vb.pvb_loc.loc_start.pos_lnum
+  | None -> Alcotest.fail "M.f unresolved");
+  Alcotest.(check bool) "edge through the shadowing M.f" true
+    (List.exists
+       (fun (src, dst, _, _) -> src = "C.k" && dst = "M.l1")
+       (Dom.Lockgraph.edges (Dom.check_project w).Dom.graph))
+
+(* an unqualified name that a nested module's accessor shares still names
+   the global: the unlocked write is flagged and the locks keep their
+   module-level identity across functions *)
+let test_dom_nested_accessor () =
+  let r =
+    Dom.check_project
+      (world_of_sources
+         [
+           ( "lib/a/stats.ml",
+             "let hits = ref 0\n\
+              let a = Mutex.create ()\n\
+              let b = Mutex.create ()\n\
+              let record () = incr hits\n\
+              let with_b () = Mutex.lock b; Mutex.unlock b\n\
+              let outer () = Mutex.lock a; with_b (); Mutex.unlock a\n\
+              module Snap = struct\n\
+             \  let hits () = 0\n\
+             \  let a () = 0\n\
+             \  let b () = 0\n\
+              end" );
+         ])
+  in
+  check_int "unlocked write flagged" 1 (count "D1" r.Dom.findings);
+  Alcotest.(check (list string))
+    "module-level lock order" [ "Stats.a -> Stats.b" ]
+    (List.map
+       (fun (src, dst, _, _) -> src ^ " -> " ^ dst)
+       (Dom.Lockgraph.edges r.Dom.graph))
+
+(* an [@alloc.allow] covers only its binding or expression: a file-level
+   one covers nothing and reads as stale *)
+let test_alloc_file_allow_stale () =
+  let r =
+    Alloc.check_project
+      (world_of_sources
+         [
+           ( "lib/q/q.ml",
+             "[@@@alloc.allow \"cold\"]\nlet[@hot] pair x = (x, x)" );
+         ])
+  in
+  check_int "not covered" 1 (count "A1" r.Alloc.findings);
+  match r.Alloc.allow_sites with
+  | [ s ] -> check_int "stale" 0 s.Lint.as_uses
+  | _ -> Alcotest.fail "expected one [@alloc.allow] site"
 
 (* --- determinism regression: a small fig2a-style config (uniform gets),
    run twice with the same seed under debug_checks, must agree to the last
@@ -656,6 +837,23 @@ let () =
             test_dom_san_subset;
           Alcotest.test_case "library tree certifies" `Quick
             test_dom_tree_certified;
+        ] );
+      ( "world",
+        [
+          Alcotest.test_case "resolution policy" `Quick test_world_resolve;
+          Alcotest.test_case "reach labels FIFO" `Quick test_world_reach;
+          Alcotest.test_case "look-alike lib/mem paths" `Quick
+            test_lookalike_mem;
+          Alcotest.test_case "look-alike lib/sim paths" `Quick
+            test_lookalike_sim;
+          Alcotest.test_case "resolution ignores file order" `Quick
+            test_file_order;
+          Alcotest.test_case "same-file shadowing" `Quick
+            test_world_shadowing;
+          Alcotest.test_case "D nested accessor" `Quick
+            test_dom_nested_accessor;
+          Alcotest.test_case "file-level [@alloc.allow] is stale" `Quick
+            test_alloc_file_allow_stale;
         ] );
       ( "determinism",
         [
