@@ -195,7 +195,9 @@ let batch_lookup t env keys =
   let live = ref n in
   while !live > 0 do
     let m = !live in
-    Env.prefetch_batch env (Array.init m (fun j -> node_addr frontier.(j)));
+    (* the addresses matter only to a charged (simulated) Env *)
+    if Env.charged env then
+      Env.prefetch_batch env (Array.init m (fun j -> node_addr frontier.(j)));
     let k = ref 0 in
     for j = 0 to m - 1 do
       let i = orig.(j) in

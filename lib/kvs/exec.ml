@@ -15,9 +15,9 @@ type lock_mode = Locked | Exclusive
 
 let ack_bytes = 16
 
-(* Copy an item to a fresh response-buffer slot and answer the request. *)
-let respond_item env (tr : Transport.t) ~worker ~seq item =
-  let value = Item.read env item in
+(* Copy a value read from an item to a fresh response-buffer slot and
+   answer the request. *)
+let respond_item env (tr : Transport.t) ~worker ~seq value =
   let bytes = ack_bytes + Bytes.length value in
   let resp_addr = tr.Transport.resp_alloc ~worker ~bytes in
   Env.tagged env "Exec.respond_item" (fun () ->
@@ -34,11 +34,11 @@ let respond_ack = respond_missing
 
 let do_get env tr ~worker ~seq item_opt =
   match item_opt with
-  | Some item -> respond_item env tr ~worker ~seq item
+  | Some item -> respond_item env tr ~worker ~seq (Item.read env item)
   | None -> respond_missing env tr ~worker ~seq
 
 (* A put reads its payload from the rx slot (it was DMAed there), updates
-   or creates the item, and acks. *)
+   or creates the item, acks, and returns the item now holding the key. *)
 let do_put env tr ~lock ~index ~slab ~worker ~seq (msg : Message.t) item_opt =
   let value =
     match msg.Message.value with
@@ -49,19 +49,32 @@ let do_put env tr ~lock ~index ~slab ~worker ~seq (msg : Message.t) item_opt =
   let payload_addr = tr.Transport.slot_addr seq + 16 in
   Env.tagged env "Exec.do_put" (fun () ->
       Env.load env ~addr:payload_addr ~size:(Bytes.length value));
-  (match item_opt with
-  | Some item -> (
-    match lock with
-    | Locked -> Item.write env item value slab
-    | Exclusive -> Item.write_exclusive env item value slab)
-  | None ->
-    let item = Item.create slab ~value in
-    index.Index.insert env msg.Message.req.Request.key item);
-  respond_ack env tr ~worker ~seq
+  let item =
+    match item_opt with
+    | Some item ->
+      (match lock with
+      | Locked -> Item.write env item value slab
+      | Exclusive -> Item.write_exclusive env item value slab);
+      item
+    | None ->
+      let item = Item.create slab ~value in
+      index.Index.insert env msg.Message.req.Request.key item;
+      item
+  in
+  respond_ack env tr ~worker ~seq;
+  item
 
 let do_delete env tr ~index ~worker ~seq key =
   ignore (index.Index.remove env key);
   respond_ack env tr ~worker ~seq
+
+(* A batch looks every key up once, before its first op executes, so a
+   DEL or an insert must re-point what the batch's later ops on that key
+   find.  Bookkeeping only: no index access, no charge. *)
+let relocate keys located ~from key item =
+  for j = from to Array.length located - 1 do
+    if Int64.equal keys.(j) key then located.(j) <- item
+  done
 
 (* Range scan: [prefix] carries entries already copied by the CR layer
    (cooperative scans, §4); [skip] marks keys whose items need not be read

@@ -11,8 +11,9 @@ val ack_bytes : int
 
 val respond_item :
   Mutps_mem.Env.t -> Mutps_net.Transport.t -> worker:int -> seq:int ->
-  Mutps_store.Item.t -> unit
-(** Copy an item to a fresh response-buffer slot and answer the request. *)
+  bytes -> unit
+(** Copy a value read from an item to a fresh response-buffer slot and
+    answer the request. *)
 
 val respond_missing :
   Mutps_mem.Env.t -> Mutps_net.Transport.t -> worker:int -> seq:int -> unit
@@ -27,13 +28,21 @@ val do_get :
 val do_put :
   Mutps_mem.Env.t -> Mutps_net.Transport.t -> lock:lock_mode ->
   index:Mutps_index.Index_intf.t -> slab:Mutps_store.Slab.t -> worker:int ->
-  seq:int -> Mutps_net.Message.t -> Mutps_store.Item.t option -> unit
+  seq:int -> Mutps_net.Message.t -> Mutps_store.Item.t option ->
+  Mutps_store.Item.t
 (** A put reads its payload from the rx slot (it was DMAed there), updates
-    or creates the item, and acks. *)
+    or creates the item, and acks.  Returns the item now holding the key. *)
 
 val do_delete :
   Mutps_mem.Env.t -> Mutps_net.Transport.t ->
   index:Mutps_index.Index_intf.t -> worker:int -> seq:int -> int64 -> unit
+
+val relocate :
+  int64 array -> Mutps_store.Item.t option array -> from:int -> int64 ->
+  Mutps_store.Item.t option -> unit
+(** [relocate keys located ~from key item]: a batch looked its [keys] up
+    into [located] at once; after a DEL ([None]) or an insert ([Some item])
+    of [key], its positions from [from] on find [item].  No charge. *)
 
 val do_scan :
   Mutps_mem.Env.t -> Mutps_net.Transport.t ->

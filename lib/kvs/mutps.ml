@@ -14,7 +14,6 @@ type role = Cr | Mr
 
 type t = {
   backend : Backend.t;
-  rpc : Mutps_net.Reconf_rpc.t;
   transport : Transport.t;
   crmr : Fwd.t Crmr.t;
   hotcache : Hotcache.t;
@@ -29,6 +28,7 @@ type t = {
   mutable mr_ways_ : int;
   mutable cr_hits : int;
   mutable forwarded : int;
+  mutable responded : int;
   (* layer accounting: busy cycles and operations, for diagnostics *)
   mutable cr_busy : int;
   mutable mr_busy : int;
@@ -74,7 +74,7 @@ let register_metrics t =
         if seen = 0 then 0.0
         else float_of_int t.cr_hits /. float_of_int seen)
 
-let create ?ncr (config : Config.t) =
+let create ?ncr ?transport (config : Config.t) =
   let cores = config.Config.cores in
   if cores < 2 then invalid_arg "Mutps.create: needs at least 2 worker cores";
   let ncr =
@@ -85,10 +85,14 @@ let create ?ncr (config : Config.t) =
     | None -> default_ncr cores
   in
   let backend = Backend.create config in
-  let rpc =
-    Mutps_net.Reconf_rpc.create ~engine:backend.Backend.engine
-      ~hier:backend.Backend.hier ~layout:backend.Backend.layout
-      ~link:backend.Backend.link ~max_workers:cores ~workers:ncr ()
+  let transport =
+    match transport with
+    | Some tr -> tr
+    | None ->
+      Mutps_net.Reconf_rpc.transport
+        (Mutps_net.Reconf_rpc.create ~engine:backend.Backend.engine
+           ~hier:backend.Backend.hier ~layout:backend.Backend.layout
+           ~link:backend.Backend.link ~max_workers:cores ~workers:ncr ())
   in
   let crmr =
     Crmr.create ~hw_offload:config.Config.dlb backend.Backend.layout
@@ -111,8 +115,7 @@ let create ?ncr (config : Config.t) =
   let t =
     {
       backend;
-      rpc;
-      transport = Mutps_net.Reconf_rpc.transport rpc;
+      transport;
       crmr;
       hotcache;
       tracker;
@@ -126,6 +129,7 @@ let create ?ncr (config : Config.t) =
       mr_ways_ = Hierarchy.llc_ways backend.Backend.hier;
       cr_hits = 0;
       forwarded = 0;
+      responded = 0;
       cr_busy = 0;
       mr_busy = 0;
       mr_ops = 0;
@@ -147,10 +151,10 @@ let mr_ways t = t.mr_ways_
 let cr_hits t = t.cr_hits
 let forwarded t = t.forwarded
 let layer_stats t = (t.cr_busy, t.mr_busy, t.mr_ops, t.mr_scans)
-let responded t = Mutps_net.Reconf_rpc.responded t.rpc
+let responded t = t.responded
 
 let reconfig_settled t =
-  (not (Mutps_net.Reconf_rpc.reconfig_in_progress t.rpc))
+  (not (t.transport.Transport.reconfig_in_progress ()))
   && Array.for_all2 (fun a b -> a = b) t.desired t.current
 
 (* --- role bookkeeping --- *)
@@ -248,10 +252,19 @@ let enqueue t env w st fwd =
   if st.pending_n >= t.backend.Backend.config.Config.batch then
     ignore (flush_pending t env w st)
 
-(* serve a request entirely at the CR layer *)
+(* Serve a request entirely at the CR layer, unless its hot item is
+   retired (its key was deleted): then the hit, counted where the
+   simulated timeline observes it, is taken back and the caller forwards. *)
 let cr_hot_get t env w ~seq item =
   t.cr_hits <- t.cr_hits + 1;
-  Exec.respond_item env t.transport ~worker:w ~seq item
+  match Item.read_live env item with
+  | Some value ->
+    Exec.respond_item env t.transport ~worker:w ~seq value;
+    t.responded <- t.responded + 1;
+    true
+  | None ->
+    t.cr_hits <- t.cr_hits - 1;
+    false
 
 let cr_hot_put t env w ~seq (msg : Message.t) item =
   t.cr_hits <- t.cr_hits + 1;
@@ -259,8 +272,15 @@ let cr_hot_put t env w ~seq (msg : Message.t) item =
   Env.load env
     ~addr:(t.transport.Transport.slot_addr seq + 16)
     ~size:(Bytes.length value);
-  Item.write env item value t.backend.Backend.slab;
-  Exec.respond_ack env t.transport ~worker:w ~seq
+  if Item.write_live env item value t.backend.Backend.slab then begin
+    Exec.respond_ack env t.transport ~worker:w ~seq;
+    t.responded <- t.responded + 1;
+    true
+  end
+  else begin
+    t.cr_hits <- t.cr_hits - 1;
+    false
+  end
 
 let cr_reap t env w =
   let progressed = ref false in
@@ -273,7 +293,8 @@ let cr_reap t env w =
         (fun (fwd : Fwd.t) ->
           t.transport.Transport.post_response env ~seq:fwd.Fwd.seq
             ~resp_addr:fwd.Fwd.resp_addr ~bytes:fwd.Fwd.resp_bytes
-            ~value:fwd.Fwd.resp_value)
+            ~value:fwd.Fwd.resp_value;
+          t.responded <- t.responded + 1)
         batch
     | None -> continue := false
   done;
@@ -294,15 +315,22 @@ let cr_step t env w st =
     let key = req.Request.key in
     Tracker.record t.tracker key;
     (match req.Request.kind with
-    | Request.Get -> (
-      match Hotcache.find t.hotcache env key with
-      | Some item -> cr_hot_get t env w ~seq item
-      | None -> enqueue t env w st (Fwd.make ~seq ~cr:w ~msg ~prefix:[]))
-    | Request.Put -> (
-      match Hotcache.find t.hotcache env key with
-      | Some item -> cr_hot_put t env w ~seq msg item
-      | None -> enqueue t env w st (Fwd.make ~seq ~cr:w ~msg ~prefix:[]))
-    | Request.Delete -> enqueue t env w st (Fwd.make ~seq ~cr:w ~msg ~prefix:[])
+    | Request.Get | Request.Put ->
+      let served =
+        match Hotcache.find t.hotcache env key with
+        | None -> false
+        | Some item when req.Request.kind = Request.Get ->
+          cr_hot_get t env w ~seq item
+        | Some item -> cr_hot_put t env w ~seq msg item
+      in
+      if not served then enqueue t env w st (Fwd.make ~seq ~cr:w ~msg ~prefix:[])
+    | Request.Delete ->
+      (* retire the hot copy now, so the requests behind this DEL miss
+         and queue up behind it instead of overtaking it at the CR layer *)
+      (match Hotcache.find t.hotcache env key with
+      | Some item -> Item.retire env item
+      | None -> ());
+      enqueue t env w st (Fwd.make ~seq ~cr:w ~msg ~prefix:[])
     | Request.Scan ->
       (* cooperative scan: copy what the cache already holds, forward the
          rest of the work (§4) *)
@@ -365,6 +393,7 @@ let mr_prepare_ack t env ~mr (fwd : Fwd.t) =
   fwd.Fwd.resp_addr <- resp_addr;
   fwd.Fwd.resp_bytes <- Exec.ack_bytes
 
+(* returns the item now holding the key *)
 let mr_prepare_put t env ~mr (fwd : Fwd.t) item_opt =
   let msg = fwd.Fwd.msg in
   let value = Option.get msg.Message.value in
@@ -372,12 +401,18 @@ let mr_prepare_put t env ~mr (fwd : Fwd.t) item_opt =
   Env.load env
     ~addr:(t.transport.Transport.slot_addr fwd.Fwd.seq + 16)
     ~size:(Bytes.length value);
-  (match item_opt with
-  | Some item -> Item.write env item value t.backend.Backend.slab
-  | None ->
-    let item = Item.create t.backend.Backend.slab ~value in
-    t.backend.Backend.index.Index.insert env msg.Message.req.Request.key item);
-  mr_prepare_ack t env ~mr fwd
+  let item =
+    match item_opt with
+    | Some item ->
+      Item.write env item value t.backend.Backend.slab;
+      item
+    | None ->
+      let item = Item.create t.backend.Backend.slab ~value in
+      t.backend.Backend.index.Index.insert env msg.Message.req.Request.key item;
+      item
+  in
+  mr_prepare_ack t env ~mr fwd;
+  item
 
 let mr_prepare_scan t env ~mr (fwd : Fwd.t) =
   let req = fwd.Fwd.msg.Message.req in
@@ -421,13 +456,12 @@ let mr_step t env w =
     let index = t.backend.Backend.index in
     (* batched prefetch-overlapped indexing over the point ops.  Point
        ops keep their batch order, so lookup results align positionally
-       with a second walk over the batch — no per-batch key table.  (The
-       tree is not mutated between the lookups and the prepares, so a
-       key appearing twice locates the same item either way.) *)
+       with a second walk over the batch; a DEL or an insert re-points
+       the later positions of its key ([Exec.relocate]). *)
     let is_point (fwd : Fwd.t) =
       match fwd.Fwd.msg.Message.req.Request.kind with
-      | Request.Get | Request.Put -> true
-      | Request.Delete | Request.Scan -> false
+      | Request.Get | Request.Put | Request.Delete -> true
+      | Request.Scan -> false
     in
     let n_point =
       Array.fold_left (fun c fwd -> if is_point fwd then c + 1 else c) 0 batch
@@ -475,9 +509,15 @@ let mr_step t env w =
         | Request.Put ->
           let item = located.(!k) in
           incr k;
-          mr_prepare_put t env ~mr:w fwd item
+          let written = mr_prepare_put t env ~mr:w fwd item in
+          if Option.is_none item then
+            Exec.relocate point_keys located ~from:!k key (Some written)
         | Request.Delete ->
+          let item = located.(!k) in
+          incr k;
           ignore (index.Index.remove env key);
+          (match item with Some item -> Item.retire env item | None -> ());
+          Exec.relocate point_keys located ~from:!k key None;
           mr_prepare_ack t env ~mr:w fwd
         | Request.Scan -> mr_prepare_scan t env ~mr:w fwd)
       batch;
@@ -522,9 +562,12 @@ let try_switch_when_idle t env w st =
     end
   | Cr, Cr | Mr, Mr -> ()
 
-let worker_body t w ctx =
+let worker_body ?substrate t w ctx =
   let cfg = t.backend.Backend.config in
-  let env = Env.make ~ctx ~hier:t.backend.Backend.hier ~core:w in
+  let sub =
+    Option.value substrate ~default:(Substrate.sim cfg ~hier:t.backend.Backend.hier)
+  in
+  let env = sub.Substrate.make_env ctx ~core:w in
   let st = { pending = []; pending_n = 0; oldest_at = 0 } in
   (* hoisted: the empty-poll path runs millions of times per worker and
      must not allocate a fresh idle thunk each iteration *)
@@ -541,10 +584,10 @@ let worker_body t w ctx =
       (* attribute the poll backoff to an "idle" site so the profile
          separates wasted polls from useful work *)
       Env.tagged env "idle" idle_thunk;
-      Simthread.commit ctx
+      sub.Substrate.flush ctx
     end
     else begin
-      Simthread.commit ctx;
+      sub.Substrate.flush ctx;
       let spent = Simthread.now ctx - before in
       match t.current.(w) with
       | Cr -> t.cr_busy <- t.cr_busy + spent
@@ -586,15 +629,16 @@ let refresh_hotset t env =
         ~arg:(string_of_int (Array.length entries))
   end
 
-let manager_body t ctx =
+let manager_body ?substrate t ctx =
   let cfg = t.backend.Backend.config in
-  let env =
-    Env.make ~ctx ~hier:t.backend.Backend.hier ~core:(Config.manager_core cfg)
+  let sub =
+    Option.value substrate ~default:(Substrate.sim cfg ~hier:t.backend.Backend.hier)
   in
+  let env = sub.Substrate.make_env ctx ~core:(Config.manager_core cfg) in
   let slice = max 1 (cfg.Config.refresh_cycles / 32) in
   let elapsed = ref 0 in
   while true do
-    Simthread.delay ctx slice;
+    sub.Substrate.delay ctx slice;
     elapsed := !elapsed + slice;
     if t.refresh_asap || !elapsed >= cfg.Config.refresh_cycles then begin
       t.refresh_asap <- false;

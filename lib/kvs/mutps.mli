@@ -11,9 +11,11 @@
 
 type t
 
-val create : ?ncr:int -> Config.t -> t
+val create : ?ncr:int -> ?transport:Mutps_net.Transport.t -> Config.t -> t
 (** [ncr] is the initial cache-resident thread count (default:
-    cores / 4, at least 1, leaving at least one MR thread). *)
+    cores / 4, at least 1, leaving at least one MR thread).  [transport]
+    is the request transport; by default a {!Mutps_net.Reconf_rpc} over
+    the simulated link.  The native backend passes its own. *)
 
 val backend : t -> Backend.t
 val transport : t -> Mutps_net.Transport.t
@@ -21,6 +23,18 @@ val transport : t -> Mutps_net.Transport.t
 val start : t -> unit
 (** Spawn the worker threads and the manager thread.  Call after
     pre-population. *)
+
+val worker_body :
+  ?substrate:Substrate.t -> t -> int -> Mutps_sim.Simthread.ctx -> unit
+(** Worker [w]'s infinite loop: a CR step or an MR step, by its current
+    role.  {!start} runs it as a simulated thread under the default
+    substrate; under a native substrate it runs as a fiber and exits by
+    the substrate raising. *)
+
+val manager_body :
+  ?substrate:Substrate.t -> t -> Mutps_sim.Simthread.ctx -> unit
+(** The manager's infinite loop: rebuild and publish the hot set every
+    [refresh_cycles] (§3.2.2), sleeping through {!Substrate.t.delay}. *)
 
 (** {1 Observability} *)
 
@@ -39,7 +53,7 @@ val layer_stats : t -> int * int * int * int
     accounting of where worker time goes. *)
 
 val responded : t -> int
-(** Responses posted (server-side throughput signal). *)
+(** Responses posted to the transport (server-side throughput signal). *)
 
 val reconfig_settled : t -> bool
 (** No thread is between roles and the transport switch is committed. *)

@@ -17,35 +17,15 @@ module Index = Mutps_index.Index_intf
 
 type stats = { mutable ops : int; mutable batches : int }
 
-(* How a worker behaves between requests — the execution-substrate seam.
-   Under the DES, idling advances the simulated clock and batch boundaries
-   flush the cycle accumulator.  The native backend substitutes fiber
-   yields (and a stop check) for both, so the very same loop serves real
-   sockets on real domains. *)
-type substrate = {
-  make_env : Mutps_sim.Simthread.ctx -> core:int -> Env.t;
-  idle : Mutps_sim.Simthread.ctx -> unit;  (** nothing polled *)
-  flush : Mutps_sim.Simthread.ctx -> unit;  (** end of a batch *)
-}
-
-let sim_substrate (cfg : Config.t) ~hier =
-  {
-    make_env = (fun ctx ~core -> Env.make ~ctx ~hier ~core);
-    idle = (fun ctx -> Simthread.delay ctx cfg.Config.poll_idle_cycles);
-    flush = (fun ctx -> Simthread.commit ctx);
-  }
-
 let make_stats () = { ops = 0; batches = 0 }
 
 let worker_body ?substrate (backend : Backend.t) (tr : Transport.t) ~lock
     ~worker (stats : stats) ctx =
   let cfg = backend.Backend.config in
   let sub =
-    match substrate with
-    | Some s -> s
-    | None -> sim_substrate cfg ~hier:backend.Backend.hier
+    Option.value substrate ~default:(Substrate.sim cfg ~hier:backend.Backend.hier)
   in
-  let env = sub.make_env ctx ~core:worker in
+  let env = sub.Substrate.make_env ctx ~core:worker in
   let index = backend.Backend.index in
   let batch = cfg.Config.batch in
   let polled = Array.make batch None in
@@ -66,13 +46,12 @@ let worker_body ?substrate (backend : Backend.t) (tr : Transport.t) ~lock
         incr n
       | None -> continue := false
     done;
-    if !n = 0 then sub.idle ctx
+    if !n = 0 then sub.Substrate.idle ctx
     else begin
       stats.batches <- stats.batches + 1;
       stats.ops <- stats.ops + !n;
-      (* batched index lookup over the point-op keys, in polled order; the
-         index is not mutated before the lookups are used, so a key
-         appearing twice locates the same item at either position *)
+      (* batched index lookup over the point-op keys, in polled order; a
+         DEL or an insert re-points the later positions of its key *)
       let m = ref 0 in
       for i = 0 to !n - 1 do
         match polled.(i) with
@@ -116,14 +95,21 @@ let worker_body ?substrate (backend : Backend.t) (tr : Transport.t) ~lock
           match req.Request.kind with
           | Request.Get -> Exec.do_get env tr ~worker ~seq item
           | Request.Put ->
-            Exec.do_put env tr ~lock ~index ~slab:backend.Backend.slab ~worker
-              ~seq msg item
-          | Request.Delete -> Exec.do_delete env tr ~index ~worker ~seq key
+            let written =
+              Exec.do_put env tr ~lock ~index ~slab:backend.Backend.slab
+                ~worker ~seq msg item
+            in
+            if Option.is_none item then
+              Exec.relocate point_keys located ~from:(slot.(i) + 1) key
+                (Some written)
+          | Request.Delete ->
+            Exec.do_delete env tr ~index ~worker ~seq key;
+            Exec.relocate point_keys located ~from:(slot.(i) + 1) key None
           | Request.Scan ->
             Exec.do_scan env tr ~index ~worker ~seq ~key
               ~count:req.Request.scan_count ())
       done;
-      sub.flush ctx
+      sub.Substrate.flush ctx
     end
   done
 

@@ -3,28 +3,15 @@
     prefetching enabled, matching the paper's BaseKV.  Parameterized by
     transport and lock mode, this pool is both BaseKV (reconfigurable RPC +
     share-everything locking) and eRPC-KV (eRPC + share-nothing exclusive
-    writes) — and, via {!substrate}, the native backend's per-shard worker
+    writes) — and, via {!Substrate}, the native backend's per-shard worker
     (mutps.native): same loop, fibers instead of simulated threads. *)
 
 type stats = { mutable ops : int; mutable batches : int }
 
-type substrate = {
-  make_env : Mutps_sim.Simthread.ctx -> core:int -> Mutps_mem.Env.t;
-  idle : Mutps_sim.Simthread.ctx -> unit;
-  flush : Mutps_sim.Simthread.ctx -> unit;
-}
-(** The execution-substrate seam: how the worker builds its environment,
-    waits when the transport is empty, and closes a batch.  The default
-    (simulated) substrate charges/commits simulated cycles; the native one
-    yields its fiber and checks for shutdown (it may raise to unwind the
-    loop). *)
-
-val sim_substrate : Config.t -> hier:Mutps_mem.Hierarchy.t -> substrate
-
 val make_stats : unit -> stats
 
 val worker_body :
-  ?substrate:substrate -> Backend.t -> Mutps_net.Transport.t ->
+  ?substrate:Substrate.t -> Backend.t -> Mutps_net.Transport.t ->
   lock:Exec.lock_mode -> worker:int -> stats -> Mutps_sim.Simthread.ctx ->
   unit
 (** One worker's infinite poll/execute loop.  Under the default substrate

@@ -1,14 +1,15 @@
 (* Native socket server: the real-machine twin of the simulated KVS.
 
    One listener (TCP or Unix-domain) feeds share-nothing shards (key mod
-   nshards); every shard is a full Backend (slab + index) driven by the
-   very same per-operation code as the simulator — [Rtc.worker_body] for
-   the run-to-completion systems, and a CR/MR fiber pair mirroring
-   [Mutps]'s staged split — running on {!Fiber}s over the {!Sched}
-   work-stealing pool instead of simulated threads.  The memory
-   environments are free-running ([Env.make_freerun]): charging becomes a
-   no-op and no DES effect is ever performed, so the shared KVS layers
-   execute natively unchanged.
+   nshards); every shard runs the simulator's own loops — [Rtc.worker_body]
+   for the run-to-completion systems, and for the μTPS split a 2-core
+   [Mutps] whose CR worker, MR worker and hot-set manager are three
+   fibers — on {!Fiber}s over the {!Sched} work-stealing pool instead of
+   simulated threads.  The loops reach the runtime through a native
+   {!Substrate}: free-running memory environments ([Env.make_freerun]:
+   charging is a no-op and no DES effect is ever performed), fiber yields
+   and wall-clock sleeps.  A shard's fibers pass one baton, so they run
+   one at a time, as under the simulator.
 
    Wire protocol: {!Resp} (GET/SET/DEL/PING).  Per-connection response
    order equals request order: every parsed command takes a ticket, and a
@@ -16,23 +17,25 @@
    shard fiber completes them.
 
    Threading picture (D rules): the poller fiber owns all socket state
-   and each connection's read side; shard fibers own their backend; the
-   only cross-fiber state is the per-shard rx queue ([rx_lock]), the
-   connection table ([conns_lock]) and each connection's reply sequencer
-   ([out_lock]) — three distinct single-level locks, never nested. *)
+   and each connection's read side; a shard's fibers own its KVS, one at a
+   time (the baton); the only other cross-fiber state is the per-shard rx
+   queue ([rx_lock]), the connection table ([conns_lock]) and each
+   connection's reply sequencer ([out_lock]) — three distinct
+   single-level locks, never nested — and the parked manager's wake-up
+   slot, an [Atomic]. *)
 
 module Env = Mutps_mem.Env
+module Costs = Mutps_mem.Costs
 module Simthread = Mutps_sim.Simthread
 module Request = Mutps_queue.Request
 module Message = Mutps_net.Message
 module Transport = Mutps_net.Transport
-module Item = Mutps_store.Item
-module Index = Mutps_index.Index_intf
 module Backend = Mutps_kvs.Backend
 module Config = Mutps_kvs.Config
 module Exec = Mutps_kvs.Exec
+module Substrate = Mutps_kvs.Substrate
 module Rtc = Mutps_kvs.Rtc
-module Fwd = Mutps_kvs.Fwd
+module Mutps = Mutps_kvs.Mutps
 
 type mode = Rtc_pool of Exec.lock_mode | Split
 
@@ -155,264 +158,128 @@ let make_transport () =
 (* Shards                                                              *)
 (* ------------------------------------------------------------------ *)
 
+type kvs = Rtc_shard of Exec.lock_mode | Split_shard of Mutps.t
+
 type shard = {
-  sid : int; [@warning "-69"]  (* diagnostic identity *)
   backend : Backend.t;
   nt : native_tr;
   tr : Transport.t;
+  kvs : kvs;
   stop : bool Atomic.t;  (* the server-wide stop flag, shared *)
-  fwd_q : Fwd.t Deque.t;  (* CR -> MR (Split mode) *)
-  comp_q : Fwd.t Deque.t;  (* MR -> CR completions *)
-  mutable cr_hits : int;  (* CR-fiber-only *)
-  mutable forwarded : int;  (* CR-fiber-only *)
-  mutable mr_ops : int;  (* MR-fiber-only *)
+  baton : bool Atomic.t;  (* held by the shard fiber running KVS code *)
+  sleeper : (int * (unit -> unit)) option Atomic.t;
+      (* the parked manager: its wall-clock deadline and its resume *)
 }
 
 let shard_of_key ~shards key =
   Int64.to_int (Int64.rem (Int64.logand key Int64.max_int) (Int64.of_int shards))
 
+(* A Split shard is a 2-core [Mutps]: worker 0 is its CR layer, worker 1
+   its MR layer.  A forward leaves the CR layer in its own step ([batch =
+   1]): natively batching amortizes nothing, and a partial batch would
+   wait on the frozen clock of a free-running Env.  The hot set is rebuilt
+   every 500M model cycles (200 ms) from every 4th key, which keeps the
+   skewed hit rate above the old write-through cache's (DESIGN.md §11). *)
 let make_shard cfg ~stop sid =
   let kcfg =
     Config.default ~cores:2
       ~capacity:(max 64 ((cfg.keyspace / max 1 cfg.shards) + 64))
       ()
   in
-  let backend = Backend.create kcfg in
+  let nt, tr = make_transport () in
+  let kvs =
+    match cfg.mode with
+    | Rtc_pool lock -> Rtc_shard lock
+    | Split ->
+      Split_shard
+        (Mutps.create ~transport:tr
+           { kcfg with batch = 1; hot_k = cfg.hot_cap; sample_every = 4;
+                       refresh_cycles = 500_000_000 })
+  in
+  let backend =
+    match kvs with
+    | Rtc_shard _ -> Backend.create kcfg
+    | Split_shard kv -> Mutps.backend kv
+  in
   if cfg.keyspace > 0 then
     Backend.populate backend
       ~owned:(fun key -> shard_of_key ~shards:cfg.shards key = sid)
       ~keyspace:cfg.keyspace ~value_size:cfg.value_size;
-  let nt, tr = make_transport () in
-  {
-    sid;
-    backend;
-    nt;
-    tr;
-    stop;
-    fwd_q = Deque.create ();
-    comp_q = Deque.create ();
-    cr_hits = 0;
-    forwarded = 0;
-    mr_ops = 0;
-  }
+  let baton = Atomic.make false and sleeper = Atomic.make None in
+  { backend; nt; tr; kvs; stop; baton; sleeper }
 
 let check_stop shard = if Atomic.get shard.stop then raise Fiber.Stop
 
-(* Free-running environment on a detached context: the shared KVS code
-   charges into it, the charges are discarded, no DES effect fires. *)
-let freerun_env shard ~core =
-  let ctx = Simthread.detached ~name:"native" shard.backend.Backend.engine in
-  Env.make_freerun ~ctx ~hier:shard.backend.Backend.hier ~core
+(* The baton: a shard's fibers run one at a time, on whatever domain.
+   Each holds the baton while it runs KVS code and passes it on only at
+   the substrate's yield points, which is exactly the interleaving the
+   discrete-event simulator gives this code.  So the KVS structures need
+   no atomics of their own: the CAS hand-off orders their plain-field
+   writes between domains.  Shards still run in parallel. *)
+let rec take_baton shard =
+  if not (Atomic.compare_and_set shard.baton false true) then begin
+    check_stop shard;
+    Fiber.yield ();
+    take_baton shard
+  end
 
-(* --- run-to-completion shard: the simulator's own worker loop -------- *)
+let pass_baton shard =
+  Atomic.set shard.baton false;
+  check_stop shard;
+  Fiber.yield ();
+  take_baton shard
 
+(* Resume the shard's parked manager once its deadline has passed, or at
+   shutdown.  Whoever wins the slot resumes it, exactly once. *)
+let wake shard ~now ~stopping =
+  match Atomic.get shard.sleeper with
+  | Some (until, resume) as parked when stopping || now >= until ->
+    if Atomic.compare_and_set shard.sleeper parked None then resume ()
+  | Some _ | None -> ()
+
+(* Sleep through the model's cycles in wall time.  The fiber parks without
+   the baton, off every run queue, and the poller, which reads the clock
+   once per turn anyway, wakes it; it wakes itself if the stop came first. *)
+let sleep_cycles shard cycles =
+  let costs = shard.backend.Backend.config.Config.costs in
+  let until = Clock.now_ns () + int_of_float (Costs.ns_of_cycles costs cycles) in
+  Fiber.park (fun resume ->
+      Atomic.set shard.sleeper (Some (until, resume));
+      Atomic.set shard.baton false;
+      wake shard ~now:(Clock.now_ns ()) ~stopping:(Atomic.get shard.stop));
+  check_stop shard;
+  take_baton shard
+
+(* The simulator's loops, verbatim, over free-running environments:
+   charging is a no-op and no DES effect is ever performed. *)
 let native_substrate shard =
   {
-    Rtc.make_env =
-      (fun ctx ~core ->
-        Env.make_freerun ~ctx ~hier:shard.backend.Backend.hier ~core);
-    idle =
-      (fun _ctx ->
-        check_stop shard;
-        Fiber.yield ());
-    flush =
-      (fun _ctx ->
-        check_stop shard;
-        Fiber.yield ());
+    Substrate.make_env =
+      (fun ctx ~core -> Env.make_freerun ~ctx ~hier:shard.backend.Backend.hier ~core);
+    idle = (fun _ctx -> pass_baton shard);
+    flush = (fun _ctx -> pass_baton shard);
+    delay = (fun _ctx cycles -> sleep_cycles shard cycles);
   }
 
-let rtc_fiber shard ~lock () =
-  let stats = Rtc.make_stats () in
-  let ctx = Simthread.detached ~name:"native-rtc" shard.backend.Backend.engine in
-  Rtc.worker_body ~substrate:(native_substrate shard) shard.backend shard.tr
-    ~lock ~worker:0 stats ctx
-
-(* --- Split shard: CR/MR fiber pair (the native μTPS) ----------------- *)
-
-type cr_state = {
-  hot_cap : int;
-  cache : (int64, bytes) Hashtbl.t;  (* key -> latest value *)
-  evict : int64 Queue.t;  (* FIFO eviction order *)
-  fwd_epoch : (int, int) Hashtbl.t;  (* GET seq -> put_epoch at forward *)
-  mutable put_epoch : int;  (* bumped on every put/delete *)
-  mutable stalled : Fwd.t option;  (* forward blocked on a full ring *)
-}
-
-let cache_insert cs key v =
-  if cs.hot_cap > 0 then begin
-    if not (Hashtbl.mem cs.cache key) then begin
-      let budget = ref (Queue.length cs.evict) in
-      while Hashtbl.length cs.cache >= cs.hot_cap && !budget > 0 do
-        decr budget;
-        match Queue.take_opt cs.evict with
-        | Some old -> Hashtbl.remove cs.cache old
-        | None -> budget := 0
-      done;
-      if Hashtbl.length cs.cache < cs.hot_cap then begin
-        Queue.push key cs.evict;
-        Hashtbl.replace cs.cache key v
-      end
-    end
-    else Hashtbl.replace cs.cache key v
-  end
-
-let try_forward shard cs fwd =
-  if Deque.push shard.fwd_q fwd then begin
-    shard.forwarded <- shard.forwarded + 1;
-    true
-  end
-  else begin
-    cs.stalled <- Some fwd;
-    false
-  end
-
-let cr_respond_hit shard env ~seq v =
-  shard.cr_hits <- shard.cr_hits + 1;
-  let bytes = Exec.ack_bytes + Bytes.length v in
-  let resp_addr = shard.tr.Transport.resp_alloc ~worker:0 ~bytes in
-  shard.tr.Transport.post_response env ~seq ~resp_addr ~bytes ~value:(Some v)
-
-let cr_handle shard env cs ~seq (msg : Message.t) =
-  let req = msg.Message.req in
-  let key = req.Request.key in
-  match req.Request.kind with
-  | Request.Get -> (
-    match Hashtbl.find_opt cs.cache key with
-    | Some v -> cr_respond_hit shard env ~seq v
-    | None ->
-      Hashtbl.replace cs.fwd_epoch seq cs.put_epoch;
-      ignore (try_forward shard cs (Fwd.make ~seq ~cr:0 ~msg ~prefix:[])))
-  | Request.Put ->
-    (* write-through: the cached copy tracks the latest value while the
-       authoritative write still goes through the MR layer *)
-    (match msg.Message.value with
-    | Some v when Hashtbl.mem cs.cache key ->
-      Hashtbl.replace cs.cache key (Bytes.copy v)
-    | Some _ | None -> ());
-    cs.put_epoch <- cs.put_epoch + 1;
-    ignore (try_forward shard cs (Fwd.make ~seq ~cr:0 ~msg ~prefix:[]))
-  | Request.Delete ->
-    Hashtbl.remove cs.cache key;
-    cs.put_epoch <- cs.put_epoch + 1;
-    ignore (try_forward shard cs (Fwd.make ~seq ~cr:0 ~msg ~prefix:[]))
-  | Request.Scan ->
-    ignore (try_forward shard cs (Fwd.make ~seq ~cr:0 ~msg ~prefix:[]))
-
-(* Reap MR completions and post their responses.  The commit orders the
-   reap before the [resp_*] reads — the piggyback protocol's publication
-   point (a free-running no-op natively, where the SPMC deque's own
-   atomics provide the ordering). *)
-let cr_reap shard env cs =
-  Env.commit env;
-  let progressed = ref false in
-  let continue = ref true in
-  while !continue do
-    match Deque.take shard.comp_q with
-    | Some fwd ->
-      progressed := true;
-      let req = fwd.Fwd.msg.Message.req in
-      (match (req.Request.kind, fwd.Fwd.resp_value) with
-      | Request.Get, Some v -> (
-        (* epoch-guarded fill: only cache a GET result no put/delete has
-           possibly invalidated since it was forwarded *)
-        match Hashtbl.find_opt cs.fwd_epoch fwd.Fwd.seq with
-        | Some e when e = cs.put_epoch ->
-          cache_insert cs req.Request.key v
-        | Some _ | None -> ())
-      | _ -> ());
-      Hashtbl.remove cs.fwd_epoch fwd.Fwd.seq;
-      shard.tr.Transport.post_response env ~seq:fwd.Fwd.seq
-        ~resp_addr:fwd.Fwd.resp_addr ~bytes:fwd.Fwd.resp_bytes
-        ~value:fwd.Fwd.resp_value
-    | None -> continue := false
-  done;
-  !progressed
-
-let cr_fiber (cfg : config) shard () =
-  let env = freerun_env shard ~core:0 in
-  let cs =
-    {
-      hot_cap = cfg.hot_cap;
-      cache = Hashtbl.create (max 16 cfg.hot_cap);
-      evict = Queue.create ();
-      fwd_epoch = Hashtbl.create 64;
-      put_epoch = 0;
-      stalled = None;
-    }
+(* Rtc shards run one worker fiber; Split shards run Mutps's CR and MR
+   workers and its hot-set manager. *)
+let spawn_shard sched shard =
+  let substrate = native_substrate shard in
+  let fiber name body =
+    let ctx = Simthread.detached ~name shard.backend.Backend.engine in
+    Sched.spawn sched (fun () ->
+        take_baton shard;
+        body ctx)
   in
-  while true do
-    check_stop shard;
-    let progressed = cr_reap shard env cs in
-    let progressed =
-      match cs.stalled with
-      | Some fwd ->
-        (* backpressure: stop polling rx until the ring accepts it *)
-        cs.stalled <- None;
-        if try_forward shard cs fwd then true else progressed
-      | None -> (
-        match shard.tr.Transport.poll env ~worker:0 with
-        | Some (seq, msg) ->
-          cr_handle shard env cs ~seq msg;
-          true
-        | None -> progressed)
-    in
-    ignore progressed;
-    Fiber.yield ()
-  done
-
-let mr_execute shard env (fwd : Fwd.t) =
-  let index = shard.backend.Backend.index in
-  let req = fwd.Fwd.msg.Message.req in
-  let key = req.Request.key in
-  let ack () =
-    fwd.Fwd.resp_addr <-
-      shard.tr.Transport.resp_alloc ~worker:1 ~bytes:Exec.ack_bytes;
-    fwd.Fwd.resp_bytes <- Exec.ack_bytes
-  in
-  match req.Request.kind with
-  | Request.Get -> (
-    match index.Index.lookup env key with
-    | Some item ->
-      let value = Item.read env item in
-      let bytes = Exec.ack_bytes + Bytes.length value in
-      fwd.Fwd.resp_addr <- shard.tr.Transport.resp_alloc ~worker:1 ~bytes;
-      fwd.Fwd.resp_bytes <- bytes;
-      fwd.Fwd.resp_value <- Some value
-    | None -> ack ())
-  | Request.Put ->
-    let value =
-      match fwd.Fwd.msg.Message.value with
-      | Some v -> v
-      | None -> invalid_arg "native MR: put without payload"
-    in
-    (match index.Index.lookup env key with
-    | Some item -> Item.write_exclusive env item value shard.backend.Backend.slab
-    | None ->
-      let item = Item.create shard.backend.Backend.slab ~value in
-      index.Index.insert env key item);
-    ack ()
-  | Request.Delete ->
-    ignore (index.Index.remove env key);
-    ack ()
-  | Request.Scan ->
-    (* not served over the wire; ack so the connection is never wedged *)
-    ack ()
-
-let mr_fiber shard () =
-  let env = freerun_env shard ~core:1 in
-  while true do
-    check_stop shard;
-    (match Deque.take shard.fwd_q with
-    | Some fwd ->
-      mr_execute shard env fwd;
-      while not (Deque.push shard.comp_q fwd) do
-        check_stop shard;
-        Fiber.yield ()
-      done;
-      shard.mr_ops <- shard.mr_ops + 1
-    | None -> ());
-    Fiber.yield ()
-  done
+  match shard.kvs with
+  | Rtc_shard lock ->
+    fiber "native-rtc"
+      (Rtc.worker_body ~substrate shard.backend shard.tr ~lock ~worker:0
+         (Rtc.make_stats ()))
+  | Split_shard kv ->
+    fiber "native-cr" (Mutps.worker_body ~substrate kv 0);
+    fiber "native-mr" (Mutps.worker_body ~substrate kv 1);
+    fiber "native-manager" (Mutps.manager_body ~substrate kv)
 
 (* ------------------------------------------------------------------ *)
 (* Connections and the socket poller                                   *)
@@ -709,10 +576,13 @@ let poller_fiber st () =
   in
   let finished = ref false in
   while not !finished do
+    let now = Clock.now_ns () in
     (match deadline_ns with
-    | Some d when Clock.now_ns () >= d -> Atomic.set st.stop true
+    | Some d when now >= d -> Atomic.set st.stop true
     | Some _ | None -> ());
-    if Atomic.get st.stop then begin
+    let stopping = Atomic.get st.stop in
+    Array.iter (fun shard -> wake shard ~now ~stopping) st.shards;
+    if stopping then begin
       List.iter (close_conn st) st.live;
       st.live <- [];
       (try Unix.close st.lfd with Unix.Unix_error _ -> ());
@@ -787,14 +657,7 @@ let prepare (cfg : config) =
           complete_by_id st ~cid:msg.Message.client ~ticket:msg.Message.id
             (Resp.reply_for_op msg.Message.req.Request.kind value)))
     shards;
-  Array.iter
-    (fun shard ->
-      match cfg.mode with
-      | Rtc_pool lock -> Sched.spawn st.sched (rtc_fiber shard ~lock)
-      | Split ->
-        Sched.spawn st.sched (cr_fiber cfg shard);
-        Sched.spawn st.sched (mr_fiber shard))
-    shards;
+  Array.iter (spawn_shard st.sched) shards;
   Sched.spawn st.sched (poller_fiber st);
   cfg.log
     (Printf.sprintf "native server: %s, %d shard(s), %d domain(s), %s"
@@ -807,20 +670,17 @@ let prepare (cfg : config) =
   st
 
 let summarize st =
-  let responded = ref 0 and cr_hits = ref 0 and forwarded = ref 0 in
-  let mr_ops = ref 0 in
-  Array.iter
-    (fun s ->
-      responded := !responded + Atomic.get s.nt.responded;
-      cr_hits := !cr_hits + s.cr_hits;
-      forwarded := !forwarded + s.forwarded;
-      mr_ops := !mr_ops + s.mr_ops)
-    st.shards;
+  let sum f = Array.fold_left (fun acc s -> acc + f s) 0 st.shards in
+  let split f s = match s.kvs with Split_shard kv -> f kv | Rtc_shard _ -> 0 in
+  let mr_ops kv =
+    let _, _, ops, _ = Mutps.layer_stats kv in
+    ops
+  in
   {
-    responded = !responded;
-    cr_hits = !cr_hits;
-    forwarded = !forwarded;
-    mr_ops = !mr_ops;
+    responded = sum (fun s -> Atomic.get s.nt.responded);
+    cr_hits = sum (split Mutps.cr_hits);
+    forwarded = sum (split Mutps.forwarded);
+    mr_ops = sum (split mr_ops);
     steals = Sched.steals st.sched;
     conns = st.accepted;
     refused = st.refused;

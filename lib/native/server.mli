@@ -1,13 +1,15 @@
 (** Native socket server: the real-machine twin of the simulated KVS.
 
     A TCP or Unix-domain listener speaking {!Resp} feeds share-nothing
-    backend shards (key mod shards).  Each shard runs the very same
-    per-operation code as the simulator — {!Mutps_kvs.Rtc.worker_body}
-    for the run-to-completion systems ([Rtc_pool]), or a CR/MR fiber
-    pair mirroring {!Mutps_kvs.Mutps}'s staged split ([Split]) — as
-    {!Fiber}s on the {!Sched} work-stealing pool, over free-running
-    memory environments ({!Mutps_mem.Env.make_freerun}) so no simulated
-    charge or DES effect is ever produced.
+    backend shards (key mod shards).  Each shard runs the simulator's own
+    loops — {!Mutps_kvs.Rtc.worker_body} for the run-to-completion systems
+    ([Rtc_pool]), or a 2-core {!Mutps_kvs.Mutps} ([Split]) — as {!Fiber}s
+    on the {!Sched} work-stealing pool, through a native
+    {!Mutps_kvs.Substrate}: free-running memory environments
+    ({!Mutps_mem.Env.make_freerun}), so no simulated charge or DES effect
+    is ever produced, fiber yields and wall-clock sleeps.  A shard's
+    fibers pass one baton, so at most one of them runs at a time, on any
+    domain; shards run in parallel.
 
     Per-connection replies are released in request order regardless of
     which shard fiber completes them.  One poller fiber serves every
@@ -20,7 +22,10 @@
 type mode =
   | Rtc_pool of Mutps_kvs.Exec.lock_mode
       (** run-to-completion: [Locked] = BaseKV, [Exclusive] = eRPC-KV *)
-  | Split  (** CR/MR staged split with a write-through CR hot cache *)
+  | Split
+      (** μTPS: {!Mutps_kvs.Mutps.worker_body} as the CR and as the MR
+          fiber, {!Mutps_kvs.Mutps.manager_body} rebuilding the CR hot
+          set every 200 ms *)
 
 type listen = Unix_path of string | Tcp of string * int  (** host, port *)
 
@@ -31,7 +36,7 @@ type config = {
   shards : int;  (** share-nothing backend shards (key mod shards) *)
   keyspace : int;  (** keys preloaded before serving (0 = start empty) *)
   value_size : int;  (** preloaded value bytes *)
-  hot_cap : int;  (** CR hot-cache capacity per shard ([Split] mode) *)
+  hot_cap : int;  (** CR hot-set size per shard ([Split] mode) *)
   duration_s : float option;
       (** stop after this long; [None] = run until {!stop} *)
   log : string -> unit;
@@ -46,7 +51,7 @@ type summary = {
   responded : int;  (** replies posted by the KVS layers *)
   cr_hits : int;  (** answered at the CR layer ([Split] mode) *)
   forwarded : int;  (** forwarded CR→MR ([Split] mode) *)
-  mr_ops : int;
+  mr_ops : int;  (** executed at the MR layer ([Split] mode) *)
   steals : int;  (** scheduler cross-worker steals *)
   conns : int;  (** connections accepted *)
   refused : int;

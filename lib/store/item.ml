@@ -100,6 +100,13 @@ let read env t =
   Env.release env t.san_obj;
   v
 
+(* A retired item's version is negative (see [retire]); the read above
+   validated it with nothing committed since, so this is the version the
+   copy belongs to. *)
+let read_live env t =
+  let v = read env t in
+  if t.version < 0 then None else Some v
+
 let update_payload t value slab =
   let old_len = Bytes.length t.value and new_len = Bytes.length value in
   if Slab.class_of_size (header_bytes + old_len)
@@ -110,7 +117,7 @@ let update_payload t value slab =
   end;
   t.value <- Bytes.copy value
 
-let rec write_loop env t value slab =
+let rec write_loop env t value slab ~live =
   Env.commit env;
   Env.assert_committed env "Item.write";
   Env.acquire env t.san_obj;
@@ -124,7 +131,12 @@ let rec write_loop env t value slab =
         ~arg:("item@" ^ string_of_int t.addr);
     Env.store env ~addr:t.addr ~size:header_bytes;
     Env.compute env spin_backoff_cycles;
-    write_loop env t value slab
+    write_loop env t value slab ~live
+  end
+  else if live && t.version < 0 then begin
+    (* retired: the key is gone, so the caller must not write here *)
+    Env.release env t.san_obj;
+    false
   end
   else if Bytes.length value <= atomic_limit && size t <= atomic_limit then begin
     (* 8-byte values: single atomic store of header+data (same line) —
@@ -139,7 +151,8 @@ let rec write_loop env t value slab =
        even version without the happens-before edge *)
     san_init env t;
     Env.unlock env t.san_obj;
-    Env.commit env
+    Env.commit env;
+    true
   end
   else begin
     (* acquire: the CAS dirties the header line immediately *)
@@ -159,13 +172,31 @@ let rec write_loop env t value slab =
     update_payload t value slab;
     t.version <- t.version + 1;
     san_init env t;
-    Env.unlock env t.san_obj
+    Env.unlock env t.san_obj;
+    true
   end
 
-let write env t value slab =
+let write_as env t value slab ~live =
   Env.tagged env "Item.write" @@ fun () ->
   san_init env t;
-  write_loop env t value slab
+  write_loop env t value slab ~live
+
+let write env t value slab = ignore (write_as env t value slab ~live:false)
+let write_live env t value slab = write_as env t value slab ~live:true
+
+(* Deleting a key retires its item: an atomic OR sets the version's sign
+   bit for good (writers only ever add to the version, and a writer in
+   progress still ends on an even version), so a reference that outlived
+   the index entry — the CR hot set — can tell the item is gone. *)
+let retire env t =
+  Env.tagged env "Item.retire" @@ fun () ->
+  san_init env t;
+  Env.commit env;
+  Env.assert_committed env "Item.retire";
+  Env.acquire env t.san_obj;
+  Env.store env ~addr:t.addr ~size:header_bytes;
+  t.version <- t.version lor min_int;
+  Env.release env t.san_obj
 
 (* share-nothing path: the owning thread is the only writer, so the
    version read needs no commit to observe other threads (the

@@ -29,9 +29,22 @@ val peek : t -> bytes
 val read : Mutps_mem.Env.t -> t -> bytes
 (** Seqlock read; charges header+payload loads, retries on conflict. *)
 
+val read_live : Mutps_mem.Env.t -> t -> bytes option
+(** {!read}, but [None] when the item is retired. *)
+
 val write : Mutps_mem.Env.t -> t -> bytes -> Slab.t -> unit
 (** Locked update (atomic when both old and new payloads are ≤ 8 bytes).
     A payload that changes size class is reallocated from the slab. *)
+
+val write_live : Mutps_mem.Env.t -> t -> bytes -> Slab.t -> bool
+(** {!write}, unless the item is retired: then nothing is written and the
+    result is [false]. *)
+
+val retire : Mutps_mem.Env.t -> t -> unit
+(** Mark the item deleted, for good: its key leaves the index, and
+    whoever still holds the item (the CR hot set) must treat it as a
+    miss.  {!read} and {!write} still work on it; {!read_live} and
+    {!write_live} refuse. *)
 
 val write_exclusive : Mutps_mem.Env.t -> t -> bytes -> Slab.t -> unit
 (** Share-nothing update: the caller guarantees it is the only writer, so

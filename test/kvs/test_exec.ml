@@ -74,9 +74,10 @@ let drain f ~ops =
           match req.Request.kind with
           | Request.Get -> Exec.do_get env f.tr ~worker:0 ~seq item
           | Request.Put ->
-            Exec.do_put env f.tr ~lock:Exec.Locked
-              ~index:f.backend.Backend.index ~slab:f.backend.Backend.slab
-              ~worker:0 ~seq msg item
+            ignore
+              (Exec.do_put env f.tr ~lock:Exec.Locked
+                 ~index:f.backend.Backend.index ~slab:f.backend.Backend.slab
+                 ~worker:0 ~seq msg item)
           | Request.Delete ->
             Exec.do_delete env f.tr ~index:f.backend.Backend.index ~worker:0
               ~seq key
@@ -266,6 +267,56 @@ let test_mutps_delete_via_layers () =
   check_bool "index shrank" true
     (b.Backend.index.Index.count () < keyspace)
 
+(* A key in the CR hot set is deleted: the DEL must win over the cached
+   item, and a SET after the DEL must still be there once the next
+   refresh has rebuilt the hot set. *)
+let test_mutps_delete_hot_key () =
+  let config =
+    { (small_config ~cores:2 ()) with Config.refresh_cycles = 2_000_000; sample_every = 1 }
+  in
+  let kv = Mutps.create config in
+  let b = Mutps.backend kv in
+  Backend.populate b ~keyspace ~value_size;
+  Mutps.start kv;
+  let tr = Mutps.transport kv in
+  let replies = Hashtbl.create 64 in
+  tr.Transport.set_on_response (fun msg value ->
+      Hashtbl.replace replies msg.Message.id value);
+  let engine = b.Backend.engine in
+  let next_id = ref 0 in
+  let call req value =
+    let id = !next_id in
+    incr next_id;
+    tr.Transport.deliver
+      { Message.id; client = 0; sent_at = Engine.now engine; target = -1; req; value };
+    let guard = ref 0 in
+    while (not (Hashtbl.mem replies id)) && !guard < 1_000 do
+      Engine.run engine ~until:(Engine.now engine + 10_000);
+      incr guard
+    done;
+    match Hashtbl.find_opt replies id with
+    | Some reply -> reply
+    | None -> Alcotest.fail (Printf.sprintf "request %d never answered" id)
+  in
+  let key = 5L in
+  let value = Alcotest.(option bytes) in
+  (* GET the key until the CR layer answers it: a refresh has made it hot,
+     and every answer on the way must be [want] *)
+  let get_until_hot want =
+    let hits = Mutps.cr_hits kv and n = ref 0 in
+    while Mutps.cr_hits kv = hits && !n < 2_000 do
+      Alcotest.check value "GET" want (call (Request.get ~key ~buf:0) None);
+      incr n
+    done;
+    check_bool "answered from the hot set" true (Mutps.cr_hits kv > hits)
+  in
+  get_until_hot (Some (Client.payload ~key ~size:value_size));
+  ignore (call (Request.delete ~key ~buf:0) None);
+  Alcotest.check value "GET after DEL" None (call (Request.get ~key ~buf:0) None);
+  let v = Bytes.of_string "NEWVALUE" in
+  ignore (call (Request.put ~key ~size:(Bytes.length v) ~buf:0) (Some v));
+  get_until_hot (Some v)
+
 (* ------------------------------------------------------------------ *)
 (* eRPC-KV share-nothing invariants                                    *)
 (* ------------------------------------------------------------------ *)
@@ -364,4 +415,6 @@ let () =
         [
           Alcotest.test_case "exclusive no contention" `Quick test_erpckv_exclusive_no_contention;
         ] );
+      ( "delete",
+        [ Alcotest.test_case "hot key" `Quick test_mutps_delete_hot_key ] );
     ]

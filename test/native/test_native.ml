@@ -272,23 +272,34 @@ let op_request = function
 
 (* Drive a simulated system one operation at a time: deliver, then step
    the engine until the response callback fires, and synthesize the wire
-   bytes the native server would send for the same outcome. *)
+   bytes the native server would send for the same outcome.  Also returns
+   how many requests the CR layer answered (0 for BaseKV). *)
 let sim_replies system ops =
   let config = Kvs.Config.default ~cores:2 ~capacity:256 () in
-  let transport, engine =
+  let transport, engine, cr_hits =
     match system with
     | `Basekv ->
       let kv = Kvs.Basekv.create config in
       Kvs.Backend.populate (Kvs.Basekv.backend kv) ~keyspace:preload_keys
         ~value_size:eq_value_size;
       Kvs.Basekv.start kv;
-      (Kvs.Basekv.transport kv, (Kvs.Basekv.backend kv).Kvs.Backend.engine)
+      ( Kvs.Basekv.transport kv,
+        (Kvs.Basekv.backend kv).Kvs.Backend.engine,
+        fun () -> 0 )
     | `Mutps ->
-      let kv = Kvs.Mutps.create config in
+      (* every op sampled and a refresh every few ops (each op below runs
+         the engine for at least 100K cycles): the hot set is live while
+         the history runs, so the CR layer answers as well as the MR *)
+      let kv =
+        Kvs.Mutps.create
+          { config with Kvs.Config.refresh_cycles = 400_000; sample_every = 1 }
+      in
       Kvs.Backend.populate (Kvs.Mutps.backend kv) ~keyspace:preload_keys
         ~value_size:eq_value_size;
       Kvs.Mutps.start kv;
-      (Kvs.Mutps.transport kv, (Kvs.Mutps.backend kv).Kvs.Backend.engine)
+      ( Kvs.Mutps.transport kv,
+        (Kvs.Mutps.backend kv).Kvs.Backend.engine,
+        fun () -> Kvs.Mutps.cr_hits kv )
   in
   let replies = ref [] in
   transport.Transport.set_on_response (fun (msg : Message.t) value ->
@@ -317,7 +328,7 @@ let sim_replies system ops =
       if List.length !replies = before then
         Alcotest.fail (Printf.sprintf "sim reply %d never arrived" i))
     ops;
-  List.rev !replies
+  (List.rev !replies, cr_hits ())
 
 (* Drive the native server over a real socket, one operation at a time,
    collecting the raw reply bytes. *)
@@ -377,12 +388,13 @@ let native_replies mode ops =
   replies
 
 let scripted_ops =
+  let hot key = List.init 6 (fun _ -> Eget key) in
   [
     Eget 1L;  (* preloaded hit *)
     Eget 100L;  (* miss *)
     Eput (100L, 24);
     Eget 100L;  (* now a hit with the new value *)
-    Eget 100L;  (* repeat: exercises the CR hot cache *)
+    Eget 100L;
     Eput (1L, 9);  (* overwrite a preloaded key *)
     Eget 1L;
     Edel 1L;
@@ -391,6 +403,13 @@ let scripted_ops =
     Eput (1L, 5);
     Eget 1L;
   ]
+  (* keys in the simulated hot set when they are deleted: the DEL must
+     win over the cached item, and a SET after it over the next refresh *)
+  @ hot 2L
+  @ [ Edel 2L; Eget 2L ]
+  @ hot 3L
+  @ [ Edel 3L; Eput (3L, 12) ]
+  @ hot 3L
 
 (* a longer generated history over a keyspace straddling the preload
    boundary, so it mixes hits, misses, overwrites, and deletes *)
@@ -414,8 +433,11 @@ let generated_ops n =
       | Request.Delete -> Edel op.Opgen.key)
 
 let check_equivalence system mode ops =
-  let sim = sim_replies system ops in
+  let sim, cr_hits = sim_replies system ops in
   let native = native_replies mode ops in
+  if system = `Mutps then
+    check_bool "the simulated CR layer answered from its hot set" true
+      (cr_hits > 0);
   check_int "same reply count" (List.length sim) (List.length native);
   List.iteri
     (fun i (s, n) ->
@@ -459,26 +481,35 @@ let test_serve_loadgen () =
       scan_len = 1;
     }
   in
-  let r =
-    Loadgen.run
-      {
-        Loadgen.connect = Server.Unix_path path;
-        conns = 4;
-        ops = 2_000;
-        spec;
-        seed = 5;
-      }
-  in
-  check_int "every op answered" 2_000 r.Loadgen.completed;
-  check_int "no errors" 0 r.Loadgen.errors;
-  check_bool "keyspace preloaded: gets mostly hit" true
-    (r.Loadgen.get_hits > r.Loadgen.get_misses);
+  (* rounds of skewed load until it has lasted a few hot-set refresh
+     periods (200 ms each), so the manager has published hot sets *)
+  let rounds = ref 0 and elapsed_ns = ref 0 in
+  while !elapsed_ns < 1_000_000_000 do
+    let r =
+      Loadgen.run
+        {
+          Loadgen.connect = Server.Unix_path path;
+          conns = 4;
+          ops = 2_000;
+          spec;
+          seed = 5 + !rounds;
+        }
+    in
+    check_int "every op answered" 2_000 r.Loadgen.completed;
+    check_int "no errors" 0 r.Loadgen.errors;
+    check_bool "keyspace preloaded: gets mostly hit" true
+      (r.Loadgen.get_hits > r.Loadgen.get_misses);
+    incr rounds;
+    elapsed_ns := !elapsed_ns + r.Loadgen.elapsed_ns
+  done;
   Server.stop handle;
   let s = Server.wait handle in
-  check_int "connections accepted" 4 s.Server.conns;
+  check_int "connections accepted" (4 * !rounds) s.Server.conns;
   check_bool "KVS answered the non-ping traffic" true (s.Server.responded > 0);
   check_int "split answered everything it was given" s.Server.responded
-    (s.Server.cr_hits + s.Server.mr_ops)
+    (s.Server.cr_hits + s.Server.mr_ops);
+  check_bool "the hot set answered some requests at the CR layer" true
+    (s.Server.cr_hits > 0)
 
 let test_serve_ping_and_errors () =
   let path = Filename.temp_file "mutps-ping" ".sock" in
@@ -568,28 +599,43 @@ let ping_ok fd =
   check_string "still serving" "+PONG\r\n" (read_exactly fd 7)
 
 (* One write carries hundreds of commands over both shards — hits on
-   preloaded keys (repeated, so a batch sees duplicates), SETs, PINGs and
-   misses — and must come back in order, each answered exactly once; then
+   preloaded keys (repeated, so a batch sees duplicates), SETs, PINGs,
+   misses, and a DEL, SET, GET of one key back to back, read again much
+   later — and must come back in order, each answered exactly once; then
    a command split over two writes is reassembled. *)
 let test_poller_pipelined mode () =
   let path, handle = launch_poller_server ~mode "mutps-pipe" in
   let fd = connect_unix path in
   let cmds = Buffer.create 16384 and want = Buffer.create 16384 in
-  for i = 0 to 399 do
-    let cmd, reply =
-      match i mod 4 with
-      | 0 ->
-        let key = Int64.of_int (i / 4 mod 16) in
-        ( Resp.Get key,
-          Resp.Value (Mutps_net.Client.payload ~key ~size:poller_value_size) )
-      | 1 ->
-        let key = Int64.of_int (1000 + (i / 4)) in
-        (Resp.Set (key, Mutps_net.Client.payload ~key ~size:24), Resp.Ok_simple "OK")
-      | 2 -> (Resp.Ping, Resp.Ok_simple "PONG")
-      | _ -> (Resp.Get (Int64.of_int (5000 + (i / 4))), Resp.Nil)
-    in
+  let add cmd reply =
     Resp.encode_command cmds cmd;
     Buffer.add_string want (Resp.reply_to_string reply)
+  in
+  (* preloaded keys the GETs below never touch *)
+  let reset_key i = Int64.of_int (20 + (i / 100)) in
+  let new_value key = Mutps_net.Client.payload ~key ~size:24 in
+  for i = 0 to 399 do
+    (match i mod 4 with
+    | 0 ->
+      let key = Int64.of_int (i / 4 mod 16) in
+      add (Resp.Get key)
+        (Resp.Value (Mutps_net.Client.payload ~key ~size:poller_value_size))
+    | 1 ->
+      let key = Int64.of_int (1000 + (i / 4)) in
+      add (Resp.Set (key, Mutps_net.Client.payload ~key ~size:24)) (Resp.Ok_simple "OK")
+    | 2 -> add Resp.Ping (Resp.Ok_simple "PONG")
+    | _ -> add (Resp.Get (Int64.of_int (5000 + (i / 4)))) Resp.Nil);
+    if i mod 100 = 50 then begin
+      let key = reset_key i in
+      add (Resp.Del key) (Resp.Ok_simple "OK");
+      add (Resp.Set (key, new_value key)) (Resp.Ok_simple "OK");
+      add (Resp.Get key) (Resp.Value (new_value key))
+    end
+  done;
+  (* the SETs after the DELs stuck *)
+  for i = 0 to 3 do
+    let key = reset_key (i * 100) in
+    add (Resp.Get key) (Resp.Value (new_value key))
   done;
   write_all fd (Buffer.contents cmds);
   check_string "in-order replies" (Buffer.contents want)
@@ -780,5 +826,7 @@ let () =
             test_poller_churn;
           Alcotest.test_case "fd beyond FD_SETSIZE refused" `Quick
             test_poller_fd_setsize;
+          Alcotest.test_case "pipelined writes, erpckv" `Quick
+            (test_poller_pipelined (Server.Rtc_pool Kvs.Exec.Exclusive));
         ] );
     ]
