@@ -21,7 +21,7 @@ type t = {
 }
 
 let stamp_bits = 33
-let max_tag = 1 lsl (62 - stamp_bits)
+let max_line = 1 lsl (62 - stamp_bits)
 let stamp_mask = (1 lsl stamp_bits) - 1
 
 let create ~name ~sets ~ways =
@@ -45,7 +45,7 @@ let capacity_lines t = t.sets * t.ways
 let full_mask t = (1 lsl t.ways) - 1
 
 let check_line line =
-  if line < 0 || line >= max_tag then invalid_arg "Cache: line out of range"
+  if line < 0 || line >= max_line then invalid_arg "Cache: line out of range"
 
 (* Fibonacci-style mixing spreads sequential lines over sets even when
    [sets] is not a power of two.  [h lsr 16] is non-negative, so for
@@ -65,7 +65,7 @@ let rec find_way_from data base (tagbits : int) ways w =
   else if Array.unsafe_get data (base + w) lsr stamp_bits = tagbits then w
   else find_way_from data base tagbits ways (w + 1)
 
-(* [(-1) lsr stamp_bits = 2^30 - 1 >= max_tag]: invalid ways can never
+(* [(-1) lsr stamp_bits = 2^30 - 1 >= max_line]: invalid ways can never
    match. *)
 let find_way t base line = find_way_from t.data base line t.ways 0
 

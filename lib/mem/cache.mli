@@ -21,6 +21,11 @@ val capacity_lines : t -> int
 val full_mask : t -> int
 (** Mask selecting every way. *)
 
+val max_line : int
+(** Every access, probe and invalidation rejects a line at or past this
+    bound with [Invalid_argument]: the packed tags cover a 32 GiB
+    simulated address space. *)
+
 type outcome =
   | Hit
   | Miss of { victim : int option }

@@ -53,21 +53,27 @@ type stats = {
 }
 
 (* Directory: which cores hold the line in a private cache, and which (if
-   any) holds it dirty.  Stored as a DENSE array indexed by line number
-   with the entry packed into one int — [sharers lsl 7 lor (dirty + 1)],
-   0 = absent — rather than any keyed table.  Two reasons, both about the
-   HOST machine: a lookup is one bounds test and one indexed read (no
-   hashing, no probe chain, no key compare), and — decisive for a
-   simulator whose own tag/directory state is memory-bound — adjacent
-   simulated lines land in adjacent entries, so the under-test workload's
-   spatial locality (B-tree nodes, item payloads) carries over to the
-   simulator's directory traffic instead of being deliberately destroyed
-   by a hash.  Density is affordable because {!Layout} allocates regions
-   contiguously from a 1 MiB base: the array's length tracks the highest
-   line ever privately cached, which is bounded by total simulated
-   footprint / 64.  An entry packed as 0 (no sharers, no dirty owner) is
-   observationally identical to an absent line at every use site, so
-   "removal" just stores 0. *)
+   any) holds it dirty.  Each entry is packed into one int —
+   [sharers lsl 7 lor (dirty + 1)], 0 = absent — in a two-level table
+   indexed by line number: a top array with one slot per [chunk_lines]
+   lines of the address space {!Cache} can tag, and a chunk of entries
+   allocated the first time a line inside it is privately cached.  A
+   chunk never allocated is [no_chunk]: all its lines are absent.  So
+   memory follows the footprint, rounded up to chunks, and not the
+   address span, which is mostly reserved and untouched ([Slab] reserves
+   1 GiB per size class, the B+tree 2 GiB).  Within a chunk the table is
+   dense, for the HOST machine's sake: a lookup is two indexed reads (no
+   hashing, no probe chain, no key compare), and adjacent simulated lines
+   land in adjacent entries, so the workload's spatial locality (B-tree
+   nodes, item payloads) carries over to the simulator's directory
+   traffic instead of being destroyed by a hash.  An entry packed as 0
+   (no sharers, no dirty owner) is observationally identical to an
+   absent line at every use site, so "removal" just stores 0. *)
+let chunk_shift = 16
+let chunk_lines = 1 lsl chunk_shift
+let chunk_mask = chunk_lines - 1
+let no_chunk : int array = [||]
+
 type t = {
   geometry : geometry;
   costs : Costs.t;
@@ -76,7 +82,7 @@ type t = {
   llc : Cache.t;
   clos : int array;
   ddio_mask : int;
-  mutable dir : int array;  (* packed entry per line; 0 = absent *)
+  dir : int array array;  (* chunks of packed entries; 0 = absent *)
   stats : mutable_stats array;
   mutable nic_llc_hits : int;
   mutable nic_llc_misses : int;
@@ -121,7 +127,7 @@ let create ?(costs = Costs.default) geometry =
     llc = Cache.create ~name:"llc" ~sets:geometry.llc_sets ~ways:geometry.llc_ways;
     clos = Array.make geometry.cores full;
     ddio_mask = (1 lsl geometry.ddio_ways) - 1;
-    dir = Array.make 65_536 0;
+    dir = Array.make (Cache.max_line lsr chunk_shift) no_chunk;
     stats = Array.init geometry.cores (fun _ -> fresh_stats ());
     nic_llc_hits = 0;
     nic_llc_misses = 0;
@@ -149,30 +155,37 @@ let dir_sharers v = v lsr 7
 let dir_dirty v = (v land 127) - 1
 let dir_pack ~sharers ~dirty = (sharers lsl 7) lor (dirty + 1)
 
-let[@inline] dir_val t i = Array.unsafe_get t.dir i
-let[@inline] dir_set_val t i v = Array.unsafe_set t.dir i v
+(* [line]'s chunk has been allocated.  Lines past the top array are
+   never allocated: {!Cache} rejects them before any fill. *)
+let[@inline] dir_allocated t line =
+  let hi = line lsr chunk_shift in
+  hi < Array.length t.dir && Array.length (Array.unsafe_get t.dir hi) > 0
+
+(* Only for a line whose chunk is allocated. *)
+let[@inline] dir_val t line =
+  Array.unsafe_get
+    (Array.unsafe_get t.dir (line lsr chunk_shift))
+    (line land chunk_mask)
+
+let[@inline] dir_set_val t line v =
+  Array.unsafe_set
+    (Array.unsafe_get t.dir (line lsr chunk_shift))
+    (line land chunk_mask) v
 
 let dir_grow t line =
-  (let n = Array.length t.dir in
-   let n' =
-     let rec go n = if line < n then n else go (2 * n) in
-     go (2 * n)
-   in
-   let d = Array.make n' 0 in
-   Array.blit t.dir 0 d 0 n;
-   t.dir <- d)
+  t.dir.(line lsr chunk_shift) <- (Array.make chunk_lines 0
   [@alloc.allow
-    "directory growth: amortized doubling, bounded by the highest line \
-     ever privately cached (simulated footprint / 64); cold after warmup"]
+    "directory chunk: one per 64K-line chunk holding a privately cached \
+     line, so bounded by the touched footprint; cold after warmup"])
 
-(* Slot of [line] — the line number itself — growing the array to cover
-   it if needed. *)
+(* Slot of [line] — the line number itself — allocating its chunk if
+   needed. *)
 let[@inline] dir_ensure t line =
-  if line >= Array.length t.dir then dir_grow t line;
+  if not (dir_allocated t line) then dir_grow t line;
   line
 
 let dir_remove_sharer t line core =
-  if line < Array.length t.dir then begin
+  if dir_allocated t line then begin
     let v = dir_val t line in
     if v <> 0 then begin
       let sharers = dir_sharers v land lnot (1 lsl core) in
@@ -417,7 +430,7 @@ let dma_write t ~addr ~size =
   for i = 0 to n - 1 do
     let line = first + i in
     (* DDIO snoops out any core-private copies. *)
-    (if line < Array.length t.dir then begin
+    (if dir_allocated t line then begin
        let v = dir_val t line in
        if v <> 0 then begin
          let sharers = dir_sharers v in

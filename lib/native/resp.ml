@@ -99,9 +99,15 @@ let find_crlf s ~pos ~len =
   done;
   if !found < 0 then None else Some !found
 
+(* The longest integer header a frame may carry: the digits of [min_int]
+   and its sign.  Past that a missing CRLF is a malformed frame, not a
+   short read, so a peer cannot make the reader buffer without bound. *)
+let max_int_len = String.length (string_of_int min_int)
+
 let parse_int_line s ~pos ~len : (int * int) parse =
-  match find_crlf s ~pos ~len with
-  | None -> `Need_more
+  let window = pos + max_int_len + 2 in
+  match find_crlf s ~pos ~len:(min len window) with
+  | None -> if len >= window then `Bad "integer header too long" else `Need_more
   | Some e -> (
     match int_of_string_opt (Bytes.sub_string s pos (e - pos)) with
     | Some n -> `Ok ((n, e + 2), e + 2)
@@ -116,6 +122,7 @@ let parse_bulk s ~pos ~len : (string * int) parse =
     | (`Need_more | `Bad _) as r -> r
     | `Ok ((n, body), _) ->
       if n < 0 then `Bad "negative bulk length"
+      else if n > Mutps_queue.Request.max_size then `Bad "bulk string too long"
       else if body + n + 2 > len then `Need_more
       else if Bytes.get s (body + n) <> '\r' || Bytes.get s (body + n + 1) <> '\n'
       then `Bad "bulk string missing terminator"
@@ -197,6 +204,7 @@ let parse_reply s ~len : reply parse =
       | `Ok ((n, body), _) ->
         if n = -1 then `Ok (Nil, body)
         else if n < -1 then `Bad "negative bulk length"
+        else if n > Mutps_queue.Request.max_size then `Bad "bulk string too long"
         else if body + n + 2 > len then `Need_more
         else `Ok (Value (Bytes.sub s body n), body + n + 2))
     | c -> `Bad (Printf.sprintf "unexpected reply byte %C" c)

@@ -4,7 +4,11 @@
     [DEL k] / [PING]); keys are decimal int64 strings.  Replies: bulk
     value or [$-1] for GET, [+OK] for SET/DEL, [+PONG], [-ERR reason].
     Parsers are incremental: feed a growing buffer, get [`Need_more]
-    until a full frame is present, then the frame and its byte length. *)
+    until a full frame is present, then the frame and its byte length.
+    A header no valid frame has is [`Bad] as soon as it is read: an
+    integer line longer than [min_int] written out, or a bulk string
+    longer than {!Mutps_queue.Request.max_size}.  So a buffer fed to
+    them never needs to outgrow the largest valid frame. *)
 
 type command =
   | Get of int64

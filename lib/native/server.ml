@@ -390,11 +390,7 @@ let dispatch st conn cmd =
   | Resp.Get key -> send (Request.get ~key ~buf:0) None
   | Resp.Del key -> send (Request.delete ~key ~buf:0) None
   | Resp.Set (key, v) ->
-    if Bytes.length v > Request.max_size then begin
-      conn_complete conn ~ticket (Resp.Error "value too large");
-      begin_close st conn
-    end
-    else send (Request.put ~key ~size:(Bytes.length v) ~buf:0) (Some v)
+    send (Request.put ~key ~size:(Bytes.length v) ~buf:0) (Some v)
 
 let conn_parse st conn =
   let continue = ref true in

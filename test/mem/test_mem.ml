@@ -411,6 +411,83 @@ let test_hier_invalidate_cost_scales_with_sharers () =
     (Printf.sprintf "6 sharers (%d) cost more than 1 (%d)" many one)
     true (many > one)
 
+(* ------------------------------------------------------------------ *)
+(* Directory memory                                                    *)
+(* ------------------------------------------------------------------ *)
+
+let words h = Obj.reachable_words (Obj.repr h)
+
+(* One directory chunk: 65,536 packed entries plus the array header. *)
+let chunk_words = 65_536 + 1
+
+(* A few lines at the start of regions placed the way Slab (1 GiB per
+   size class) and the B+tree (2 GiB) place theirs, from Layout's 1 MiB
+   base: the directory grows by one chunk per region touched, not by an
+   array reaching the highest line (about line 3 * 2^24 here). *)
+let test_dir_follows_footprint () =
+  let h = mk () in
+  let fresh = words h in
+  let l = Layout.create () in
+  let regions =
+    [
+      Layout.region l ~name:"slab-64B" ~size:(1 lsl 30);
+      Layout.region l ~name:"btree-nodes" ~size:(1 lsl 31);
+      Layout.region l ~name:"slab-128B" ~size:(1 lsl 30);
+    ]
+  in
+  List.iter
+    (fun r ->
+      for i = 0 to 15 do
+        let addr = Layout.base r + (i * 64) in
+        ignore (Hierarchy.store h ~core:(i land 3) ~addr ~size:8);
+        ignore (Hierarchy.load h ~core:((i + 1) land 3) ~addr ~size:8)
+      done)
+    regions;
+  let grown = words h - fresh in
+  check_bool
+    (Printf.sprintf "directory grew by %d words, within 3 chunks" grown)
+    true
+    (grown <= 3 * chunk_words)
+
+(* Lines 65,535 and 65,536 sit in different chunks and keep their own
+   sharer and dirty state. *)
+let test_dir_chunk_boundary () =
+  let h = mk () in
+  let a = 65_535 * 64 and b = 65_536 * 64 in
+  ignore (Hierarchy.store h ~core:0 ~addr:a ~size:8);
+  ignore (Hierarchy.store h ~core:1 ~addr:b ~size:8);
+  let forward = costs.Costs.dirty_transfer + costs.Costs.llc_hit in
+  check_int "b forwarded from its writer" forward
+    (Hierarchy.load h ~core:2 ~addr:b ~size:8);
+  check_int "a forwarded from its writer" forward
+    (Hierarchy.load h ~core:1 ~addr:a ~size:8);
+  (* b is shared by cores 1 and 2, clean; a by cores 0 and 1 *)
+  check_int "writing b invalidates b's two sharers"
+    (costs.Costs.llc_hit + costs.Costs.invalidate
+    + costs.Costs.invalidate_per_extra_sharer)
+    (Hierarchy.store h ~core:0 ~addr:b ~size:8);
+  check_bool "core 1 keeps a" true (Hierarchy.probe_private h ~core:1 ~addr:a);
+  check_bool "core 1 lost b" false (Hierarchy.probe_private h ~core:1 ~addr:b);
+  check_int "writing a invalidates only core 1"
+    (costs.Costs.l1_hit + costs.Costs.invalidate)
+    (Hierarchy.store h ~core:0 ~addr:a ~size:8)
+
+(* The DDIO snoop of a line whose chunk no core ever cached from finds
+   no sharers and allocates no chunk; the write itself lands in the LLC
+   as for any other line. *)
+let test_dir_dma_unallocated_chunk () =
+  let h = mk () in
+  ignore (Hierarchy.load h ~core:0 ~addr:0x1000 ~size:8);
+  let before = words h in
+  let far = (1 lsl 31) + 0x1000 in
+  Hierarchy.dma_write h ~addr:far ~size:128;
+  check_int "no chunk allocated" before (words h);
+  let _, misses = Hierarchy.nic_dma_stats h in
+  check_int "two DDIO misses" 2 misses;
+  check_int "CPU load after DMA hits LLC" costs.Costs.llc_hit
+    (Hierarchy.load h ~core:1 ~addr:far ~size:8);
+  check_int "the load allocated one chunk" (before + chunk_words) (words h)
+
 let () =
   Alcotest.run "mem"
     [
@@ -455,5 +532,13 @@ let () =
           Alcotest.test_case "invalidate scales" `Quick test_hier_invalidate_cost_scales_with_sharers;
           QCheck_alcotest.to_alcotest prop_hier_random_ops_sane;
           QCheck_alcotest.to_alcotest prop_hier_dirty_reader_never_stale_cost;
+        ] );
+      ( "directory",
+        [
+          Alcotest.test_case "memory follows footprint" `Quick
+            test_dir_follows_footprint;
+          Alcotest.test_case "chunk boundary" `Quick test_dir_chunk_boundary;
+          Alcotest.test_case "dma on unallocated chunk" `Quick
+            test_dir_dma_unallocated_chunk;
         ] );
     ]

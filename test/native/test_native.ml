@@ -214,6 +214,15 @@ let test_resp_incremental () =
     | `Bad m -> Alcotest.fail ("prefix rejected: " ^ m)
   done
 
+(* Frames that can never complete: a bulk length no request can carry,
+   and an integer header with no CRLF where the longest integer ends.
+   Each must be refused once its header is read, not buffered. *)
+let oversized_frames =
+  [
+    "*3\r\n$3\r\nSET\r\n$1\r\n1\r\n$1000000000000\r\n";
+    "*" ^ String.make 64 '9';
+  ]
+
 let test_resp_bad_input () =
   let bad s =
     let b = Bytes.of_string s in
@@ -227,7 +236,32 @@ let test_resp_bad_input () =
   (* key not an int *)
   bad "*1\r\n$3\r\nGET\r\n";
   (* arity *)
-  bad "+hello\r\n" (* replies are not commands *)
+  bad "+hello\r\n";
+  (* replies are not commands *)
+  List.iter bad oversized_frames;
+  bad
+    (Printf.sprintf "*3\r\n$3\r\nSET\r\n$1\r\n1\r\n$%d\r\n"
+       (Mutps_queue.Request.max_size + 1))
+
+(* A SET of the largest value a request can carry is still a frame,
+   whatever chunks it arrives in. *)
+let test_resp_max_value () =
+  let value = Bytes.make Mutps_queue.Request.max_size 'v' in
+  let b = Bytes.of_string (encode_cmd (Resp.Set (1L, value))) in
+  let full = Bytes.length b in
+  let len = ref 0 in
+  while !len < full do
+    (match Resp.parse_command b ~len:!len with
+    | `Need_more -> ()
+    | `Ok _ -> Alcotest.fail "accepted a strict prefix"
+    | `Bad m -> Alcotest.fail ("prefix rejected: " ^ m));
+    len := !len + 4093
+  done;
+  match Resp.parse_command b ~len:full with
+  | `Ok (Resp.Set (_, v), consumed) ->
+    check_int "whole frame consumed" full consumed;
+    check_int "value length" Mutps_queue.Request.max_size (Bytes.length v)
+  | _ -> Alcotest.fail "max-size SET did not parse"
 
 let test_resp_reply_roundtrip () =
   let roundtrip r =
@@ -243,7 +277,15 @@ let test_resp_reply_roundtrip () =
   roundtrip Resp.Nil;
   roundtrip (Resp.Ok_simple "OK");
   roundtrip (Resp.Ok_simple "PONG");
-  roundtrip (Resp.Error "ERR nope")
+  roundtrip (Resp.Error "ERR nope");
+  (* the loadgen's parser bounds its headers the same way *)
+  List.iter
+    (fun s ->
+      let b = Bytes.of_string s in
+      match Resp.parse_reply b ~len:(Bytes.length b) with
+      | `Bad _ -> ()
+      | _ -> Alcotest.fail ("reply not refused: " ^ String.escaped s))
+    [ "$1000000000000\r\n"; "$" ^ String.make 64 '9' ]
 
 (* ------------------------------------------------------------------ *)
 (* Sim-vs-native equivalence                                           *)
@@ -771,6 +813,55 @@ let test_poller_fd_setsize () =
   check_int "refusal counted" 1 s.Server.refused;
   check_int "the next client served" 1 s.Server.conns
 
+(* Read until the server closes the connection, failing rather than
+   hanging if it does not. *)
+let read_to_close fd =
+  Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.0;
+  let out = Buffer.create 64 and buf = Bytes.create 4096 in
+  let rec go () =
+    match Unix.read fd buf 0 4096 with
+    | 0 -> ()
+    | n ->
+      Buffer.add_subbytes out buf 0 n;
+      go ()
+    | exception Unix.Unix_error (Unix.ECONNRESET, _, _) -> ()
+    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+      Alcotest.fail (Printf.sprintf "still open after %S" (Buffer.contents out))
+  in
+  go ();
+  Buffer.contents out
+
+(* A frame that can never complete is refused with an error and a close
+   once its header is read, instead of growing the read buffer for ever;
+   a SET of the largest value a request can carry, written in 64 KiB
+   chunks, is still served. *)
+let test_poller_bounded_frames () =
+  let path, handle = launch_poller_server "mutps-frames" in
+  List.iter
+    (fun frame ->
+      let fd = connect_unix path in
+      write_all fd frame;
+      let reply = read_to_close fd in
+      check_bool ("error reply to " ^ String.escaped frame) true
+        (String.length reply > 4 && String.sub reply 0 4 = "-ERR");
+      Unix.close fd)
+    oversized_frames;
+  let fd = connect_unix path in
+  let set =
+    encode_cmd
+      (Resp.Set (900_000L, Bytes.make Mutps_queue.Request.max_size 'v'))
+  in
+  let chunk = 65_536 in
+  for i = 0 to (String.length set - 1) / chunk do
+    let off = i * chunk in
+    write_all fd (String.sub set off (min chunk (String.length set - off)))
+  done;
+  check_string "max-size SET answered" "+OK\r\n" (read_exactly fd 5);
+  ping_ok fd;
+  Unix.close fd;
+  Server.stop handle;
+  ignore (Server.wait handle)
+
 let () =
   let qt = QCheck_alcotest.to_alcotest in
   Alcotest.run "native"
@@ -803,6 +894,7 @@ let () =
           Alcotest.test_case "incremental" `Quick test_resp_incremental;
           Alcotest.test_case "bad input" `Quick test_resp_bad_input;
           Alcotest.test_case "reply roundtrip" `Quick test_resp_reply_roundtrip;
+          Alcotest.test_case "max-size value" `Quick test_resp_max_value;
         ] );
       ( "equivalence",
         [
@@ -828,5 +920,7 @@ let () =
             test_poller_fd_setsize;
           Alcotest.test_case "pipelined writes, erpckv" `Quick
             (test_poller_pipelined (Server.Rtc_pool Kvs.Exec.Exclusive));
+          Alcotest.test_case "unbounded frames refused" `Quick
+            test_poller_bounded_frames;
         ] );
     ]
