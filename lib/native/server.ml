@@ -3,13 +3,14 @@
    One listener (TCP or Unix-domain) feeds share-nothing shards (key mod
    nshards); every shard runs the simulator's own loops — [Rtc.worker_body]
    for the run-to-completion systems, and for the μTPS split a 2-core
-   [Mutps] whose CR worker, MR worker and hot-set manager are three
-   fibers — on {!Fiber}s over the {!Sched} work-stealing pool instead of
-   simulated threads.  The loops reach the runtime through a native
-   {!Substrate}: free-running memory environments ([Env.make_freerun]:
-   charging is a no-op and no DES effect is ever performed), fiber yields
-   and wall-clock sleeps.  A shard's fibers pass one baton, so they run
-   one at a time, as under the simulator.
+   [Mutps]'s CR worker, MR worker and hot-set manager — as coroutines
+   inside one {!Sched} fiber per shard, instead of simulated threads.  The
+   loops reach the runtime through a native {!Substrate}: free-running
+   memory environments ([Env.make_freerun]: charging is a no-op and no
+   DES effect is ever performed), yields back to the shard fiber, and
+   wall-clock sleeps.  A shard fiber switches between its loops itself, so
+   they run one at a time, as under the simulator, and a forwarded op is
+   answered in the scheduler turn that delivered it.
 
    Wire protocol: {!Resp} (GET/SET/DEL/PING).  Per-connection response
    order equals request order: every parsed command takes a ticket, and a
@@ -17,12 +18,11 @@
    shard fiber completes them.
 
    Threading picture (D rules): the poller fiber owns all socket state
-   and each connection's read side; a shard's fibers own its KVS, one at a
-   time (the baton); the only other cross-fiber state is the per-shard rx
-   queue ([rx_lock]), the connection table ([conns_lock]) and each
-   connection's reply sequencer ([out_lock]) — three distinct
-   single-level locks, never nested — and the parked manager's wake-up
-   slot, an [Atomic]. *)
+   and each connection's read side; a shard fiber owns its KVS and its
+   loops; the only cross-fiber state is the per-shard rx queue
+   ([rx_lock]), the connection table ([conns_lock]) and each connection's
+   reply sequencer ([out_lock]) — three distinct single-level locks,
+   never nested. *)
 
 module Env = Mutps_mem.Env
 module Costs = Mutps_mem.Costs
@@ -166,10 +166,13 @@ type shard = {
   tr : Transport.t;
   kvs : kvs;
   stop : bool Atomic.t;  (* the server-wide stop flag, shared *)
-  baton : bool Atomic.t;  (* held by the shard fiber running KVS code *)
-  sleeper : (int * (unit -> unit)) option Atomic.t;
-      (* the parked manager: its wall-clock deadline and its resume *)
+  slots : (unit -> unit) option array;
+      (* each loop's resume, cleared when taken: CR 0, MR 1, manager 2, or
+         the Rtc worker at 0 *)
+  mutable wake_at : int;  (* the parked manager's wall-clock deadline *)
 }
+
+let manager_slot = 2
 
 let shard_of_key ~shards key =
   Int64.to_int (Int64.rem (Int64.logand key Int64.max_int) (Int64.of_int shards))
@@ -205,81 +208,92 @@ let make_shard cfg ~stop sid =
     Backend.populate backend
       ~owned:(fun key -> shard_of_key ~shards:cfg.shards key = sid)
       ~keyspace:cfg.keyspace ~value_size:cfg.value_size;
-  let baton = Atomic.make false and sleeper = Atomic.make None in
-  { backend; nt; tr; kvs; stop; baton; sleeper }
+  { backend; nt; tr; kvs; stop; slots = Array.make (manager_slot + 1) None;
+    wake_at = max_int }
 
 let check_stop shard = if Atomic.get shard.stop then raise Fiber.Stop
 
-(* The baton: a shard's fibers run one at a time, on whatever domain.
-   Each holds the baton while it runs KVS code and passes it on only at
-   the substrate's yield points, which is exactly the interleaving the
-   discrete-event simulator gives this code.  So the KVS structures need
-   no atomics of their own: the CAS hand-off orders their plain-field
-   writes between domains.  Shards still run in parallel. *)
-let rec take_baton shard =
-  if not (Atomic.compare_and_set shard.baton false true) then begin
-    check_stop shard;
-    Fiber.yield ();
-    take_baton shard
-  end
-
-let pass_baton shard =
-  Atomic.set shard.baton false;
-  check_stop shard;
-  Fiber.yield ();
-  take_baton shard
-
-(* Resume the shard's parked manager once its deadline has passed, or at
-   shutdown.  Whoever wins the slot resumes it, exactly once. *)
-let wake shard ~now ~stopping =
-  match Atomic.get shard.sleeper with
-  | Some (until, resume) as parked when stopping || now >= until ->
-    if Atomic.compare_and_set shard.sleeper parked None then resume ()
-  | Some _ | None -> ()
-
-(* Sleep through the model's cycles in wall time.  The fiber parks without
-   the baton, off every run queue, and the poller, which reads the clock
-   once per turn anyway, wakes it; it wakes itself if the stop came first. *)
+(* Sleep through the model's cycles in wall time.  Only the manager
+   sleeps and it yields nowhere else, so its full slot means it is parked
+   until [wake_at]. *)
 let sleep_cycles shard cycles =
   let costs = shard.backend.Backend.config.Config.costs in
-  let until = Clock.now_ns () + int_of_float (Costs.ns_of_cycles costs cycles) in
-  Fiber.park (fun resume ->
-      Atomic.set shard.sleeper (Some (until, resume));
-      Atomic.set shard.baton false;
-      wake shard ~now:(Clock.now_ns ()) ~stopping:(Atomic.get shard.stop));
-  check_stop shard;
-  take_baton shard
+  shard.wake_at <-
+    Clock.now_ns () + int_of_float (Costs.ns_of_cycles costs cycles);
+  Fiber.yield ()
 
 (* The simulator's loops, verbatim, over free-running environments:
-   charging is a no-op and no DES effect is ever performed. *)
+   charging is a no-op and no DES effect is ever performed.  A loop's
+   [Fiber.yield] returns to its shard fiber ([start_loop]). *)
 let native_substrate shard =
+  let yield _ctx =
+    check_stop shard;
+    Fiber.yield ()
+  in
   {
     Substrate.make_env =
       (fun ctx ~core -> Env.make_freerun ~ctx ~hier:shard.backend.Backend.hier ~core);
-    idle = (fun _ctx -> pass_baton shard);
-    flush = (fun _ctx -> pass_baton shard);
+    idle = yield;
+    flush = yield;
     delay = (fun _ctx cycles -> sleep_cycles shard cycles);
   }
 
-(* Rtc shards run one worker fiber; Split shards run Mutps's CR and MR
+(* A loop ends only by raising, and [on_done] raises it on into the shard
+   fiber that ran the loop: [Fiber.Stop] ends the shard fiber quietly,
+   anything else reaches [Sched.run].  The parked loops are dropped. *)
+let start_loop shard i (name, body) =
+  let ctx = Simthread.detached ~name shard.backend.Backend.engine in
+  Fiber.run (fun () -> body ctx)
+    ~schedule:(fun resume -> shard.slots.(i) <- Some resume)
+    ~on_done:(fun err -> raise (Option.value err ~default:Fiber.Stop))
+
+let resume_loop shard i =
+  match shard.slots.(i) with
+  | None -> ()
+  | Some resume ->
+    shard.slots.(i) <- None;
+    resume ()
+
+(* One fiber runs a shard's loops, starting them all in its first turn so
+   the manager's clock starts at spawn.  A turn resumes the manager once
+   its deadline has passed, then runs local rounds — each loop to its
+   next yield, CR before MR — while the shard has work in flight, and
+   only then yields to the scheduler.  A round advances every op in
+   flight (the CR polls or reaps, the MR executes), so the drain ends and
+   a forward is answered in the turn that polled it.  Loops wait in fixed
+   slots, not a [Queue], whose cells would all be promoted (DESIGN.md
+   §11). *)
+let shard_fiber shard loops () =
+  Array.iteri (start_loop shard) loops;
+  while true do
+    if Option.is_some shard.slots.(manager_slot)
+       && Clock.now_ns () >= shard.wake_at
+    then resume_loop shard manager_slot;
+    while Atomic.get shard.nt.inflight > 0 do
+      for i = 0 to manager_slot - 1 do
+        resume_loop shard i
+      done
+    done;
+    check_stop shard;
+    Fiber.yield ()
+  done
+
+(* Rtc shards run one worker loop; Split shards run Mutps's CR and MR
    workers and its hot-set manager. *)
 let spawn_shard sched shard =
   let substrate = native_substrate shard in
-  let fiber name body =
-    let ctx = Simthread.detached ~name shard.backend.Backend.engine in
-    Sched.spawn sched (fun () ->
-        take_baton shard;
-        body ctx)
+  let loops =
+    match shard.kvs with
+    | Rtc_shard lock ->
+      [| ( "native-rtc",
+           Rtc.worker_body ~substrate shard.backend shard.tr ~lock ~worker:0
+             (Rtc.make_stats ()) ) |]
+    | Split_shard kv ->
+      [| ("native-cr", Mutps.worker_body ~substrate kv 0);
+         ("native-mr", Mutps.worker_body ~substrate kv 1);
+         ("native-manager", Mutps.manager_body ~substrate kv) |]
   in
-  match shard.kvs with
-  | Rtc_shard lock ->
-    fiber "native-rtc"
-      (Rtc.worker_body ~substrate shard.backend shard.tr ~lock ~worker:0
-         (Rtc.make_stats ()))
-  | Split_shard kv ->
-    fiber "native-cr" (Mutps.worker_body ~substrate kv 0);
-    fiber "native-mr" (Mutps.worker_body ~substrate kv 1);
-    fiber "native-manager" (Mutps.manager_body ~substrate kv)
+  Sched.spawn sched (shard_fiber shard loops)
 
 (* ------------------------------------------------------------------ *)
 (* Connections and the socket poller                                   *)
@@ -300,6 +314,12 @@ type conn = {
   mutable closing : bool;  (* close once every reply has been flushed *)
 }
 
+(* A client that pipelines requests and never reads the replies would
+   grow [obuf] without bound.  Past this many bytes, Valkey's
+   [client-output-buffer-limit] hard limit, no more replies are encoded
+   for it and the poller drops the connection. *)
+let obuf_limit = 16 * Request.max_size
+
 (* Release replies in ticket order: a completion may land out of order
    (different shards), so park it in [pending] and drain the prefix. *)
 let conn_complete conn ~ticket reply =
@@ -311,7 +331,8 @@ let conn_complete conn ~ticket reply =
     | Some r ->
       Hashtbl.remove conn.pending conn.next_out;
       conn.next_out <- conn.next_out + 1;
-      Resp.encode_reply conn.obuf r
+      if Buffer.length conn.obuf <= obuf_limit then
+        Resp.encode_reply conn.obuf r
     | None -> continue := false
   done;
   Mutex.unlock conn.out_lock
@@ -426,19 +447,22 @@ let conn_read st conn =
   | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) ->
     conn_drop st conn
 
-(* Move sequenced replies to the socket. *)
+(* Move sequenced replies to the socket, or drop a reader that let more
+   than [obuf_limit] bytes of them pile up. *)
 let conn_flush st conn =
-  if conn.woff >= String.length conn.wpend then begin
-    Mutex.lock conn.out_lock;
-    if Buffer.length conn.obuf > 0 then begin
-      conn.wpend <- Buffer.contents conn.obuf;
-      conn.woff <- 0;
-      Buffer.clear conn.obuf
-    end;
-    Mutex.unlock conn.out_lock
+  Mutex.lock conn.out_lock;
+  let overflowed = Buffer.length conn.obuf > obuf_limit in
+  if (not overflowed) && conn.woff >= String.length conn.wpend
+     && Buffer.length conn.obuf > 0
+  then begin
+    conn.wpend <- Buffer.contents conn.obuf;
+    conn.woff <- 0;
+    Buffer.clear conn.obuf
   end;
+  Mutex.unlock conn.out_lock;
   let len = String.length conn.wpend - conn.woff in
-  if len > 0 then begin
+  if overflowed then conn_drop st conn
+  else if len > 0 then begin
     match Unix.write_substring conn.fd conn.wpend conn.woff len with
     | n -> conn.woff <- conn.woff + n
     | exception
@@ -572,13 +596,10 @@ let poller_fiber st () =
   in
   let finished = ref false in
   while not !finished do
-    let now = Clock.now_ns () in
     (match deadline_ns with
-    | Some d when now >= d -> Atomic.set st.stop true
+    | Some d when Clock.now_ns () >= d -> Atomic.set st.stop true
     | Some _ | None -> ());
-    let stopping = Atomic.get st.stop in
-    Array.iter (fun shard -> wake shard ~now ~stopping) st.shards;
-    if stopping then begin
+    if Atomic.get st.stop then begin
       List.iter (close_conn st) st.live;
       st.live <- [];
       (try Unix.close st.lfd with Unix.Unix_error _ -> ());

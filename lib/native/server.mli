@@ -1,30 +1,32 @@
 (** Native socket server: the real-machine twin of the simulated KVS.
 
     A TCP or Unix-domain listener speaking {!Resp} feeds share-nothing
-    backend shards (key mod shards).  Each shard runs the simulator's own
-    loops — {!Mutps_kvs.Rtc.worker_body} for the run-to-completion systems
-    ([Rtc_pool]), or a 2-core {!Mutps_kvs.Mutps} ([Split]) — as {!Fiber}s
-    on the {!Sched} work-stealing pool, through a native
-    {!Mutps_kvs.Substrate}: free-running memory environments
-    ({!Mutps_mem.Env.make_freerun}), so no simulated charge or DES effect
-    is ever produced, fiber yields and wall-clock sleeps.  A shard's
-    fibers pass one baton, so at most one of them runs at a time, on any
-    domain; shards run in parallel.
+    backend shards (key mod shards).  Each shard is one fiber on the
+    {!Sched} work-stealing pool, running the simulator's own loops —
+    {!Mutps_kvs.Rtc.worker_body} for the run-to-completion systems
+    ([Rtc_pool]), or a 2-core {!Mutps_kvs.Mutps} ([Split]) — as coroutines
+    through a native {!Mutps_kvs.Substrate}: free-running memory
+    environments ({!Mutps_mem.Env.make_freerun}), so no simulated charge
+    or DES effect is ever produced, yields back to the shard fiber and
+    wall-clock sleeps.  So a shard's loops run one at a time, on any
+    domain, and a shard answers what it was given before it yields to the
+    scheduler; shards run in parallel.
 
     Per-connection replies are released in request order regardless of
     which shard fiber completes them.  One poller fiber serves every
     connection: each turn flushes the sequenced replies, makes one
     zero-timeout [Unix.select], and accepts or reads only where the
-    kernel reports readiness.  Starting a server sets SIGPIPE to ignored
-    for the whole process, so a vanished client costs only its own
-    connection. *)
+    kernel reports readiness.  A connection that lets about 64 MiB of
+    replies queue up unread is dropped.  Starting a server sets
+    SIGPIPE to ignored for the whole process, so a vanished client costs
+    only its own connection. *)
 
 type mode =
   | Rtc_pool of Mutps_kvs.Exec.lock_mode
       (** run-to-completion: [Locked] = BaseKV, [Exclusive] = eRPC-KV *)
   | Split
       (** μTPS: {!Mutps_kvs.Mutps.worker_body} as the CR and as the MR
-          fiber, {!Mutps_kvs.Mutps.manager_body} rebuilding the CR hot
+          loop, {!Mutps_kvs.Mutps.manager_body} rebuilding the CR hot
           set every 200 ms *)
 
 type listen = Unix_path of string | Tcp of string * int  (** host, port *)

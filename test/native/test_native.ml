@@ -497,7 +497,7 @@ let test_equivalence_mutps () =
 (* Server + loadgen smoke                                              *)
 (* ------------------------------------------------------------------ *)
 
-let test_serve_loadgen () =
+let test_serve_loadgen ?(domains = 3) () =
   let path = Filename.temp_file "mutps-smoke" ".sock" in
   Sys.remove path;
   let handle =
@@ -506,7 +506,7 @@ let test_serve_loadgen () =
         Server.default_config with
         Server.mode = Server.Split;
         listen = Server.Unix_path path;
-        domains = 3;
+        domains;
         shards = 2;
         keyspace = 512;
         value_size = 32;
@@ -592,7 +592,7 @@ let test_serve_ping_and_errors () =
 let poller_keyspace = 64
 let poller_value_size = 16
 
-let launch_poller_server ?(mode = Server.Split) name =
+let launch_poller_server ?(mode = Server.Split) ?(domains = 2) name =
   let path = Filename.temp_file name ".sock" in
   Sys.remove path;
   let handle =
@@ -601,7 +601,7 @@ let launch_poller_server ?(mode = Server.Split) name =
         Server.default_config with
         Server.mode;
         listen = Server.Unix_path path;
-        domains = 2;
+        domains;
         shards = 2;
         keyspace = poller_keyspace;
         value_size = poller_value_size;
@@ -636,6 +636,14 @@ let read_exactly fd n =
   done;
   Bytes.to_string buf
 
+(* Write in 64 KiB chunks, as a client sending a large value does. *)
+let write_chunked fd s =
+  let chunk = 65_536 in
+  for i = 0 to (String.length s - 1) / chunk do
+    let off = i * chunk in
+    write_all fd (String.sub s off (min chunk (String.length s - off)))
+  done
+
 let ping_ok fd =
   write_all fd (encode_cmd Resp.Ping);
   check_string "still serving" "+PONG\r\n" (read_exactly fd 7)
@@ -645,8 +653,8 @@ let ping_ok fd =
    misses, and a DEL, SET, GET of one key back to back, read again much
    later — and must come back in order, each answered exactly once; then
    a command split over two writes is reassembled. *)
-let test_poller_pipelined mode () =
-  let path, handle = launch_poller_server ~mode "mutps-pipe" in
+let test_poller_pipelined ?domains mode () =
+  let path, handle = launch_poller_server ~mode ?domains "mutps-pipe" in
   let fd = connect_unix path in
   let cmds = Buffer.create 16384 and want = Buffer.create 16384 in
   let add cmd reply =
@@ -847,18 +855,72 @@ let test_poller_bounded_frames () =
       Unix.close fd)
     oversized_frames;
   let fd = connect_unix path in
-  let set =
-    encode_cmd
-      (Resp.Set (900_000L, Bytes.make Mutps_queue.Request.max_size 'v'))
-  in
-  let chunk = 65_536 in
-  for i = 0 to (String.length set - 1) / chunk do
-    let off = i * chunk in
-    write_all fd (String.sub set off (min chunk (String.length set - off)))
-  done;
+  write_chunked fd
+    (encode_cmd
+       (Resp.Set (900_000L, Bytes.make Mutps_queue.Request.max_size 'v')));
   check_string "max-size SET answered" "+OK\r\n" (read_exactly fd 5);
   ping_ok fd;
   Unix.close fd;
+  Server.stop handle;
+  ignore (Server.wait handle)
+
+(* Read what arrives until the server closes [fd] or [timeout] seconds
+   pass, under a [select] timeout: the bytes delivered, and whether the
+   close came. *)
+let read_until_closed fd ~timeout =
+  let deadline = Unix.gettimeofday () +. timeout in
+  let buf = Bytes.create 65_536 in
+  let rec go got =
+    let left = deadline -. Unix.gettimeofday () in
+    if left <= 0.0 then (got, false)
+    else
+      match Unix.select [ fd ] [] [] left with
+      | [], _, _ -> (got, false)
+      | _ -> (
+        match Unix.read fd buf 0 (Bytes.length buf) with
+        | 0 -> (got, true)
+        | n -> go (got + n)
+        | exception Unix.Unix_error (Unix.ECONNRESET, _, _) -> (got, true))
+      | exception Unix.Unix_error (Unix.EINTR, _, _) -> go got
+  in
+  go 0
+
+(* A client that pipelines GETs of a max-size value and reads none of the
+   replies is dropped once its reply buffer passes the server's bound,
+   with fewer than all of them delivered; another client is unaffected.
+   A GET on the same shard (both keys are even) from a second connection,
+   answered after the pipelined ones since run-to-completion serves a
+   shard in order, makes sure every reply was produced before the first
+   client reads. *)
+let test_poller_slow_reader () =
+  let path, handle =
+    launch_poller_server ~mode:(Server.Rtc_pool Kvs.Exec.Locked) "mutps-slow"
+  in
+  let key = 900_000L and gets = 32 in
+  let value = Bytes.make Request.max_size 'v' in
+  let reader = connect_unix path in
+  write_chunked reader (encode_cmd (Resp.Set (key, value)));
+  check_string "max-size SET answered" "+OK\r\n" (read_exactly reader 5);
+  write_all reader
+    (String.concat "" (List.init gets (fun _ -> encode_cmd (Resp.Get key))));
+  let other = connect_unix path in
+  let barrier = 0L in
+  write_all other (encode_cmd (Resp.Get barrier));
+  let want =
+    Resp.reply_to_string
+      (Resp.Value (Mutps_net.Client.payload ~key:barrier ~size:poller_value_size))
+  in
+  check_string "same-shard GET answered" want
+    (read_exactly other (String.length want));
+  let delivered, closed = read_until_closed reader ~timeout:10.0 in
+  check_bool
+    (Printf.sprintf "slow reader dropped (%d bytes delivered)" delivered)
+    true closed;
+  check_bool "before every reply was delivered" true
+    (delivered < gets * String.length (Resp.reply_to_string (Resp.Value value)));
+  Unix.close reader;
+  ping_ok other;
+  Unix.close other;
   Server.stop handle;
   ignore (Server.wait handle)
 
@@ -905,7 +967,8 @@ let () =
         ] );
       ( "server",
         [
-          Alcotest.test_case "serve + loadgen" `Quick test_serve_loadgen;
+          Alcotest.test_case "serve + loadgen" `Quick
+            (fun () -> test_serve_loadgen ());
           Alcotest.test_case "ping and protocol errors" `Quick
             test_serve_ping_and_errors;
           Alcotest.test_case "pipelined writes, split" `Quick
@@ -922,5 +985,15 @@ let () =
             (test_poller_pipelined (Server.Rtc_pool Kvs.Exec.Exclusive));
           Alcotest.test_case "unbounded frames refused" `Quick
             test_poller_bounded_frames;
+          (* the ledger's setting: the poller and every shard fiber share
+             one scheduler domain *)
+          Alcotest.test_case "serve + loadgen, one domain" `Quick
+            (test_serve_loadgen ~domains:1);
+          Alcotest.test_case "pipelined writes, split, one domain" `Quick
+            (test_poller_pipelined ~domains:1 Server.Split);
+          Alcotest.test_case "pipelined writes, basekv, one domain" `Quick
+            (test_poller_pipelined ~domains:1 (Server.Rtc_pool Kvs.Exec.Locked));
+          Alcotest.test_case "slow reader dropped" `Quick
+            test_poller_slow_reader;
         ] );
     ]
