@@ -63,11 +63,6 @@ let all =
       description = "dynamic workload timeline with auto-tuner";
       run = Fig14.run;
     };
-    {
-      name = "native_serve";
-      description = "native-domains twin: real sockets, wall-clock (no gate)";
-      run = Native_serve.run;
-    };
   ]
 
 let find name = List.find_opt (fun e -> e.name = name) all

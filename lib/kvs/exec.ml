@@ -1,11 +1,14 @@
-(** Shared per-operation execution: locate/copy/respond sequences used by
-    the run-to-completion baselines and by both μTPS layers.  All memory
-    traffic is charged through the worker's {!Mutps_mem.Env}. *)
+(** The execution stage, one implementation for both thread models: index,
+    prefetch, copy and respond for a worker's batch of requests.  Only the
+    response's last step, [respond], differs between an RTC worker and
+    μTPS's MR layer.  All memory traffic is charged through the worker's
+    {!Mutps_mem.Env}. *)
 
 module Env = Mutps_mem.Env
 module Item = Mutps_store.Item
 module Index = Mutps_index.Index_intf
 module Request = Mutps_queue.Request
+module Hotcache = Mutps_hotset.Hotcache
 module Transport = Mutps_net.Transport
 module Message = Mutps_net.Message
 
@@ -15,93 +18,202 @@ type lock_mode = Locked | Exclusive
 
 let ack_bytes = 16
 
-(* Copy a value read from an item to a fresh response-buffer slot and
-   answer the request. *)
-let respond_item env (tr : Transport.t) ~worker ~seq value =
-  let bytes = ack_bytes + Bytes.length value in
-  let resp_addr = tr.Transport.resp_alloc ~worker ~bytes in
-  Env.tagged env "Exec.respond_item" (fun () ->
-      Env.store env ~addr:resp_addr ~size:bytes);
-  tr.Transport.post_response env ~seq ~resp_addr ~bytes ~value:(Some value)
+type respond =
+  Env.t -> seq:int -> resp_addr:int -> bytes:int -> value:bytes option -> unit
 
-let respond_missing env (tr : Transport.t) ~worker ~seq =
-  let resp_addr = tr.Transport.resp_alloc ~worker ~bytes:ack_bytes in
-  Env.tagged env "Exec.respond_missing" (fun () ->
-      Env.store env ~addr:resp_addr ~size:ack_bytes);
-  tr.Transport.post_response env ~seq ~resp_addr ~bytes:ack_bytes ~value:None
+(* The operands of the next tagged access: [Env.tagged] takes a thunk, so
+   the stage allocates its two thunks once and passes their operands
+   here instead of allocating a closure per access. *)
+type access = { mutable addr : int; mutable size : int }
 
-let respond_ack = respond_missing
+type t = {
+  env : Env.t;
+  index : Index.t;
+  slab : Mutps_store.Slab.t;
+  tr : Transport.t;
+  lock : lock_mode;
+  worker : int;
+  respond : respond;
+  hot : Hotcache.t option;
+  at : access;
+  load : unit -> unit;
+  store : unit -> unit;
+  (* the batch, in add order: request [i] came from rx slot [seqs.(i)] *)
+  mutable n : int;
+  seqs : int array;
+  msgs : Message.t array;
+  prefixes : (int64 * Item.t) list array;
+  slot : int array;  (* request i -> its position among the point keys *)
+  (* [batch_lookup] and [prefetch_batch] take a whole array, so there is
+     one of each length *)
+  keys_of_len : int64 array array;
+  addrs_of_len : int array array;
+  mutable keys : int64 array;
+  mutable located : Item.t option array;
+}
 
-let do_get env tr ~worker ~seq item_opt =
-  match item_opt with
-  | Some item -> respond_item env tr ~worker ~seq (Item.read env item)
-  | None -> respond_missing env tr ~worker ~seq
-
-(* A put reads its payload from the rx slot (it was DMAed there), updates
-   or creates the item, acks, and returns the item now holding the key. *)
-let do_put env tr ~lock ~index ~slab ~worker ~seq (msg : Message.t) item_opt =
-  let value =
-    match msg.Message.value with
-    | Some v -> v
-    | None -> invalid_arg "Exec.do_put: put without payload"
+let create ?hot (backend : Backend.t) tr ~lock ~worker ~respond env =
+  let batch = backend.Backend.config.Config.batch in
+  let at = { addr = 0; size = 0 } in
+  let no_msg =
+    { Message.id = -1; client = -1; sent_at = 0; target = -1;
+      req = Request.get ~key:0L ~buf:0; value = None }
   in
-  (* fetch the payload bytes from the network buffer *)
-  let payload_addr = tr.Transport.slot_addr seq + 16 in
-  Env.tagged env "Exec.do_put" (fun () ->
-      Env.load env ~addr:payload_addr ~size:(Bytes.length value));
-  let item =
-    match item_opt with
-    | Some item ->
-      (match lock with
-      | Locked -> Item.write env item value slab
-      | Exclusive -> Item.write_exclusive env item value slab);
-      item
-    | None ->
-      let item = Item.create slab ~value in
-      index.Index.insert env msg.Message.req.Request.key item;
-      item
-  in
-  respond_ack env tr ~worker ~seq;
-  item
+  {
+    env;
+    index = backend.Backend.index;
+    slab = backend.Backend.slab;
+    tr;
+    lock;
+    worker;
+    respond;
+    hot;
+    at;
+    load = (fun () -> Env.load env ~addr:at.addr ~size:at.size);
+    store = (fun () -> Env.store env ~addr:at.addr ~size:at.size);
+    n = 0;
+    seqs = Array.make batch 0;
+    msgs = Array.make batch no_msg;
+    prefixes = Array.make batch [];
+    slot = Array.make batch (-1);
+    keys_of_len = Array.init (batch + 1) (fun m -> Array.make m 0L);
+    addrs_of_len = Array.init (batch + 1) (fun m -> Array.make m 0);
+    keys = [||];
+    located = [||];
+  }
 
-let do_delete env tr ~index ~worker ~seq key =
-  ignore (index.Index.remove env key);
-  respond_ack env tr ~worker ~seq
+let tagged_access t site access ~addr ~size =
+  t.at.addr <- addr;
+  t.at.size <- size;
+  Env.tagged t.env site access
 
-(* A batch looks every key up once, before its first op executes, so a
-   DEL or an insert must re-point what the batch's later ops on that key
-   find.  Bookkeeping only: no index access, no charge. *)
-let relocate keys located ~from key item =
-  for j = from to Array.length located - 1 do
-    if Int64.equal keys.(j) key then located.(j) <- item
+let payload t ~seq (msg : Message.t) =
+  match msg.Message.value with
+  | Some value ->
+    tagged_access t "Exec.payload" t.load
+      ~addr:(t.tr.Transport.slot_addr seq + 16)
+      ~size:(Bytes.length value);
+    value
+  | None -> invalid_arg "Exec.payload: put without payload"
+
+let respond_with t site ~seq ~bytes ~alloc value =
+  let resp_addr = t.tr.Transport.resp_alloc ~worker:t.worker ~bytes:alloc in
+  tagged_access t site t.store ~addr:resp_addr ~size:alloc;
+  t.respond t.env ~seq ~resp_addr ~bytes ~value
+
+let reply t ~seq value =
+  match value with
+  | Some v ->
+    let bytes = ack_bytes + Bytes.length v in
+    respond_with t "Exec.respond_item" ~seq ~bytes ~alloc:bytes value
+  | None ->
+    respond_with t "Exec.respond_missing" ~seq ~bytes:ack_bytes
+      ~alloc:ack_bytes None
+
+let add t ~seq ~prefix msg =
+  let i = t.n in
+  t.seqs.(i) <- seq;
+  t.msgs.(i) <- msg;
+  t.prefixes.(i) <- prefix;
+  t.n <- i + 1
+
+let locate t =
+  let n = t.n in
+  t.n <- 0;
+  let m = ref 0 in
+  for i = 0 to n - 1 do
+    match t.msgs.(i).Message.req.Request.kind with
+    | Request.Scan -> t.slot.(i) <- -1
+    | Request.Get | Request.Put | Request.Delete ->
+      t.slot.(i) <- !m;
+      incr m
+  done;
+  let keys = t.keys_of_len.(!m) in
+  for i = 0 to n - 1 do
+    if t.slot.(i) >= 0 then
+      keys.(t.slot.(i)) <- t.msgs.(i).Message.req.Request.key
+  done;
+  let located = t.index.Index.batch_lookup t.env keys in
+  t.keys <- keys;
+  t.located <- located;
+  let found = ref 0 in
+  for j = 0 to Array.length located - 1 do
+    if Option.is_some located.(j) then incr found
+  done;
+  if !found > 0 then begin
+    let addrs = t.addrs_of_len.(!found) in
+    let k = ref 0 in
+    for j = 0 to Array.length located - 1 do
+      match located.(j) with
+      | Some item ->
+        addrs.(!k) <- Item.addr item;
+        incr k
+      | None -> ()
+    done;
+    Env.prefetch_batch t.env addrs
+  end
+
+(* The batch looked every key up before its first request ran, so a DEL
+   ([None]) or an insert ([Some item]) re-points the batch's later
+   positions of its key.  Bookkeeping only: no index access, no charge. *)
+let relocate t ~from key item =
+  for j = from to Array.length t.located - 1 do
+    if Int64.equal t.keys.(j) key then t.located.(j) <- item
   done
 
-(* Range scan: [prefix] carries entries already copied by the CR layer
-   (cooperative scans, §4); [skip] marks keys whose items need not be read
-   again.  The response carries every returned item. *)
-let do_scan env tr ~index ~worker ~seq ~key ~count ?(skip = fun _ -> false)
-    ?(prefix = []) () =
-  let wanted = count - List.length prefix in
-  let rest = if wanted > 0 then index.Index.range env ~lo:key ~n:count else [] in
-  let copied = ref 0 and bytes = ref ack_bytes in
-  let add_item (k, item) =
-    if !copied < count then begin
-      if not (skip k) then begin
-        let v = Item.read env item in
-        bytes := !bytes + 16 + Bytes.length v
-      end
-      else bytes := !bytes + 16 + Item.size item;
-      incr copied
-    end
+(* The CR layer already copied [prefix] (cooperative scans, §4) and
+   answers the hot set's items, so neither is read again: only their
+   bytes are counted. *)
+let scan t ~seq ~key ~count prefix =
+  let rest =
+    if count > 0 then t.index.Index.range t.env ~lo:key ~n:count else []
   in
-  List.iter add_item prefix;
-  (* avoid double-counting keys present in both prefix and index walk *)
-  let prefix_keys = List.map fst prefix in
+  let copied = ref 0 and bytes = ref ack_bytes in
+  let add_bytes n =
+    bytes := !bytes + 16 + n;
+    incr copied
+  in
+  List.iter
+    (fun (_, item) -> if !copied < count then add_bytes (Item.size item))
+    prefix;
   List.iter
     (fun (k, item) ->
-      if not (List.mem k prefix_keys) then add_item (k, item))
+      if !copied < count && not (List.mem_assoc k prefix) then
+        match t.hot with
+        | Some hot when Hotcache.mem_silent hot k -> add_bytes (Item.size item)
+        | Some _ | None -> add_bytes (Bytes.length (Item.read t.env item)))
     rest;
-  let resp_addr = tr.Transport.resp_alloc ~worker ~bytes:(min !bytes 32_768) in
-  Env.tagged env "Exec.do_scan" (fun () ->
-      Env.store env ~addr:resp_addr ~size:(min !bytes 32_768));
-  tr.Transport.post_response env ~seq ~resp_addr ~bytes:!bytes ~value:None
+  respond_with t "Exec.respond_scan" ~seq ~bytes:!bytes
+    ~alloc:(min !bytes 32_768) None
+
+let execute t i =
+  let seq = t.seqs.(i) and msg = t.msgs.(i) in
+  let req = msg.Message.req in
+  let key = req.Request.key in
+  let j = t.slot.(i) in
+  match req.Request.kind with
+  | Request.Get -> (
+    match t.located.(j) with
+    | Some item -> reply t ~seq (Some (Item.read t.env item))
+    | None -> reply t ~seq None)
+  | Request.Put ->
+    let value = payload t ~seq msg in
+    (match (t.located.(j), t.lock) with
+    | Some item, Locked -> Item.write t.env item value t.slab
+    | Some item, Exclusive -> Item.write_exclusive t.env item value t.slab
+    | None, (Locked | Exclusive) ->
+      let item = Item.create t.slab ~value in
+      t.index.Index.insert t.env key item;
+      relocate t ~from:(j + 1) key (Some item));
+    reply t ~seq None
+  | Request.Delete ->
+    ignore (t.index.Index.remove t.env key);
+    (* a reference that outlived the index entry (the CR hot set) must
+       see the item is gone *)
+    (match t.located.(j) with
+    | Some item -> Item.retire t.env item
+    | None -> ());
+    relocate t ~from:(j + 1) key None;
+    reply t ~seq None
+  | Request.Scan ->
+    scan t ~seq ~key ~count:req.Request.scan_count t.prefixes.(i)

@@ -255,25 +255,22 @@ let enqueue t env w st fwd =
 (* Serve a request entirely at the CR layer, unless its hot item is
    retired (its key was deleted): then the hit, counted where the
    simulated timeline observes it, is taken back and the caller forwards. *)
-let cr_hot_get t env w ~seq item =
+let cr_hot_get t ex env ~seq item =
   t.cr_hits <- t.cr_hits + 1;
   match Item.read_live env item with
-  | Some value ->
-    Exec.respond_item env t.transport ~worker:w ~seq value;
+  | Some _ as value ->
+    Exec.reply ex ~seq value;
     t.responded <- t.responded + 1;
     true
   | None ->
     t.cr_hits <- t.cr_hits - 1;
     false
 
-let cr_hot_put t env w ~seq (msg : Message.t) item =
+let cr_hot_put t ex env ~seq msg item =
   t.cr_hits <- t.cr_hits + 1;
-  let value = Option.get msg.Message.value in
-  Env.load env
-    ~addr:(t.transport.Transport.slot_addr seq + 16)
-    ~size:(Bytes.length value);
+  let value = Exec.payload ex ~seq msg in
   if Item.write_live env item value t.backend.Backend.slab then begin
-    Exec.respond_ack env t.transport ~worker:w ~seq;
+    Exec.reply ex ~seq None;
     t.responded <- t.responded + 1;
     true
   end
@@ -300,7 +297,7 @@ let cr_reap t env w =
   done;
   !progressed
 
-let cr_step t env w st =
+let cr_step t ex env w st =
   let cfg = t.backend.Backend.config in
   let progressed = ref (cr_reap t env w) in
   (* backpressure: with a full pending batch that will not flush (MR rings
@@ -320,8 +317,8 @@ let cr_step t env w st =
         match Hotcache.find t.hotcache env key with
         | None -> false
         | Some item when req.Request.kind = Request.Get ->
-          cr_hot_get t env w ~seq item
-        | Some item -> cr_hot_put t env w ~seq msg item
+          cr_hot_get t ex env ~seq item
+        | Some item -> cr_hot_put t ex env ~seq msg item
       in
       if not served then enqueue t env w st (Fwd.make ~seq ~cr:w ~msg ~prefix:[])
     | Request.Delete ->
@@ -364,166 +361,37 @@ let cr_step t env w st =
 
 (* --- MR layer (§3.3) --- *)
 
-let mr_prepare_get t env ~mr (fwd : Fwd.t) item_opt =
-  match item_opt with
-  | Some item ->
-    let value = Item.read env item in
-    let bytes = Exec.ack_bytes + Bytes.length value in
-    (* responses are written into the MR thread's own response buffer so
-       the CR layer's buffer lines are never dirtied cross-core (§3.3:
-       the CR layer never touches MR-written responses, the NIC does) *)
-    let resp_addr = t.transport.Transport.resp_alloc ~worker:mr ~bytes in
-    Env.store env ~addr:resp_addr ~size:bytes;
-    fwd.Fwd.resp_addr <- resp_addr;
-    fwd.Fwd.resp_bytes <- bytes;
-    fwd.Fwd.resp_value <- Some value
-  | None ->
-    let resp_addr =
-      t.transport.Transport.resp_alloc ~worker:mr ~bytes:Exec.ack_bytes
-    in
-    Env.store env ~addr:resp_addr ~size:Exec.ack_bytes;
-    fwd.Fwd.resp_addr <- resp_addr;
-    fwd.Fwd.resp_bytes <- Exec.ack_bytes
+(* The MR layer's [respond] is §3.4's tail-pointer piggyback: an MR
+   thread never posts to the NIC.  It writes each response into its own
+   response buffer, so the CR layer's buffer lines are never dirtied
+   cross-core, and records its place in the forwarded request; the CR
+   thread posts it after reaping the completed batch. *)
+type mr_state = { mutable fwds : Fwd.t array; mutable at : int }
 
-let mr_prepare_ack t env ~mr (fwd : Fwd.t) =
-  let resp_addr =
-    t.transport.Transport.resp_alloc ~worker:mr ~bytes:Exec.ack_bytes
-  in
-  Env.store env ~addr:resp_addr ~size:Exec.ack_bytes;
+let record mr _env ~seq:_ ~resp_addr ~bytes ~value =
+  let fwd = mr.fwds.(mr.at) in
   fwd.Fwd.resp_addr <- resp_addr;
-  fwd.Fwd.resp_bytes <- Exec.ack_bytes
+  fwd.Fwd.resp_bytes <- bytes;
+  fwd.Fwd.resp_value <- value
 
-(* returns the item now holding the key *)
-let mr_prepare_put t env ~mr (fwd : Fwd.t) item_opt =
-  let msg = fwd.Fwd.msg in
-  let value = Option.get msg.Message.value in
-  (* data copied straight from the rx slot, not through the CR-MR queue *)
-  Env.load env
-    ~addr:(t.transport.Transport.slot_addr fwd.Fwd.seq + 16)
-    ~size:(Bytes.length value);
-  let item =
-    match item_opt with
-    | Some item ->
-      Item.write env item value t.backend.Backend.slab;
-      item
-    | None ->
-      let item = Item.create t.backend.Backend.slab ~value in
-      t.backend.Backend.index.Index.insert env msg.Message.req.Request.key item;
-      item
-  in
-  mr_prepare_ack t env ~mr fwd;
-  item
-
-let mr_prepare_scan t env ~mr (fwd : Fwd.t) =
-  let req = fwd.Fwd.msg.Message.req in
-  let count = req.Request.scan_count in
-  let prefix_keys = List.map fst fwd.Fwd.prefix in
-  let rest =
-    t.backend.Backend.index.Index.range env ~lo:req.Request.key ~n:count
-  in
-  let copied = ref 0 and bytes = ref Exec.ack_bytes in
-  List.iter
-    (fun (_, item) ->
-      (* CR already copied these; count their bytes only *)
-      if !copied < count then begin
-        bytes := !bytes + 16 + Item.size item;
-        incr copied
-      end)
-    fwd.Fwd.prefix;
-  List.iter
-    (fun (k, item) ->
-      if !copied < count && not (List.mem k prefix_keys) then begin
-        (* skip the read for items the cache layer handled *)
-        if Hotcache.mem_silent t.hotcache k then
-          bytes := !bytes + 16 + Item.size item
-        else begin
-          let v = Item.read env item in
-          bytes := !bytes + 16 + Bytes.length v
-        end;
-        incr copied
-      end)
-    rest;
-  let alloc = min !bytes 32_768 in
-  let resp_addr = t.transport.Transport.resp_alloc ~worker:mr ~bytes:alloc in
-  Env.store env ~addr:resp_addr ~size:alloc;
-  fwd.Fwd.resp_addr <- resp_addr;
-  fwd.Fwd.resp_bytes <- !bytes
-
-let mr_step t env w =
+let mr_step t ex mr env w =
   match Crmr.next_batch t.crmr env ~mr:w ~sources:t.cr_list with
   | None -> false
   | Some (cr, batch) ->
-    let index = t.backend.Backend.index in
-    (* batched prefetch-overlapped indexing over the point ops.  Point
-       ops keep their batch order, so lookup results align positionally
-       with a second walk over the batch; a DEL or an insert re-points
-       the later positions of its key ([Exec.relocate]). *)
-    let is_point (fwd : Fwd.t) =
-      match fwd.Fwd.msg.Message.req.Request.kind with
-      | Request.Get | Request.Put | Request.Delete -> true
-      | Request.Scan -> false
-    in
-    let n_point =
-      Array.fold_left (fun c fwd -> if is_point fwd then c + 1 else c) 0 batch
-    in
-    let point_keys = Array.make n_point 0L in
-    let k = ref 0 in
-    Array.iter
-      (fun (fwd : Fwd.t) ->
-        if is_point fwd then begin
-          point_keys.(!k) <- fwd.Fwd.msg.Message.req.Request.key;
-          incr k
-        end)
-      batch;
-    let located = index.Index.batch_lookup env point_keys in
-    (* overlap the data-item fetches too (§3.3: batching covers the copy
-       stage's cache misses as well) *)
-    let n_addr =
-      Array.fold_left
-        (fun c item -> match item with Some _ -> c + 1 | None -> c)
-        0 located
-    in
-    if n_addr > 0 then begin
-      let item_addrs = Array.make n_addr 0 in
-      let k = ref 0 in
-      Array.iter
-        (fun item ->
-          match item with
-          | Some it ->
-            item_addrs.(!k) <- Item.addr it;
-            incr k
-          | None -> ())
-        located;
-      Env.prefetch_batch env item_addrs
-    end;
-    let k = ref 0 in
-    Array.iter
-      (fun (fwd : Fwd.t) ->
-        let req = fwd.Fwd.msg.Message.req in
-        let key = req.Request.key in
-        match req.Request.kind with
-        | Request.Get ->
-          let item = located.(!k) in
-          incr k;
-          mr_prepare_get t env ~mr:w fwd item
-        | Request.Put ->
-          let item = located.(!k) in
-          incr k;
-          let written = mr_prepare_put t env ~mr:w fwd item in
-          if Option.is_none item then
-            Exec.relocate point_keys located ~from:!k key (Some written)
-        | Request.Delete ->
-          let item = located.(!k) in
-          incr k;
-          ignore (index.Index.remove env key);
-          (match item with Some item -> Item.retire env item | None -> ());
-          Exec.relocate point_keys located ~from:!k key None;
-          mr_prepare_ack t env ~mr:w fwd
-        | Request.Scan -> mr_prepare_scan t env ~mr:w fwd)
-      batch;
+    let n = Array.length batch in
+    for i = 0 to n - 1 do
+      let fwd = batch.(i) in
+      Exec.add ex ~seq:fwd.Fwd.seq ~prefix:fwd.Fwd.prefix fwd.Fwd.msg
+    done;
+    Exec.locate ex;
+    mr.fwds <- batch;
+    for i = 0 to n - 1 do
+      mr.at <- i;
+      Exec.execute ex i
+    done;
     (* tail-pointer advance = completion signal (§3.4) *)
     Crmr.complete t.crmr env ~cr ~mr:w;
-    t.mr_ops <- t.mr_ops + Array.length batch;
+    t.mr_ops <- t.mr_ops + n;
     t.mr_scans <- t.mr_scans + 1;
     true
 
@@ -568,6 +436,18 @@ let worker_body ?substrate t w ctx =
     Option.value substrate ~default:(Substrate.sim cfg ~hier:t.backend.Backend.hier)
   in
   let env = sub.Substrate.make_env ctx ~core:w in
+  let tr = t.transport in
+  (* one execution stage per role: the CR layer's hot hits answer through
+     the transport, the MR layer's batches through [record] *)
+  let cr_ex =
+    Exec.create t.backend tr ~lock:Exec.Locked ~worker:w
+      ~respond:tr.Transport.post_response env
+  in
+  let mr = { fwds = [||]; at = 0 } in
+  let mr_ex =
+    Exec.create ~hot:t.hotcache t.backend tr ~lock:Exec.Locked ~worker:w
+      ~respond:(record mr) env
+  in
   let st = { pending = []; pending_n = 0; oldest_at = 0 } in
   (* hoisted: the empty-poll path runs millions of times per worker and
      must not allocate a fresh idle thunk each iteration *)
@@ -576,8 +456,8 @@ let worker_body ?substrate t w ctx =
     let before = Simthread.now ctx in
     let progressed =
       match t.current.(w) with
-      | Cr -> cr_step t env w st
-      | Mr -> mr_step t env w
+      | Cr -> cr_step t cr_ex env w st
+      | Mr -> mr_step t mr_ex mr env w
     in
     if not progressed then begin
       if t.desired.(w) <> t.current.(w) then try_switch_when_idle t env w st;

@@ -30,6 +30,7 @@ type t = {
   mutable completed : int;
   mutable sent : int;
   mutable recording : bool;
+  mutable stopped : bool;
   mutable hook : (Opgen.op -> bytes option -> unit) option;
 }
 
@@ -92,7 +93,7 @@ let on_response t (msg : Message.t) value =
     (match t.hook with Some f -> f op value | None -> ())
   | None -> ());
   (* closed loop: next request from the same client *)
-  issue t msg.Message.client
+  if not t.stopped then issue t msg.Message.client
 
 let start ~engine ~link ~transport cfg =
   if cfg.clients <= 0 || cfg.window <= 0 then invalid_arg "Client.start";
@@ -113,6 +114,7 @@ let start ~engine ~link ~transport cfg =
       completed = 0;
       sent = 0;
       recording = true;
+      stopped = false;
       hook = None;
     }
   in
@@ -147,4 +149,6 @@ let reset_stats t =
   t.sent <- 0
 
 let set_recording t on = t.recording <- on
+let stop t = t.stopped <- true
+let outstanding t = Hashtbl.length t.in_flight
 let on_completion t f = t.hook <- Some f

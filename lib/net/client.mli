@@ -54,6 +54,16 @@ val set_recording : t -> bool -> unit
     used by the interval sampler's functional-warming regime.  On by
     default. *)
 
+val stop : t -> unit
+(** Open the loop: from now on a response issues no new request, so the
+    requests in flight drain. *)
+
+val outstanding : t -> int
+(** Requests sent and not yet answered.  After {!stop} and a drain,
+    [outstanding = 0] and [sent = completed] say that every request was
+    answered exactly once: a lost reply stays outstanding, a doubled one
+    counts twice in {!completed}. *)
+
 val payload : key:int64 -> size:int -> bytes
 (** Deterministic put payload for a key — lets tests verify end-to-end
     value integrity. *)

@@ -10,7 +10,7 @@ let test_registry_complete () =
   (* every table and figure of the paper's evaluation must be present *)
   let expected =
     [ "table1"; "fig2a"; "fig2b"; "fig2c"; "fig7"; "fig8a"; "fig8bc";
-      "fig9"; "fig10"; "fig11"; "fig12"; "fig13"; "fig14"; "native_serve" ]
+      "fig9"; "fig10"; "fig11"; "fig12"; "fig13"; "fig14" ]
   in
   List.iter
     (fun name ->

@@ -1,4 +1,4 @@
-(* Operation-execution level tests: Exec helpers, the RTC worker loop,
+(* Operation-execution level tests: the execution stage, the RTC worker loop,
    CR-MR backpressure, deletes, and transport edge cases driven through
    real (small) systems. *)
 
@@ -24,8 +24,18 @@ let small_config ?(cores = 4) ?(index = Config.Tree) () =
   let c = Config.default ~cores ~index ~capacity:keyspace () in
   { c with Config.hot_k = 128; refresh_cycles = 2_000_000; sample_every = 4 }
 
+(* Exactly-once accounting: stop the clients, let what is in flight land
+   within a bounded window, then every request must have been answered,
+   and only once. *)
+let check_exactly_once engine clients =
+  Client.stop clients;
+  Engine.run engine ~until:(Engine.now engine + 5_000_000);
+  check_int "nothing outstanding" 0 (Client.outstanding clients);
+  check_int "every request answered once" (Client.sent clients)
+    (Client.completed clients)
+
 (* ------------------------------------------------------------------ *)
-(* Exec helpers through a raw transport                                *)
+(* The execution stage through a raw transport                        *)
 (* ------------------------------------------------------------------ *)
 
 (* A little fixture: backend + reconfigurable RPC with one worker, and a
@@ -59,31 +69,20 @@ let inject f req value =
     { Message.id; client = 0; sent_at = 0; target = -1; req; value };
   id
 
+(* One worker running the execution stage on batches of one request. *)
 let drain f ~ops =
   Simthread.spawn f.backend.Backend.engine (fun ctx ->
       let env = Env.make ~ctx ~hier:f.backend.Backend.hier ~core:0 in
+      let ex =
+        Exec.create f.backend f.tr ~lock:Exec.Locked ~worker:0
+          ~respond:f.tr.Transport.post_response env
+      in
       for _ = 1 to ops do
         match f.tr.Transport.poll env ~worker:0 with
-        | Some (seq, msg) -> (
-          let req = msg.Message.req in
-          let key = req.Request.key in
-          let item =
-            if req.Request.kind = Request.Scan then None
-            else f.backend.Backend.index.Index.lookup env key
-          in
-          match req.Request.kind with
-          | Request.Get -> Exec.do_get env f.tr ~worker:0 ~seq item
-          | Request.Put ->
-            ignore
-              (Exec.do_put env f.tr ~lock:Exec.Locked
-                 ~index:f.backend.Backend.index ~slab:f.backend.Backend.slab
-                 ~worker:0 ~seq msg item)
-          | Request.Delete ->
-            Exec.do_delete env f.tr ~index:f.backend.Backend.index ~worker:0
-              ~seq key
-          | Request.Scan ->
-            Exec.do_scan env f.tr ~index:f.backend.Backend.index ~worker:0
-              ~seq ~key ~count:req.Request.scan_count ())
+        | Some (seq, msg) ->
+          Exec.add ex ~seq ~prefix:[] msg;
+          Exec.locate ex;
+          Exec.execute ex 0
         | None -> Simthread.delay ctx 100
       done);
   Engine.run_all f.backend.Backend.engine
@@ -187,7 +186,8 @@ let test_rtc_mixed_batch_with_deletes () =
   in
   let kv, clients = run_basekv ~spec ~horizon:15_000_000 ~clients:4 in
   check_bool "mixed workload progresses" true (Client.completed clients > 300);
-  check_bool "ops counted" true (Basekv.ops_processed kv > 300)
+  check_bool "ops counted" true (Basekv.ops_processed kv > 300);
+  check_exactly_once (Basekv.backend kv).Backend.engine clients
 
 let test_rtc_batches_amortize () =
   (* ops processed per batch should exceed 1 under load *)
@@ -220,7 +220,7 @@ let test_mutps_tiny_rings_no_crash () =
   check_bool
     (Printf.sprintf "progress under tiny rings (%d)" done_)
     true (done_ > 200);
-  check_bool "closed loop conserved" true (Client.sent clients - done_ <= 64)
+  check_exactly_once b.Backend.engine clients
 
 let test_mutps_batch_one () =
   (* batch size 1 is the degenerate-but-legal configuration of Figure 12 *)
@@ -265,7 +265,8 @@ let test_mutps_delete_via_layers () =
   check_bool "delete mix progresses" true (Client.completed clients > 300);
   (* some keys must actually have disappeared *)
   check_bool "index shrank" true
-    (b.Backend.index.Index.count () < keyspace)
+    (b.Backend.index.Index.count () < keyspace);
+  check_exactly_once b.Backend.engine clients
 
 (* A key in the CR hot set is deleted: the DEL must win over the cached
    item, and a SET after the DEL must still be there once the next

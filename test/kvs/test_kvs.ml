@@ -85,6 +85,16 @@ let run_system sys ~spec ~horizon ~clients:n =
 
 let horizon = 20_000_000 (* 8 ms of simulated time *)
 
+(* Exactly-once accounting: stop the clients, let what is in flight land
+   within a bounded window, then every request must have been answered,
+   and only once. *)
+let check_exactly_once name engine clients =
+  Client.stop clients;
+  Engine.run engine ~until:(Engine.now engine + 5_000_000);
+  check_int (name ^ ": nothing outstanding") 0 (Client.outstanding clients);
+  check_int (name ^ ": every request answered once") (Client.sent clients)
+    (Client.completed clients)
+
 (* ------------------------------------------------------------------ *)
 (* End-to-end correctness per system                                   *)
 (* ------------------------------------------------------------------ *)
@@ -96,8 +106,7 @@ let test_end_to_end name build =
   let done_ = Client.completed clients in
   check_bool (Printf.sprintf "%s: completed %d > 500" name done_) true (done_ > 500);
   check_int (name ^ ": value corruption") 0 failures;
-  check_bool (name ^ ": bounded outstanding") true
-    (Client.sent clients - done_ <= 16)
+  check_exactly_once name sys.engine clients
 
 let test_basekv_end_to_end () = test_end_to_end "basekv" build_basekv
 let test_erpckv_end_to_end () = test_end_to_end "erpckv" build_erpckv
@@ -108,7 +117,8 @@ let test_mutps_hash_end_to_end () =
   let sys = build_mutps (small_config ~index:Config.Hash ()) in
   let clients, failures = run_system sys ~spec ~horizon ~clients:8 in
   check_bool "hash variant progresses" true (Client.completed clients > 500);
-  check_int "hash variant corruption" 0 failures
+  check_int "hash variant corruption" 0 failures;
+  check_exactly_once "hash variant" sys.engine clients
 
 (* ------------------------------------------------------------------ *)
 (* μTPS-specific behaviour                                             *)
@@ -192,9 +202,8 @@ let test_mutps_reconfigure_under_load () =
   check_bool "settled after shrink" true (Mutps.reconfig_settled kv);
   check_bool "progress across shrink" true (Client.completed clients > mid + 200);
   check_int "no corruption through reconfigs" 0 !failures;
-  (* reconfiguration must never leak a request: every client slot alive *)
-  check_bool "no lost messages across reconfigs" true
-    (Client.sent clients - Client.completed clients <= 16)
+  (* reconfiguration must never leak or double a request *)
+  check_exactly_once "across reconfigs" sys.engine clients
 
 let test_mutps_hot_resize_under_load () =
   let spec =
@@ -443,8 +452,7 @@ let test_reconfig_stress_random () =
   check_bool "still serving after storm" true
     (Client.completed clients > before + 200);
   check_int "no corruption through the storm" 0 !failures;
-  check_bool "no lost messages through the storm" true
-    (Client.sent clients - Client.completed clients <= 16)
+  check_exactly_once "through the storm" sys.engine clients
 
 let () =
   Alcotest.run "kvs" ~and_exit:true

@@ -474,24 +474,39 @@ let generated_ops n =
       | Request.Put -> Eput (op.Opgen.key, max 1 op.Opgen.size)
       | Request.Delete -> Edel op.Opgen.key)
 
-let check_equivalence system mode ops =
-  let sim, cr_hits = sim_replies system ops in
-  let native = native_replies mode ops in
+let check_same_replies a b =
+  check_int "same reply count" (List.length a) (List.length b);
+  List.iteri
+    (fun i (x, y) ->
+      check_string (Printf.sprintf "reply %d byte-identical" i) x y)
+    (List.combine a b)
+
+let checked_sim_replies system ops =
+  let replies, cr_hits = sim_replies system ops in
   if system = `Mutps then
     check_bool "the simulated CR layer answered from its hot set" true
       (cr_hits > 0);
-  check_int "same reply count" (List.length sim) (List.length native);
-  List.iteri
-    (fun i (s, n) ->
-      check_string (Printf.sprintf "reply %d byte-identical" i) s n)
-    (List.combine sim native)
+  replies
+
+let equivalence_ops = scripted_ops @ generated_ops 150
+
+let check_equivalence system mode ops =
+  let sim = checked_sim_replies system ops in
+  check_same_replies sim (native_replies mode ops)
 
 let test_equivalence_basekv () =
   check_equivalence `Basekv (Server.Rtc_pool Kvs.Exec.Locked)
-    (scripted_ops @ generated_ops 150)
+    equivalence_ops
 
 let test_equivalence_mutps () =
-  check_equivalence `Mutps Server.Split (scripted_ops @ generated_ops 150)
+  check_equivalence `Mutps Server.Split equivalence_ops
+
+(* The two thread models run one execution stage, so the simulated BaseKV
+   and the simulated μTPS, its hot set live, answer alike. *)
+let test_equivalence_thread_models () =
+  check_same_replies
+    (checked_sim_replies `Basekv equivalence_ops)
+    (checked_sim_replies `Mutps equivalence_ops)
 
 (* ------------------------------------------------------------------ *)
 (* Server + loadgen smoke                                              *)
@@ -964,6 +979,8 @@ let () =
             test_equivalence_basekv;
           Alcotest.test_case "uTPS sim = native split" `Quick
             test_equivalence_mutps;
+          Alcotest.test_case "basekv sim = uTPS sim" `Quick
+            test_equivalence_thread_models;
         ] );
       ( "server",
         [

@@ -1,12 +1,10 @@
-(* Engine-equivalence regression: every deterministic experiment must
+(* Engine-equivalence regression: every experiment must
    produce byte-identical canonical Report JSON across scheduler
    rewrites.  The committed golden (test/golden/experiment_digests.json)
    was generated with the pre-calendar-queue binary-heap engine, so a
    green run proves the calendar queue preserves the (time, seq) total
    order on every real schedule the evaluation exercises — not just on
    the QCheck-generated ones.
-
-   native_serve is excluded: its rows carry wall-clock metrics by design.
 
    Regenerate (after an intentional cost-model or protocol change) with:
      MUTPS_UPDATE_GOLDEN=$PWD/test/golden/experiment_digests.json \
@@ -28,11 +26,6 @@ let scale =
     measure = 250_000;
     sample = None;
   }
-
-let deterministic =
-  List.filter
-    (fun (e : Registry.entry) -> e.Registry.name <> "native_serve")
-    Registry.all
 
 let digest_of (e : Registry.entry) =
   let buf = Buffer.create 4096 in
@@ -84,7 +77,7 @@ let () =
   match Sys.getenv_opt "MUTPS_UPDATE_GOLDEN" with
   | Some out ->
     let entries =
-      List.map (fun e -> (e.Registry.name, digest_of e)) deterministic
+      List.map (fun e -> (e.Registry.name, digest_of e)) Registry.all
     in
     let oc = open_out_bin out in
     output_string oc (golden_to_string entries);
@@ -108,5 +101,5 @@ let () =
           List.map
             (fun (e : Registry.entry) ->
               Alcotest.test_case e.Registry.name `Quick (check e))
-            deterministic );
+            Registry.all );
       ]
