@@ -1,26 +1,25 @@
 (* Driver for the determinism & charge-discipline lint, the
    zero-allocation certifier and the domain-safety certifier (lib/lint).
 
-   Usage: mutps_lint [--format text|json] [--intra-only]
-                     [--strict-suppressions] [--lock-graph FILE]
-                     [DIR-OR-FILE ...]
+   Usage: mutps_lint [--format text|json] [--strict-suppressions]
+                     [--lock-graph FILE] [DIR-OR-FILE ...]
                                           (default roots: lib bin bench examples)
 
-   Runs in project mode: every file is parsed once and checked with the
-   intra-procedural rules (R1/R2/R4 plus everything but the lexical R3).
-   The parsed files then become one closed world (lib/lint/world.ml: one
-   walk over the top-level bindings, one function index and resolver,
-   one suppression registry, one worklist) that three client passes
-   judge: the interprocedural charge pass (interp.ml), which refines R3
-   across call sites and catches R2 leaks through sanctioned raw-access
-   helpers; the allocation certifier (alloc.ml), which proves every
+   Every file is parsed once and checked with the per-file rules (R1,
+   R2, R4).  The parsed files then become one closed world
+   (lib/lint/world.ml: one walk over the top-level bindings, one function
+   index and resolver, one suppression registry, one worklist) that three
+   client passes judge: the interprocedural charge pass (interp.ml), the
+   one R3 rule, which judges commits across call sites and catches R2
+   leaks through sanctioned raw-access helpers; the allocation certifier
+   (alloc.ml), which proves every
    function reachable from a [@hot] root free of heap allocation (A1),
    boxing (A2) and observability escapes (A3); and the domain-safety
    certifier (dom.ml), which proves module-level mutable state
    synchronized (D1), spawn captures protected (D2), the lock-order
    graph acyclic (D3) and effect performs handler-dominated per domain
-   (D4).  [--intra-only] restores the purely lexical R3 rule and builds
-   no world — useful when linting a lone file out of context.
+   (D4).  A lone file is a world of one: a function with no call site
+   there is an entry point, so R3 judges it as if called uncommitted.
 
    Emits "file:line:col: [RULE] message" per finding (the shape the CI
    problem matcher parses), or a JSON object with [--format json], and
@@ -50,134 +49,89 @@ let rec collect acc path =
   else if Filename.check_suffix path ".ml" then path :: acc
   else acc
 
-(* The same bytes as Mutps_trace.Json.escape: the driver links only
-   mutps.lint and compiler-libs. *)
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | '\r' -> Buffer.add_string b "\\r"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let status_string = function
   | Dom.S_sync what -> "sync:" ^ what
   | Dom.S_frozen -> "frozen"
   | Dom.S_locked l -> "locked:" ^ l
   | Dom.S_flagged -> "flagged"
 
-let json_allow_sites (sites : Lint.allow_site list) =
-  String.concat ","
-    (List.map
-       (fun (s : Lint.allow_site) ->
-         Printf.sprintf
-           "\n      { \"attr\": \"%s\", \"file\": \"%s\", \"line\": %d, \
-            \"uses\": %d, \"payload\": \"%s\" }"
-           (json_escape s.Lint.as_attr) (json_escape s.Lint.as_file)
-           s.Lint.as_line s.Lint.as_uses
-           (json_escape s.Lint.as_payload))
-       sites)
-
-let print_json findings ~r_suppressed ~(alloc : Alloc.result option)
-    ~(dom : Dom.result option) ~lint_sites =
-  print_string "{\n  \"findings\": [";
-  List.iteri
-    (fun i (f : Lint.finding) ->
-      Printf.printf "%s\n    { \"file\": \"%s\", \"line\": %d, \"col\": %d, \
-                     \"rule\": \"%s\", \"message\": \"%s\" }"
-        (if i = 0 then "" else ",")
-        (json_escape f.Lint.file) f.Lint.line f.Lint.col
-        (json_escape f.Lint.rule) (json_escape f.Lint.msg))
+let print_json findings ~r_suppressed ~(alloc : Alloc.result)
+    ~(dom : Dom.result) ~lint_sites =
+  let b = Buffer.create 65536 in
+  let esc = Mutps_trace.Json.escape in
+  (* [item] on each of [xs], [sep] between two *)
+  let list sep item xs =
+    List.iteri
+      (fun i x ->
+        if i > 0 then Buffer.add_string b sep;
+        item x)
+      xs
+  in
+  let quoted s = Printf.bprintf b "\"%a\"" esc s in
+  let allow_sites =
+    list "," (fun (s : Lint.allow_site) ->
+        Printf.bprintf b
+          "\n      { \"attr\": \"%a\", \"file\": \"%a\", \"line\": %d, \
+           \"uses\": %d, \"payload\": \"%a\" }"
+          esc s.as_attr esc s.as_file s.as_line s.as_uses esc s.as_payload)
+  in
+  Buffer.add_string b "{\n  \"findings\": [";
+  list "," (fun (f : Lint.finding) ->
+      Printf.bprintf b
+        "\n    { \"file\": \"%a\", \"line\": %d, \"col\": %d, \"rule\": \
+         \"%a\", \"message\": \"%a\" }"
+        esc f.file f.line f.col esc f.rule esc f.msg)
     findings;
-  print_string (if findings = [] then "],\n" else "\n  ],\n");
-  let rules = List.sort_uniq compare (List.map fst r_suppressed) in
-  Printf.printf "  \"suppressed\": { %s },\n"
-    (String.concat ", "
-       (List.map
-          (fun r ->
-            Printf.sprintf "\"%s\": %d" (json_escape r)
-              (List.length (List.filter (fun (r', _) -> r' = r) r_suppressed)))
-          rules));
-  Printf.printf "  \"lint_allow_sites\": [%s],\n" (json_allow_sites lint_sites);
-  (match alloc with
-  | None -> print_string "  \"alloc\": null,\n"
-  | Some a ->
-    Printf.printf
-      "  \"alloc\": {\n\
-      \    \"hot_roots\": [%s],\n\
-      \    \"certified\": %d,\n\
-      \    \"allow_sites\": [%s]\n\
-      \  },\n"
-      (String.concat ", "
-         (List.map (fun r -> "\"" ^ json_escape r ^ "\"") a.Alloc.hot_roots))
-      (List.length a.Alloc.hot_set)
-      (String.concat ","
-         (List.map
-            (fun (s : Lint.allow_site) ->
-              Printf.sprintf
-                "\n      { \"file\": \"%s\", \"line\": %d, \"uses\": %d, \
-                 \"reason\": \"%s\" }"
-              (json_escape s.as_file) s.as_line s.as_uses
-              (json_escape s.as_payload))
-            a.Alloc.allow_sites)));
-  (match dom with
-  | None -> print_string "  \"dom\": null\n"
-  | Some d ->
-    let g = d.Dom.graph in
-    Printf.printf
-      "  \"dom\": {\n\
-      \    \"globals\": [%s],\n\
-      \    \"mutable_types\": %d,\n\
-      \    \"lock_nodes\": [%s],\n\
-      \    \"lock_edges\": [%s],\n\
-      \    \"lock_cycles\": [%s],\n\
-      \    \"allow_sites\": [%s]\n\
-      \  }\n"
-      (String.concat ","
-         (List.map
-            (fun (gl : Dom.global) ->
-              Printf.sprintf
-                "\n      { \"key\": \"%s\", \"file\": \"%s\", \"line\": %d, \
-                 \"what\": \"%s\", \"status\": \"%s\" }"
-                (json_escape gl.Dom.g_key) (json_escape gl.Dom.g_file)
-                gl.Dom.g_line (json_escape gl.Dom.g_what)
-                (json_escape (status_string gl.Dom.g_status)))
-            d.Dom.globals))
-      d.Dom.mutable_types
-      (String.concat ", "
-         (List.map
-            (fun n -> "\"" ^ json_escape n ^ "\"")
-            (Dom.Lockgraph.nodes g)))
-      (String.concat ","
-         (List.map
-            (fun (src, dst, file, line) ->
-              Printf.sprintf
-                "\n      { \"src\": \"%s\", \"dst\": \"%s\", \"file\": \
-                 \"%s\", \"line\": %d }"
-                (json_escape src) (json_escape dst) (json_escape file) line)
-            (Dom.Lockgraph.edges g)))
-      (String.concat ", "
-         (List.map
-            (fun cyc ->
-              "["
-              ^ String.concat ", "
-                  (List.map (fun n -> "\"" ^ json_escape n ^ "\"") cyc)
-              ^ "]")
-            (Dom.Lockgraph.cycles g)))
-      (json_allow_sites d.Dom.allow_sites));
-  print_string "}\n"
+  Buffer.add_string b (if findings = [] then "],\n" else "\n  ],\n");
+  Buffer.add_string b "  \"suppressed\": { ";
+  list ", " (fun r ->
+      Printf.bprintf b "\"%a\": %d" esc r
+        (List.length (List.filter (fun (r', _) -> r' = r) r_suppressed)))
+    (List.sort_uniq compare (List.map fst r_suppressed));
+  Buffer.add_string b " },\n  \"lint_allow_sites\": [";
+  allow_sites lint_sites;
+  Buffer.add_string b "],\n  \"alloc\": {\n    \"hot_roots\": [";
+  list ", " quoted alloc.Alloc.hot_roots;
+  Printf.bprintf b "],\n    \"certified\": %d,\n    \"allow_sites\": ["
+    (List.length alloc.Alloc.hot_set);
+  list "," (fun (s : Lint.allow_site) ->
+      Printf.bprintf b
+        "\n      { \"file\": \"%a\", \"line\": %d, \"uses\": %d, \"reason\": \
+         \"%a\" }"
+        esc s.as_file s.as_line s.as_uses esc s.as_payload)
+    alloc.Alloc.allow_sites;
+  Buffer.add_string b "]\n  },\n  \"dom\": {\n    \"globals\": [";
+  list "," (fun (gl : Dom.global) ->
+      Printf.bprintf b
+        "\n      { \"key\": \"%a\", \"file\": \"%a\", \"line\": %d, \"what\": \
+         \"%a\", \"status\": \"%a\" }"
+        esc gl.g_key esc gl.g_file gl.g_line esc gl.g_what esc
+        (status_string gl.g_status))
+    dom.Dom.globals;
+  Printf.bprintf b "],\n    \"mutable_types\": %d,\n    \"lock_nodes\": ["
+    dom.Dom.mutable_types;
+  let g = dom.Dom.graph in
+  list ", " quoted (Dom.Lockgraph.nodes g);
+  Buffer.add_string b "],\n    \"lock_edges\": [";
+  list "," (fun (src, dst, file, line) ->
+      Printf.bprintf b
+        "\n      { \"src\": \"%a\", \"dst\": \"%a\", \"file\": \"%a\", \
+         \"line\": %d }"
+        esc src esc dst esc file line)
+    (Dom.Lockgraph.edges g);
+  Buffer.add_string b "],\n    \"lock_cycles\": [";
+  list ", " (fun cyc ->
+      Buffer.add_char b '[';
+      list ", " quoted cyc;
+      Buffer.add_char b ']')
+    (Dom.Lockgraph.cycles g);
+  Buffer.add_string b "],\n    \"allow_sites\": [";
+  allow_sites dom.Dom.allow_sites;
+  Buffer.add_string b "]\n  }\n}\n";
+  print_string (Buffer.contents b)
 
 let () =
   let format = ref `Text
-  and intra_only = ref false
   and strict_suppressions = ref false
   and lock_graph = ref None in
   let roots =
@@ -191,9 +145,6 @@ let () =
       | "--format" :: _ ->
         prerr_endline "mutps_lint: --format expects 'text' or 'json'";
         exit 2
-      | "--intra-only" :: rest ->
-        intra_only := true;
-        parse acc rest
       | "--strict-suppressions" :: rest ->
         strict_suppressions := true;
         parse acc rest
@@ -217,7 +168,7 @@ let () =
     |> List.sort compare
   in
   let errors = ref (List.length missing) in
-  (* parse once; share the AST between the intra and project passes *)
+  (* parse once; share the AST between the per-file and project passes *)
   let parsed =
     List.filter_map
       (fun f ->
@@ -243,40 +194,26 @@ let () =
      suppression families accumulate so a site is stale only if no pass
      consumed it *)
   let registry = Lint.new_allow_registry () in
-  let intra =
+  let per_file =
     List.concat_map
       (fun (file, rule_path, str) ->
-        Lint.check_structure ~file ~rule_path ~intra_r3:!intra_only
-          ~on_suppressed ~registry str)
+        Lint.check_structure ~file ~rule_path ~on_suppressed ~registry str)
       parsed
   in
   (* the project passes share one closed world *)
-  let world =
-    if !intra_only then None else Some (World.build ~registry parsed)
-  in
-  let interp =
-    match world with
-    | Some w -> Interp.check_project ~on_suppressed w
-    | None -> []
-  in
-  let alloc = Option.map Alloc.check_project world in
-  let alloc_findings =
-    match alloc with Some a -> a.Alloc.findings | None -> []
-  in
-  let dom = Option.map Dom.check_project world in
-  let dom_findings = match dom with Some d -> d.Dom.findings | None -> [] in
-  (match (!lock_graph, dom) with
-  | Some file, Some d ->
-    let oc = open_out file in
-    output_string oc (Dom.Lockgraph.to_dot d.Dom.graph);
-    close_out oc
-  | Some _, None ->
-    prerr_endline "mutps_lint: --lock-graph needs the project passes \
-                   (drop --intra-only)"
-  | None, _ -> ());
+  let world = World.build ~registry parsed in
+  let interp = Interp.check_project ~on_suppressed world in
+  let alloc = Alloc.check_project world in
+  let dom = Dom.check_project world in
+  Option.iter
+    (fun file ->
+      let oc = open_out file in
+      output_string oc (Dom.Lockgraph.to_dot dom.Dom.graph);
+      close_out oc)
+    !lock_graph;
   let findings =
     List.sort Lint.compare_finding
-      (intra @ interp @ alloc_findings @ dom_findings)
+      (per_file @ interp @ alloc.Alloc.findings @ dom.Dom.findings)
   in
   (* the A sites are listed in their own "alloc" section *)
   let is_alloc (s : Lint.allow_site) = s.as_attr = "alloc.allow" in
@@ -291,19 +228,14 @@ let () =
   (* per-family suppression summary + stale-site report, on stderr so it
      shows in CI logs without disturbing the parseable stdout *)
   let r_total = List.length !r_suppressed in
-  let a_used, a_sites =
-    match alloc with
-    | None -> (0, 0)
-    | Some a ->
-      ( List.fold_left
-          (fun acc (s : Lint.allow_site) -> acc + s.as_uses)
-          0 a.Alloc.allow_sites,
-        List.length a.Alloc.allow_sites )
+  let a_used =
+    List.fold_left
+      (fun acc (s : Lint.allow_site) -> acc + s.as_uses)
+      0 alloc.Alloc.allow_sites
   in
-  let d_total = match dom with Some d -> d.Dom.suppressed | None -> 0 in
-  let d_sites =
-    match dom with Some d -> List.length d.Dom.allow_sites | None -> 0
-  in
+  let a_sites = List.length alloc.Alloc.allow_sites in
+  let d_total = dom.Dom.suppressed in
+  let d_sites = List.length dom.Dom.allow_sites in
   if r_total > 0 || a_sites > 0 || d_sites > 0 then
     Printf.eprintf
       "mutps_lint: suppressions: R-family %d ([@lint.allow]), A-family %d \
@@ -350,39 +282,33 @@ let () =
     Printf.printf
       "mutps_lint: clean (%d files, rules R1-R4 + interprocedural)\n"
       (List.length files);
-    (match alloc with
-    | Some a ->
-      Printf.printf
-        "mutps_alloc: %d hot root%s, %d function%s certified zero-alloc, %d \
-         [@alloc.allow] suppression%s\n"
-        (List.length a.Alloc.hot_roots)
-        (if List.length a.Alloc.hot_roots = 1 then "" else "s")
-        (List.length a.Alloc.hot_set)
-        (if List.length a.Alloc.hot_set = 1 then "" else "s")
-        a_sites
-        (if a_sites = 1 then "" else "s")
-    | None -> ());
-    match dom with
-    | Some d ->
-      let flagged =
-        List.length
-          (List.filter
-             (fun (g : Dom.global) -> g.Dom.g_status = Dom.S_flagged)
-             d.Dom.globals)
-      in
-      Printf.printf
-        "mutps_dom: %d module-level mutable/sync binding%s certified (%d \
-         flagged), %d lock%s, %d lock-order cycle%s, %d [@dom.allow] \
-         suppression%s\n"
-        (List.length d.Dom.globals)
-        (if List.length d.Dom.globals = 1 then "" else "s")
-        flagged
-        (List.length (Dom.Lockgraph.nodes d.Dom.graph))
-        (if List.length (Dom.Lockgraph.nodes d.Dom.graph) = 1 then "" else "s")
-        (List.length (Dom.Lockgraph.cycles d.Dom.graph))
-        (if List.length (Dom.Lockgraph.cycles d.Dom.graph) = 1 then ""
-         else "s")
-        d_sites
-        (if d_sites = 1 then "" else "s")
-    | None -> ()
+    Printf.printf
+      "mutps_alloc: %d hot root%s, %d function%s certified zero-alloc, %d \
+       [@alloc.allow] suppression%s\n"
+      (List.length alloc.Alloc.hot_roots)
+      (if List.length alloc.Alloc.hot_roots = 1 then "" else "s")
+      (List.length alloc.Alloc.hot_set)
+      (if List.length alloc.Alloc.hot_set = 1 then "" else "s")
+      a_sites
+      (if a_sites = 1 then "" else "s");
+    let flagged =
+      List.length
+        (List.filter
+           (fun (g : Dom.global) -> g.Dom.g_status = Dom.S_flagged)
+           dom.Dom.globals)
+    in
+    let locks = List.length (Dom.Lockgraph.nodes dom.Dom.graph)
+    and cycles = List.length (Dom.Lockgraph.cycles dom.Dom.graph) in
+    Printf.printf
+      "mutps_dom: %d module-level mutable/sync binding%s certified (%d \
+       flagged), %d lock%s, %d lock-order cycle%s, %d [@dom.allow] \
+       suppression%s\n"
+      (List.length dom.Dom.globals)
+      (if List.length dom.Dom.globals = 1 then "" else "s")
+      flagged locks
+      (if locks = 1 then "" else "s")
+      cycles
+      (if cycles = 1 then "" else "s")
+      d_sites
+      (if d_sites = 1 then "" else "s")
   end

@@ -33,7 +33,8 @@ type t = {
    object: every charged operation acquires at entry and releases at exit.
    Raw [Env] accesses to index memory outside these wrappers — or
    operations racing with structures that bypass them — still surface.
-   [insert_silent] and [count] make no charged accesses and stay bare. *)
+   [insert_silent] and [count] make no charged accesses and stay bare.
+   The trace-site names are built once per index, not per call. *)
 let sanitized ops =
   let obj = ref (-1) in
   let guard env site f =
@@ -45,19 +46,17 @@ let sanitized ops =
     Env.release env !obj;
     v
   in
+  let site op = ops.name ^ "." ^ op in
+  let lookup = site "lookup" and batch_lookup = site "batch_lookup" in
+  let insert = site "insert" and remove = site "remove" in
+  let range = site "range" in
   {
     ops with
-    lookup =
-      (fun env k -> guard env (ops.name ^ ".lookup") (fun () -> ops.lookup env k));
+    lookup = (fun env k -> guard env lookup (fun () -> ops.lookup env k));
     batch_lookup =
-      (fun env ks ->
-        guard env (ops.name ^ ".batch_lookup") (fun () -> ops.batch_lookup env ks));
-    insert =
-      (fun env k v ->
-        guard env (ops.name ^ ".insert") (fun () -> ops.insert env k v));
-    remove =
-      (fun env k -> guard env (ops.name ^ ".remove") (fun () -> ops.remove env k));
+      (fun env ks -> guard env batch_lookup (fun () -> ops.batch_lookup env ks));
+    insert = (fun env k v -> guard env insert (fun () -> ops.insert env k v));
+    remove = (fun env k -> guard env remove (fun () -> ops.remove env k));
     range =
-      (fun env ~lo ~n ->
-        guard env (ops.name ^ ".range") (fun () -> ops.range env ~lo ~n));
+      (fun env ~lo ~n -> guard env range (fun () -> ops.range env ~lo ~n));
   }

@@ -288,6 +288,10 @@ let cr_reap t env w =
       progressed := true;
       Array.iter
         (fun (fwd : Fwd.t) ->
+          (* every reply the stage writes carries at least Exec.ack_bytes;
+             0 is [Fwd.make]'s, so the MR layer never answered it *)
+          if fwd.Fwd.resp_bytes = 0 then
+            invalid_arg "Mutps.cr_reap: forward completed without a reply";
           t.transport.Transport.post_response env ~seq:fwd.Fwd.seq
             ~resp_addr:fwd.Fwd.resp_addr ~bytes:fwd.Fwd.resp_bytes
             ~value:fwd.Fwd.resp_value;

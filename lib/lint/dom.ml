@@ -93,58 +93,26 @@ module Lockgraph = struct
     |> Seq.map (fun ((src, dst), (file, line)) -> (src, dst, file, line))
     |> List.of_seq |> List.sort compare
 
-  (* Tarjan SCC; a cycle is an SCC with more than one node, or a single
-     node with a self-edge. *)
+  (* A node is on a cycle when it reaches itself from its successors
+     (a self-edge included); its cycle is every node it reaches that also
+     reaches it. *)
   let cycles t =
-    let ns = nodes t in
-    let succ = Hashtbl.create 16 in
-    List.iter
-      (fun (s, d, _, _) ->
-        Hashtbl.replace succ s
-          (d :: (Option.value (Hashtbl.find_opt succ s) ~default:[])))
-      (edges t);
-    let index = Hashtbl.create 16 and low = Hashtbl.create 16 in
-    let on_stack = Hashtbl.create 16 in
-    let stack = ref [] and counter = ref 0 and sccs = ref [] in
-    let rec strong v =
-      Hashtbl.replace index v !counter;
-      Hashtbl.replace low v !counter;
-      incr counter;
-      stack := v :: !stack;
-      Hashtbl.replace on_stack v ();
-      List.iter
-        (fun w ->
-          if not (Hashtbl.mem index w) then begin
-            strong w;
-            Hashtbl.replace low v
-              (min (Hashtbl.find low v) (Hashtbl.find low w))
-          end
-          else if Hashtbl.mem on_stack w then
-            Hashtbl.replace low v
-              (min (Hashtbl.find low v) (Hashtbl.find index w)))
-        (Option.value (Hashtbl.find_opt succ v) ~default:[]);
-      if Hashtbl.find low v = Hashtbl.find index v then begin
-        let rec pop acc =
-          match !stack with
-          | w :: tl ->
-            stack := tl;
-            Hashtbl.remove on_stack w;
-            if w = v then w :: acc else pop (w :: acc)
-          | [] -> acc
-        in
-        sccs := pop [] :: !sccs
-      end
+    let ns = nodes t and es = List.map (fun (s, d, _, _) -> (s, d)) (edges t) in
+    let reach = World.reach es in
+    let after =
+      List.map
+        (fun v ->
+          ( v,
+            reach
+              (List.filter_map
+                 (fun (s, d) -> if s = v then Some (d, ()) else None)
+                 es) ))
+        ns
     in
-    List.iter (fun v -> if not (Hashtbl.mem index v) then strong v) ns;
-    List.filter
-      (fun scc ->
-        match scc with
-        | [ v ] -> Hashtbl.mem t.edge_tbl (v, v)
-        | _ :: _ :: _ -> true
-        | [] -> false)
-      !sccs
-    |> List.map (List.sort compare)
-    |> List.sort compare
+    let reaches u v = Hashtbl.mem (List.assoc u after) v in
+    List.filter (fun v -> reaches v v) ns
+    |> List.map (fun v -> List.filter (fun u -> reaches v u && reaches u v) ns)
+    |> List.sort_uniq compare
 
   let to_dot t =
     let b = Buffer.create 256 in

@@ -1,14 +1,14 @@
 (* Interprocedural charge-discipline analysis (project mode).
 
-   [Lint] judges each function in isolation, which is blunt across
-   function boundaries in two directions:
+   Two rules need the call graph:
 
-   - R3 (commit discipline) demands a commit-family call lexically before
-     every shared-field read, even when every *call site* of the enclosing
-     function is itself commit-dominated (e.g. [Ring.complete], whose only
-     callers run right after a committing [Crmr.next_batch]).
-   - R2 (charged memory) flags only *direct* [Hierarchy] traffic, so a
-     function can leak uncharged traffic by calling — rather than
+   - R3 (commit discipline): a shared-field read needs a commit-family
+     call before it, but that call may sit at every *call site* of the
+     enclosing function rather than in it (e.g. [Ring.complete], whose
+     only callers run right after a committing [Crmr.next_batch]).  This
+     pass is R3's only judge.
+   - R2 (charged memory): [Lint] flags only *direct* [Hierarchy] traffic,
+     so a function can leak uncharged traffic by calling — rather than
      containing — a helper whose raw access was sanctioned with a local
      suppression.
 
@@ -17,14 +17,16 @@
    its call graph:
 
    - [commits f] — f's body reaches a commit-family call at lambda depth
-     zero, directly or by calling a committing function.  Same
-     branch-insensitive, traversal-order approximation as the intra pass.
+     zero, directly or by calling a committing function.  The
+     approximation is branch-insensitive and follows traversal order.
    - [exposed f] (least fixpoint) — f can be *entered* with uncommitted
      cycles: it has no syntactic call site in the world (an entry point,
      or a function only ever passed as a closure), or some call site is
      not commit-dominated and its caller is itself exposed.  A
      shared-field read is reported only when it is not lexically dominated
-     *and* its function is exposed; this subsumes and refines intra R3.
+     *and* its function is exposed.  In a world of one file every
+     uncalled function is an entry point, so a lone file is judged as if
+     each were called uncommitted.
    - [reaches f] — f transitively performs Hierarchy traffic without an
      intervening Env charge: seeded by direct (typically suppressed)
      [Hierarchy.load]/[store]/[prefetch_batch] calls outside [lib/mem] and
@@ -32,15 +34,15 @@
      from [lib/] into a reaching function is an R2 finding: the callee was
      sanctioned to touch the hierarchy raw, the caller was not.
 
-   Approximations, all shared with (or no worse than) the intra pass:
-   call sites are syntactic applications of resolvable names ("Module.fn",
-   or an unqualified name bound at the top level of the same file); calls
-   through closures, record fields and functors are opaque; a bare
+   Approximations: call sites are syntactic applications of resolvable
+   names ("Module.fn", or an unqualified name bound at the top level of
+   the same file); calls through closures, record fields and functors are
+   opaque; a bare
    (unapplied) reference to a known function marks it exposed, since the
    closure may run anywhere.  Lambdas passed to [Env.tagged] run exactly
    once, inline, so their bodies are analyzed transparently at the
    caller's depth; every other lambda saves and restores the domination
-   state, exactly as intra scoping does. *)
+   state. *)
 
 module SS = Set.Make (String)
 open Lint.Internal
@@ -138,8 +140,8 @@ let events (w : World.t) (b : World.binding) =
           emit Close_lam
         | _ -> walk a)
       args;
-    (* the call itself comes after its arguments, mirroring the intra
-       pass (commit_dominators runs after the argument traversal) *)
+    (* the call itself comes after its arguments: a commit in an argument
+       dominates the call *)
     emit (Call { path; loc; r2_allow = allowed "R2" })
   in
   walk (World.body walk b.vb.pvb_expr);

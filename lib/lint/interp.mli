@@ -1,16 +1,16 @@
 (** Interprocedural charge-discipline analysis.
 
     Builds a call graph over a closed world of parsed implementation files
-    and refines two of {!Lint}'s rules across function boundaries:
+    and judges two of {!Lint}'s rules across function boundaries:
 
     - [R3] — a read of a registered shared-mutable field is reported only
       when it is not lexically commit-dominated {e and} its enclosing
       function is {e exposed}: reachable with uncommitted cycles because
       it is an entry point, escapes as a closure, or has a call site that
       is not commit-dominated (least fixpoint over the call graph).  This
-      subsumes the intra-procedural rule and proves helpers whose every
-      call site has already committed (run project drivers with
-      [~intra_r3:false] to avoid double reports).
+      is the only R3 rule; it proves helpers whose every call site has
+      already committed, and in a one-file world treats every function
+      with no call site as an entry point.
     - [R2] — a call (from [lib/]) into a function that transitively
       performs raw [Hierarchy] traffic outside [lib/mem] — i.e. a leak
       through a helper whose own direct access was locally suppressed —
@@ -24,7 +24,7 @@ val check_project :
   World.t ->
   Lint.finding list
 (** The interprocedural findings over the world, sorted.  Build the world
-    from the ASTs and registry the per-file (intra) pass used, so both
+    from the ASTs and registry the per-file pass used, so both
     passes share one parse and one set of per-site use counters.
     [on_suppressed] fires instead of a finding when an [[\@lint.allow]]
     covers it (default: ignore). *)

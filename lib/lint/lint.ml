@@ -13,9 +13,11 @@
        [Hierarchy.load]/[store]/[prefetch_batch] calls are forbidden.
    R3  commit discipline: reads of registered shared-mutable fields
        (seqlock versions, ring cursors, forwarding completion fields) must
-       be lexically dominated by a commit-family call ([Env.commit],
+       follow a commit-family call ([Env.commit],
        [Simthread.commit]/[delay]/[yield]/[suspend], or a queue operation
-       that commits internally) in the enclosing function.
+       that commits internally).  R3 needs the call graph, so
+       [Interp.check_project] judges it; this per-file pass checks R1, R2
+       and R4, and exports R3's tables below.
    R4  effect safety: [Simthread.delay]/[suspend]/[yield]/[commit]/[charge]
        only from code that holds a simulated-thread context (a [ctx]
        parameter, a [Simthread.spawn] callback, or an [Env.t]'s [.ctx]
@@ -52,7 +54,7 @@ let compare_finding a b =
 
 (* Every [@lint.allow] / [@alloc.allow] / [@dom.allow] attribute a pass
    walks registers one site here, keyed by (attribute, file, line) so the
-   intra and interprocedural passes — which walk the same attributes —
+   per-file and project passes — which walk the same attributes —
    share a single use counter.  A site whose counter stays zero suppresses
    nothing: it is stale, and [--strict-suppressions] fails on it. *)
 type allow_site = {
@@ -106,9 +108,9 @@ let unordered_traversals = [ "Hashtbl.iter"; "Hashtbl.fold" ]
 (* R2: CPU-side hierarchy traffic that must be charged through Env. *)
 let hierarchy_traffic = [ "Hierarchy.load"; "Hierarchy.store"; "Hierarchy.prefetch_batch" ]
 
-(* R3: registered shared-mutable fields.  Reads must follow a commit in
-   the enclosing function so the reader observes other threads' effects up
-   to its own simulated time. *)
+(* R3: registered shared-mutable fields.  Reads must follow a commit so
+   the reader observes other threads' effects up to its own simulated
+   time. *)
 let shared_fields =
   [
     ("version", "Item seqlock version");
@@ -215,21 +217,18 @@ let allow_entries ?registry ~file (attrs : Parsetree.attributes) =
 (* The checker                                                         *)
 (* ------------------------------------------------------------------ *)
 
-type scope = { mutable committed : bool; sim : bool }
-
 type state = {
   file : string;  (** path used in reports *)
   rule_path : string;  (** path used for directory-scoped exemptions *)
-  intra_r3 : bool;
-      (** check R3 with the lexical (enclosing-function) rule; project mode
-          turns this off and runs the interprocedural pass instead *)
   on_suppressed : rule:string -> loc:Location.t -> unit;
       (** called instead of recording when a finding is [@lint.allow]ed;
           drivers use it for suppression accounting *)
   registry : allow_registry option;
       (** suppression-site registry for stale-attribute accounting *)
   mutable findings : finding list;
-  mutable scopes : scope list;  (** innermost function first *)
+  mutable sims : bool list;
+      (** per enclosing function, innermost first: does it hold a
+          simulated-thread context *)
   mutable allows : (SS.t * allow_site option) list;  (** suppression stack *)
   mutable force_sim : bool;
       (** the next lambda visited is a [Simthread.spawn] callback *)
@@ -249,8 +248,7 @@ let in_dir dir path =
   in
   has_at 0 (dir ^ "/") || inside 0
 
-let cur_scope st =
-  match st.scopes with s :: _ -> s | [] -> assert false
+let cur_sim st = match st.sims with s :: _ -> s | [] -> assert false
 
 let find_allow st rule =
   List.find_opt (fun (s, _) -> SS.mem rule s || SS.mem "all" s) st.allows
@@ -358,7 +356,7 @@ let check_apply st (loc : Location.t) path args =
   if
     matches_any simthread_ops path
     && (not (in_dir "lib/sim" st.rule_path))
-    && (not (cur_scope st).sim)
+    && (not (cur_sim st))
     && not (arg_is_ctx_field args)
   then
     report st "R4" loc
@@ -366,23 +364,6 @@ let check_apply st (loc : Location.t) path args =
          "%s is only legal from a simulated thread (a [ctx] parameter, a \
           Simthread.spawn callback, or an Env.t's .ctx)"
          path)
-
-let commit_dominators st path =
-  if matches_any commit_family path then (cur_scope st).committed <- true
-
-let check_field_read st (loc : Location.t) lid =
-  let name = try Longident.last lid with _ -> "" in
-  match List.assoc_opt name shared_fields with
-  | Some what ->
-    if st.intra_r3 && not (cur_scope st).committed then
-      report st "R3" loc
-        (Printf.sprintf
-           "read of shared-mutable field .%s (%s) is not dominated by a \
-            commit in the enclosing function; call Env.commit / \
-            Simthread.commit (or delay/yield) first so the thread observes \
-            other threads' writes"
-           name what)
-  | None -> ()
 
 (* ------------------------------------------------------------------ *)
 (* Traversal                                                           *)
@@ -396,9 +377,9 @@ let with_allows st entries f =
     Fun.protect ~finally:(fun () -> st.allows <- saved) f
   end
 
-let with_scope st scope f =
-  st.scopes <- scope :: st.scopes;
-  Fun.protect ~finally:(fun () -> st.scopes <- List.tl st.scopes) f
+let with_scope st sim f =
+  st.sims <- sim :: st.sims;
+  Fun.protect ~finally:(fun () -> st.sims <- List.tl st.sims) f
 
 let is_spawn path = matches "Simthread.spawn" path
 
@@ -412,17 +393,13 @@ let iterator st =
       check_ident st loc (path_of_lid txt);
       default_iterator.expr it e
     | Pexp_fun (_, _, pat, _) ->
-      let parent = cur_scope st in
-      let sim = parent.sim || st.force_sim || pattern_binds_ctx pat in
+      let sim = cur_sim st || st.force_sim || pattern_binds_ctx pat in
       st.force_sim <- false;
-      with_scope st { committed = parent.committed; sim } (fun () ->
-          default_iterator.expr it e)
+      with_scope st sim (fun () -> default_iterator.expr it e)
     | Pexp_function _ ->
-      let parent = cur_scope st in
-      let sim = parent.sim || st.force_sim in
+      let sim = cur_sim st || st.force_sim in
       st.force_sim <- false;
-      with_scope st { committed = parent.committed; sim } (fun () ->
-          default_iterator.expr it e)
+      with_scope st sim (fun () -> default_iterator.expr it e)
     | Pexp_apply ({ pexp_desc = Pexp_ident { txt; loc }; _ }, args) ->
       let path = path_of_lid txt in
       check_ident st loc path;
@@ -437,16 +414,7 @@ let iterator st =
             it.expr it a;
             st.force_sim <- false)
           args
-      else List.iter (fun (_, a) -> it.expr it a) args;
-      commit_dominators st path
-    | Pexp_apply _ ->
-      default_iterator.expr it e;
-      (* an unknown applied expression may commit internally; stay exact
-         only for direct calls *)
-      ()
-    | Pexp_field (_, { txt; loc }) ->
-      check_field_read st loc txt;
-      default_iterator.expr it e
+      else List.iter (fun (_, a) -> it.expr it a) args
     | _ -> default_iterator.expr it e
   in
   let value_binding it (vb : Parsetree.value_binding) =
@@ -459,9 +427,9 @@ let iterator st =
       (* [@@@lint.allow "..."] suppresses for the rest of the file *)
       st.allows <- entries [ a ] @ st.allows
     | Pstr_value _ ->
-      (* each top-level binding gets a fresh dominance scope *)
-      with_scope st { committed = false; sim = false } (fun () ->
-          default_iterator.structure_item it si)
+      (* a binding of a structure, local modules included, starts outside
+         any simulated thread *)
+      with_scope st false (fun () -> default_iterator.structure_item it si)
     | _ -> default_iterator.structure_item it si
   in
   { default_iterator with expr; value_binding; structure_item }
@@ -480,17 +448,16 @@ let parse_implementation path =
       Parse.implementation lexbuf)
 
 let check_structure ?(file = "<string>") ?(rule_path = file)
-    ?(intra_r3 = true) ?(on_suppressed = fun ~rule:_ ~loc:_ -> ()) ?registry
+    ?(on_suppressed = fun ~rule:_ ~loc:_ -> ()) ?registry
     (str : Parsetree.structure) =
   let st =
     {
       file;
       rule_path;
-      intra_r3;
       on_suppressed;
       registry;
       findings = [];
-      scopes = [ { committed = false; sim = false } ];
+      sims = [ false ];
       allows = [];
       force_sim = false;
     }
@@ -499,19 +466,19 @@ let check_structure ?(file = "<string>") ?(rule_path = file)
   it.structure it str;
   List.sort compare_finding st.findings
 
-let check_file ?rule_path ?intra_r3 path =
+let check_file ?rule_path path =
   let rule_path = match rule_path with Some p -> p | None -> path in
   match parse_implementation path with
-  | str -> Ok (check_structure ~file:path ~rule_path ?intra_r3 str)
+  | str -> Ok (check_structure ~file:path ~rule_path str)
   | exception Syntaxerr.Error _ ->
     Error (Printf.sprintf "%s: syntax error" path)
   | exception Sys_error m -> Error m
 
-let check_string ?(file = "<string>") ?(rule_path = file) ?intra_r3 src =
+let check_string ?(file = "<string>") ?(rule_path = file) src =
   let lexbuf = Lexing.from_string src in
   Lexing.set_filename lexbuf file;
   match Parse.implementation lexbuf with
-  | str -> Ok (check_structure ~file ~rule_path ?intra_r3 str)
+  | str -> Ok (check_structure ~file ~rule_path str)
   | exception Syntaxerr.Error _ ->
     Error (Printf.sprintf "%s: syntax error" file)
 

@@ -11,7 +11,8 @@
       [Env]; direct [Hierarchy.load]/[store]/[prefetch_batch] is forbidden.
     - [R3] — reads of registered shared-mutable fields (seqlock versions,
       ring cursors, forwarding completion fields) must be dominated by a
-      commit-family call in the enclosing function.
+      commit-family call.  Judged over the call graph by
+      {!Interp.check_project} alone; this module checks R1, R2 and R4.
     - [R4] — [Simthread] effects only from simulated-thread contexts; no
       [Obj.magic]; no physical equality. *)
 
@@ -33,7 +34,7 @@ val compare_finding : finding -> finding -> int
 
     Every suppression attribute ([[\@lint.allow]], [[\@alloc.allow]],
     [[\@dom.allow]]) a pass walks registers one {!allow_site}, keyed by
-    (attribute, file, line) so that passes sharing the same source (intra
+    (attribute, file, line) so that passes sharing the same source (per-file
     + interprocedural) share a single use counter.  A site whose [as_uses]
     stays [0] covered no finding: it is stale and should be deleted
     ([bin/lint_main --strict-suppressions] fails on it). *)
@@ -66,28 +67,20 @@ val allow_sites : allow_registry -> allow_site list
 val stale_allow_sites : allow_registry -> allow_site list
 (** Sites with zero uses. *)
 
-val check_file :
-  ?rule_path:string -> ?intra_r3:bool -> string -> (finding list, string) result
-(** Lint one [.ml] file.  [rule_path] overrides the path used for
-    directory-scoped exemptions (e.g. the [lib/mem] R2 exemption) — useful
-    for fixture files standing in for sources elsewhere in the tree.
-    [intra_r3] (default [true]) selects the lexical R3 rule; project-mode
-    drivers pass [false] and run {!Interp.check_project}, whose
-    interprocedural rule subsumes it.  [Error] is a parse/IO failure, not a
+val check_file : ?rule_path:string -> string -> (finding list, string) result
+(** Lint one [.ml] file with the per-file rules (R1, R2, R4).  [rule_path]
+    overrides the path used for directory-scoped exemptions (e.g. the
+    [lib/mem] R2 exemption) — useful for fixture files standing in for
+    sources elsewhere in the tree.  [Error] is a parse/IO failure, not a
     finding. *)
 
 val check_string :
-  ?file:string ->
-  ?rule_path:string ->
-  ?intra_r3:bool ->
-  string ->
-  (finding list, string) result
+  ?file:string -> ?rule_path:string -> string -> (finding list, string) result
 (** Same, over source text (for tests). *)
 
 val check_structure :
   ?file:string ->
   ?rule_path:string ->
-  ?intra_r3:bool ->
   ?on_suppressed:(rule:string -> loc:Location.t -> unit) ->
   ?registry:allow_registry ->
   Parsetree.structure ->

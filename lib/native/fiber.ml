@@ -1,21 +1,18 @@
 (* Effect-based fibers: the native mirror of Simthread's cooperative API.
 
    A fiber is an ordinary function run under a deep [match_with] handler.
-   [yield] reschedules the continuation through the scheduler's [schedule]
-   callback; [park] hands a once-only [resume] closure to the caller's
-   registration function, exactly like [Simthread.suspend].  Because the
-   handler is deep, the continuation carries it along — a stolen fiber
-   resumed on another domain keeps yielding/parking through the same
-   handler, which is what lets the work-stealing scheduler move fibers
-   freely between domains (one-shot continuations are single-resume, so a
-   fiber is never running on two domains at once). *)
+   Its one effect, [yield], reschedules the continuation through the
+   scheduler's [schedule] callback.  Because the handler is deep, the
+   continuation carries it along — a stolen fiber resumed on another
+   domain keeps yielding through the same handler, which is what lets the
+   work-stealing scheduler move fibers freely between domains (one-shot
+   continuations are single-resume, so a fiber is never running on two
+   domains at once). *)
 
 open Effect
 open Effect.Deep
 
-type _ Effect.t +=
-  | Yield : unit Effect.t
-  | Park : ((unit -> unit) -> unit) -> unit Effect.t
+type _ Effect.t += Yield : unit Effect.t
 
 exception Stop
 (* Cooperative-shutdown signal: long-running fiber loops raise it from
@@ -23,7 +20,6 @@ exception Stop
    exit. *)
 
 let yield () = perform Yield
-let park register = perform (Park register)
 
 let run ~schedule ~on_done body =
   match_with
@@ -43,15 +39,5 @@ let run ~schedule ~on_done body =
             Some
               (fun (k : (a, unit) continuation) ->
                 schedule (fun () -> continue k ()))
-          | Park register ->
-            Some
-              (fun (k : (a, unit) continuation) ->
-                let resumed = Atomic.make false in
-                let resume () =
-                  if Atomic.exchange resumed true then
-                    invalid_arg "Fiber: resume invoked twice"
-                  else schedule (fun () -> continue k ())
-                in
-                register resume)
           | _ -> None);
     }

@@ -1,21 +1,17 @@
 (** Effect-based fibers: the native mirror of {!Mutps_sim.Simthread}'s
-    cooperative API (spawn/yield/park), scheduled by {!Sched} instead of
-    the DES engine.  Deep handlers travel with the captured continuation,
-    so a fiber stolen to another domain keeps yielding through the same
-    handler. *)
+    cooperative API, scheduled by {!Sched} instead of the DES engine.  A
+    fiber has one effect, {!yield}.  Deep handlers travel with the captured
+    continuation, so a fiber stolen to another domain keeps yielding
+    through the same handler. *)
 
 exception Stop
 (** Cooperative-shutdown signal: fiber loops raise it from their idle path
     when the server stops; {!run} treats it as a normal exit. *)
 
 val yield : unit -> unit
-(** Reschedule the calling fiber at the back of its worker's run queue.
-    Must be called from inside {!run}. *)
-
-val park : ((unit -> unit) -> unit) -> unit
-(** [park register] suspends the calling fiber; [register] receives a
-    [resume] closure that must be invoked exactly once — from any domain —
-    to reschedule it (the native [Simthread.suspend]). *)
+(** Hand the calling fiber's continuation to its [schedule] (under
+    {!Sched}, the back of its worker's run queue).  Must be called from
+    inside {!run}. *)
 
 val run :
   schedule:((unit -> unit) -> unit) ->

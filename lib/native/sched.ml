@@ -1,6 +1,6 @@
 (* Work-stealing fiber scheduler: one worker per OCaml 5 domain, one
    lock-free SPMC run queue per worker, a mutex-guarded injector for
-   spawns/resumes arriving from outside the pool (the control domain, or
+   spawns arriving from outside the pool (the control domain, or
    overflow when a local queue is full).
 
    Scheduling discipline (ebsl-style):
@@ -13,14 +13,13 @@
    - when everything is empty it spins with [Domain.cpu_relax]: this is a
      polling runtime by design, matching the paper's busy-poll servers.
 
-   Workers run until every spawned fiber has completed ([live] reaches 0)
-   or [stop] is forced.  Fibers may park; whoever resumes them re-enters
-   them through [schedule], from any domain — the deep handler travels
-   with the continuation (see Fiber). *)
+   Workers run until every spawned fiber has completed ([live] reaches 0).
+   A yielding fiber re-enters through [schedule] — the deep handler
+   travels with the continuation (see Fiber). *)
 
 (* Distinguishes schedulers when several live in one process (a server
    and a test harness, say): a domain's DLS slot names the scheduler it
-   works for, so a resume arriving from a foreign domain routes to the
+   works for, so a spawn arriving from a foreign domain routes to the
    injector instead of a foreign run queue. *)
 let ids = Atomic.make 0
 
@@ -35,7 +34,6 @@ type t = {
   inj_lock : Mutex.t;
   injector : (unit -> unit) Queue.t;
   live : int Atomic.t;  (* spawned fibers not yet completed *)
-  stop : bool Atomic.t;
   steals : int Atomic.t;
   err_lock : Mutex.t;
   errors : exn Queue.t;
@@ -50,7 +48,6 @@ let create ~workers () =
     inj_lock = Mutex.create ();
     injector = Queue.create ();
     live = Atomic.make 0;
-    stop = Atomic.make false;
     steals = Atomic.make 0;
     err_lock = Mutex.create ();
     errors = Queue.create ();
@@ -88,7 +85,6 @@ let spawn t body =
 
 let live t = Atomic.get t.live
 let steals t = Atomic.get t.steals
-let force_stop t = Atomic.set t.stop true
 
 let next_task t ~index rng =
   (* injector first: external submissions are rare, and checking them on
@@ -133,7 +129,7 @@ let worker_loop t ~index =
   let rng = Mutps_sim.Rng.create (0x5EED + index) in
   let continue = ref true in
   while !continue do
-    if Atomic.get t.live <= 0 || Atomic.get t.stop then continue := false
+    if Atomic.get t.live <= 0 then continue := false
     else begin
       match next_task t ~index rng with
       | Some task -> task ()
@@ -142,8 +138,8 @@ let worker_loop t ~index =
   done
 
 (* Run the pool to completion: returns once every fiber spawned (before
-   or during the run) has finished, or [force_stop] was called.  Raises
-   the first fiber error, if any. *)
+   or during the run) has finished.  Raises the first fiber error, if
+   any. *)
 let run t =
   let domains =
     Array.init t.nworkers (fun index ->

@@ -7,7 +7,7 @@
     (deterministic per-worker {!Mutps_sim.Rng} streams); when idle they
     busy-poll with
     [Domain.cpu_relax], mirroring the paper's polling servers.  The pool
-    runs until every spawned fiber has completed or {!force_stop}. *)
+    runs until every spawned fiber has completed. *)
 
 type t
 
@@ -19,16 +19,9 @@ val spawn : t -> (unit -> unit) -> unit
     fiber while the pool runs.  A fiber raising {!Fiber.Stop} completes
     normally; any other exception is re-raised by {!run}. *)
 
-val schedule : t -> (unit -> unit) -> unit
-(** Low-level: enqueue a ready thunk (used by {!Fiber.run} resumes). *)
-
 val run : t -> unit
-(** Spawn the worker domains and block until all fibers complete (or
-    {!force_stop}).  Re-raises the first fiber error, if any. *)
-
-val force_stop : t -> unit
-(** Make workers exit at their next dispatch point; parked fibers are
-    abandoned.  Prefer waking fibers so they raise {!Fiber.Stop}. *)
+(** Spawn the worker domains and block until all fibers complete.
+    Re-raises the first fiber error, if any. *)
 
 val live : t -> int
 (** Fibers spawned but not yet completed. *)

@@ -120,35 +120,6 @@ let test_fiber_stop_is_clean () =
   Sched.run s;
   check_int "stop = normal completion" 0 (Sched.live s)
 
-let test_fiber_park_resume () =
-  let log = ref [] in
-  let resume_cell = ref None in
-  let s = Sched.create ~workers:1 () in
-  Sched.spawn s (fun () ->
-      log := "parking" :: !log;
-      Fiber.park (fun resume -> resume_cell := Some resume);
-      log := "resumed" :: !log);
-  Sched.spawn s (fun () ->
-      log := "waking" :: !log;
-      (Option.get !resume_cell) ());
-  Sched.run s;
-  Alcotest.(check (list string))
-    "park then resume" [ "parking"; "waking"; "resumed" ] (List.rev !log)
-
-let test_fiber_double_resume_rejected () =
-  let caught = ref false in
-  let resume_cell = ref None in
-  let s = Sched.create ~workers:1 () in
-  Sched.spawn s (fun () -> Fiber.park (fun r -> resume_cell := Some r));
-  Sched.spawn s (fun () ->
-      let resume = Option.get !resume_cell in
-      resume ();
-      match resume () with
-      | () -> ()
-      | exception Invalid_argument _ -> caught := true);
-  Sched.run s;
-  check_bool "second resume rejected" true !caught
-
 (* QCheck law: for any worker count and fiber population (each yielding a
    varying number of times), the work-stealing scheduler completes every
    spawned fiber exactly once. *)
@@ -959,9 +930,6 @@ let () =
             test_sched_error_propagates;
           Alcotest.test_case "Fiber.Stop is clean" `Quick
             test_fiber_stop_is_clean;
-          Alcotest.test_case "park/resume" `Quick test_fiber_park_resume;
-          Alcotest.test_case "double resume rejected" `Quick
-            test_fiber_double_resume_rejected;
           qt qcheck_sched_exactly_once;
         ] );
       ( "resp",

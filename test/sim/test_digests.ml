@@ -65,7 +65,12 @@ let golden_of_string s =
                | None -> None
                | Some l -> Some (name, String.sub line (k + 1) (l - k - 1))))))
 
-let golden_path = "../golden/experiment_digests.json"
+(* dune runtest runs us inside test/sim; dune exec from the workspace
+   root — accept either *)
+let golden_path =
+  let runtest = "../golden/experiment_digests.json" in
+  if Sys.file_exists runtest then runtest
+  else "test/golden/experiment_digests.json"
 
 let read_file path =
   let ic = open_in_bin path in
