@@ -116,10 +116,15 @@ let with_observability (trace, metrics, profile, max_events) f =
     | None -> ()
   end
 
+(* Flags left unset take their values from MUTPS_BENCH_SCALE's scale
+   (Harness.scale_from_env); an explicit flag wins. *)
 let scale_term =
   let keyspace =
-    let doc = "Pre-populated keys (paper: 10M)." in
-    Arg.(value & opt int Harness.default_scale.Harness.keyspace
+    let doc =
+      "Pre-populated keys (paper: 10M); the default scales with \
+       $(b,MUTPS_BENCH_SCALE)."
+    in
+    Arg.(value & opt (some' ~none:Harness.default_scale.Harness.keyspace int) None
          & info [ "keyspace" ] ~doc)
   in
   let cores =
@@ -127,16 +132,23 @@ let scale_term =
     Arg.(value & opt int Harness.default_scale.Harness.cores & info [ "cores" ] ~doc)
   in
   let clients =
-    let doc = "Closed-loop client threads." in
-    Arg.(value & opt int Harness.default_scale.Harness.clients & info [ "clients" ] ~doc)
+    let doc =
+      "Closed-loop client threads; the default scales with \
+       $(b,MUTPS_BENCH_SCALE)."
+    in
+    Arg.(value & opt (some' ~none:Harness.default_scale.Harness.clients int) None
+         & info [ "clients" ] ~doc)
   in
   let window =
     let doc = "Outstanding requests per client." in
     Arg.(value & opt int Harness.default_scale.Harness.window & info [ "window" ] ~doc)
   in
   let measure_ms =
-    let doc = "Measured simulated milliseconds." in
-    Arg.(value & opt float 10.0 & info [ "measure-ms" ] ~doc)
+    let doc =
+      "Measured simulated milliseconds, after a warmup 0.4 times as long; \
+       the default scales with $(b,MUTPS_BENCH_SCALE)."
+    in
+    Arg.(value & opt (some' ~none:10.0 float) None & info [ "measure-ms" ] ~doc)
   in
   let sample =
     let doc =
@@ -151,6 +163,13 @@ let scale_term =
          & info [ "sample" ] ~docv:"SPEC" ~doc)
   in
   let combine keyspace cores clients window measure_ms sample =
+    let base =
+      match Harness.scale_from_env () with
+      | Ok scale -> scale
+      | Error msg ->
+        prerr_endline msg;
+        exit 1
+    in
     let sample =
       match sample with
       | None -> None
@@ -161,13 +180,20 @@ let scale_term =
           Printf.eprintf "--sample: %s\n%!" msg;
           exit 1)
     in
+    let warmup, measure =
+      match measure_ms with
+      | None -> (base.Harness.warmup, base.Harness.measure)
+      | Some ms ->
+        ( int_of_float (0.4 *. ms *. 2_500_000.0),
+          int_of_float (ms *. 2_500_000.0) )
+    in
     {
-      Harness.keyspace;
+      Harness.keyspace = Option.value keyspace ~default:base.Harness.keyspace;
       cores;
-      clients;
+      clients = Option.value clients ~default:base.Harness.clients;
       window;
-      warmup = int_of_float (0.4 *. measure_ms *. 2_500_000.0);
-      measure = int_of_float (measure_ms *. 2_500_000.0);
+      warmup;
+      measure;
       sample;
     }
   in
@@ -209,7 +235,15 @@ let run_cmd =
     in
     Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE" ~doc)
   in
-  let run scale sanitize obs jobs json names =
+  let json_dir =
+    let doc =
+      "Also write each experiment's rows to $(docv)/BENCH_$(i,NAME).json, \
+       creating $(docv) if needed."
+    in
+    Arg.(value & opt (some string) None
+         & info [ "json-dir" ] ~docv:"DIR" ~doc)
+  in
+  let run scale sanitize obs jobs json json_dir names =
     let names =
       if List.mem "all" names then Registry.names () else names
     in
@@ -224,8 +258,9 @@ let run_cmd =
     let outcomes =
       Runner.run_all ~jobs
         ~on_done:(fun o ->
-          if o.Runner.error <> None then
-            Printf.eprintf "[%s FAILED]\n%!" o.Runner.name)
+          Printf.eprintf "[%s %s in %.1fs cpu]\n%!" o.Runner.name
+            (if o.Runner.error = None then "done" else "FAILED")
+            o.Runner.cpu_s)
         names scale
     in
     List.iter
@@ -235,6 +270,17 @@ let run_cmd =
         | None -> ()
         | Some msg -> Printf.printf "[%s FAILED: %s]\n%!" o.Runner.name msg)
       outcomes;
+    (match json_dir with
+    | Some dir ->
+      if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
+      List.iter
+        (fun (o : Runner.outcome) ->
+          Report.write_file
+            (Filename.concat dir ("BENCH_" ^ o.Runner.name ^ ".json"))
+            o.Runner.rows)
+        outcomes;
+      Printf.eprintf "json: per-experiment files -> %s/BENCH_*.json\n%!" dir
+    | None -> ());
     (match json with
     | Some path ->
       Report.write_file path (Runner.rows outcomes);
@@ -251,9 +297,20 @@ let run_cmd =
   Cmd.v
     (Cmd.info "run" ~doc:"Reproduce one or more of the paper's tables/figures")
     Term.(
-      const run $ scale_term $ sanitize_term $ obs_term $ jobs $ json $ names)
+      const run $ scale_term $ sanitize_term $ obs_term $ jobs $ json
+      $ json_dir $ names)
 
 (* --- bench-compare: the regression gate over canonical result files --- *)
+
+let load_rows path =
+  try Report.read_file path
+  with
+  | Report.Parse_error msg ->
+    Printf.eprintf "%s: parse error: %s\n%!" path msg;
+    exit 2
+  | Sys_error msg ->
+    Printf.eprintf "%s\n%!" msg;
+    exit 2
 
 let bench_compare_cmd =
   let baseline =
@@ -271,17 +328,7 @@ let bench_compare_cmd =
     Arg.(value & opt float 0.0 & info [ "tolerance" ] ~docv:"FRAC" ~doc)
   in
   let run baseline current tolerance =
-    let load path =
-      try Report.read_file path
-      with
-      | Report.Parse_error msg ->
-        Printf.eprintf "%s: parse error: %s\n%!" path msg;
-        exit 2
-      | Sys_error msg ->
-        Printf.eprintf "%s\n%!" msg;
-        exit 2
-    in
-    let b = load baseline and c = load current in
+    let b = load_rows baseline and c = load_rows current in
     match Report.diff ~tolerance ~baseline:b ~current:c () with
     | [] ->
       Printf.printf "bench-compare: %d row(s) match (tolerance %g)\n%!"
@@ -301,36 +348,71 @@ let bench_compare_cmd =
           (the CI bench-regression gate)")
     Term.(const run $ baseline $ current $ tolerance)
 
+(* --- engine-micro: the engine gates and the trajectory's perf rows --- *)
+
+(* runs the micros, printing every row; returns (gate, perf) per case *)
+let run_engine_micro () =
+  print_endline "=== Engine micro-benchmark (mutps.alloc trajectory) ===";
+  let cases = Engine_micro.run () in
+  List.iter
+    (fun (gate, perf) ->
+      List.iter
+        (fun (r : Report.row) ->
+          Printf.printf "%-22s" (List.assoc "case" r.Report.axis);
+          List.iter
+            (fun (k, v) -> Printf.printf "  %s=%s" k (Report.float_to_string v))
+            r.Report.metrics;
+          print_newline ())
+        [ gate; perf ])
+    cases;
+  cases
+
+let engine_micro_cmd =
+  let json =
+    let doc =
+      "Write the gate rows to $(docv): events, simulated cycles or \
+       completed requests, and GC words per event, all pure functions of \
+       the code (compare with $(b,bench-compare) against \
+       test/golden/engine_gate.json)."
+    in
+    Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE" ~doc)
+  in
+  let run json =
+    let gate = List.map fst (run_engine_micro ()) in
+    match json with
+    | Some path ->
+      Report.write_file path gate;
+      Printf.eprintf "json: %d gate row(s) -> %s\n%!" (List.length gate) path
+    | None -> ()
+  in
+  Cmd.v
+    (Cmd.info "engine-micro"
+       ~doc:
+         "Run the engine micro-benchmarks: scheduler churn, the \
+          scheduler's near/far mix and the fig2a hot loop, at a fixed \
+          scale")
+    Term.(const run $ json)
+
 (* --- trajectory: append-only perf history + one-sided regression gate --- *)
 
 (* BENCH_trajectory.json is a canonical Report document accumulated across
-   PRs: every [append] adds one entry (a row per *_perf case carrying
+   changes: every [append] adds one entry (a row per engine-micro case carrying
    events_per_sec and sim_cycles_per_wall_second), and [check] diffs the
    current perf rows against the latest entry with a one-sided tolerance —
    wall-clock noise within the band and improvements of any size pass. *)
 
-let traj_perf_cases rows =
-  List.filter_map
-    (fun (r : Report.row) ->
-      match List.assoc_opt "case" r.Report.axis with
-      | Some case
-        when String.length case > 5
-             && String.sub case (String.length case - 5) 5 = "_perf" -> (
-        match
-          (Report.metric r "events_per_sec", Report.metric r "sim_cycles_per_sec")
-        with
-        | Some eps, Some cps -> Some (case, r.Report.system, eps, cps)
-        | _ -> None)
-      | _ -> None)
-    rows
-
-let traj_row ?entry (case, system, eps, cps) =
+let traj_row ?entry (perf : Report.row) =
   let axis =
-    ("case", case)
-    :: (match entry with None -> [] | Some n -> [ ("entry", Printf.sprintf "%04d" n) ])
+    match entry with
+    | None -> perf.Report.axis
+    | Some n -> ("entry", Printf.sprintf "%04d" n) :: perf.Report.axis
   in
-  Report.row ~experiment:"trajectory" ~system ~axis
-    [ ("events_per_sec", eps); ("sim_cycles_per_wall_second", cps) ]
+  Report.row ~experiment:"trajectory" ~system:perf.Report.system ~axis
+    [
+      ("events_per_sec", Report.metric_exn perf "events_per_sec");
+      ( "sim_cycles_per_wall_second",
+        Report.metric_exn perf "sim_cycles_per_sec" );
+    ]
 
 let traj_entries rows =
   List.filter_map
@@ -344,19 +426,14 @@ let trajectory_cmd =
   let action =
     Arg.(required & pos 0 (some (enum [ ("append", `Append); ("check", `Check) ])) None
          & info [] ~docv:"ACTION"
-             ~doc:"$(b,append) records the current perf rows as a new \
-                   entry; $(b,check) gates them against the latest entry.")
+             ~doc:"$(b,append) runs the engine micros and records their \
+                   perf rows as a new entry; $(b,check) runs them and \
+                   gates the rows against the latest entry.")
   in
   let file =
     Arg.(value & opt string "BENCH_trajectory.json"
          & info [ "file" ] ~docv:"FILE"
              ~doc:"Append-only trajectory document (committed to the repo).")
-  in
-  let perf =
-    Arg.(required & opt (some file) None
-         & info [ "perf" ] ~docv:"FILE"
-             ~doc:"Current perf rows: bench/main.exe engine-micro \
-                   --perf-json output.")
   in
   let tolerance =
     Arg.(value & opt float 0.25
@@ -364,31 +441,17 @@ let trajectory_cmd =
              ~doc:"Allowed one-sided wall-clock regression; improvements \
                    always pass.")
   in
-  let run action file perf tolerance =
-    let load path =
-      try Report.read_file path
-      with
-      | Report.Parse_error msg ->
-        Printf.eprintf "%s: parse error: %s\n%!" path msg;
-        exit 2
-      | Sys_error msg ->
-        Printf.eprintf "%s\n%!" msg;
-        exit 2
-    in
-    let cases = traj_perf_cases (load perf) in
-    if cases = [] then begin
-      Printf.eprintf "trajectory: no *_perf rows in %s\n%!" perf;
-      exit 2
-    end;
-    let history = if Sys.file_exists file then load file else [] in
+  let run action file tolerance =
+    let history = if Sys.file_exists file then load_rows file else [] in
     let last = List.fold_left max (-1) (traj_entries history) in
+    let perf = List.map snd (run_engine_micro ()) in
     match action with
     | `Append ->
       let entry = last + 1 in
-      let rows = history @ List.map (traj_row ~entry) cases in
+      let rows = history @ List.map (traj_row ~entry) perf in
       Report.write_file file rows;
       Printf.printf "trajectory: entry %04d (%d case(s)) -> %s\n%!" entry
-        (List.length cases) file
+        (List.length perf) file
     | `Check ->
       if last < 0 then begin
         Printf.printf
@@ -408,7 +471,7 @@ let trajectory_cmd =
             else None)
           history
       in
-      let current = List.map (fun c -> traj_row c) cases in
+      let current = List.map (fun r -> traj_row r) perf in
       (match Report.diff ~one_sided:true ~tolerance ~baseline ~current () with
       | [] ->
         Printf.printf
@@ -426,10 +489,10 @@ let trajectory_cmd =
   Cmd.v
     (Cmd.info "trajectory"
        ~doc:
-         "Append-only perf history: record bench wall-clock rates per PR \
-          and fail on a >tolerance one-sided regression (the CI \
-          perf-trajectory gate, separate from the bit-exact gate)")
-    Term.(const run $ action $ file $ perf $ tolerance)
+         "Append-only perf history: record the engine micros' wall-clock \
+          rates per change and fail on a >tolerance one-sided regression (the \
+          CI perf-trajectory gate, separate from the bit-exact gate)")
+    Term.(const run $ action $ file $ tolerance)
 
 (* --- serve: one ad-hoc measurement (simulated or native) --- *)
 
@@ -728,5 +791,5 @@ let () =
        (Cmd.group info
           [
             list_cmd; run_cmd; serve_cmd; loadgen_cmd; bench_compare_cmd;
-            trajectory_cmd;
+            engine_micro_cmd; trajectory_cmd;
           ]))

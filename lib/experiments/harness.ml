@@ -42,20 +42,33 @@ let default_scale =
     sample = None;
   }
 
+(* [default_scale] with its keyspace and simulated windows multiplied by
+   [f] *)
+let scaled f =
+  let by v = max 1 (int_of_float (float_of_int v *. f)) in
+  {
+    default_scale with
+    keyspace = by default_scale.keyspace;
+    warmup = by default_scale.warmup;
+    measure = by default_scale.measure;
+    (* saturation needs outstanding depth even at small scale *)
+    clients = max 48 (by default_scale.clients);
+  }
+
+(* MUTPS_BENCH_SCALE=F selects [scaled F].  The variable comes from
+   outside the program: anything but a finite positive number is refused,
+   since a zero, negative or NaN factor clamps every field to 1 and runs
+   nothing worth reading. *)
 let scale_from_env () =
   match Sys.getenv_opt "MUTPS_BENCH_SCALE" with
-  | None | Some "" -> default_scale
-  | Some s ->
-    let f = float_of_string s in
-    let scaled v = max 1 (int_of_float (float_of_int v *. f)) in
-    {
-      default_scale with
-      keyspace = scaled default_scale.keyspace;
-      warmup = scaled default_scale.warmup;
-      measure = scaled default_scale.measure;
-      (* saturation needs outstanding depth even at small scale *)
-      clients = max 48 (scaled default_scale.clients);
-    }
+  | None | Some "" -> Ok default_scale
+  | Some s -> (
+    match float_of_string_opt s with
+    | Some f when Float.is_finite f && f > 0.0 -> Ok (scaled f)
+    | _ ->
+      Error
+        (Printf.sprintf
+           "MUTPS_BENCH_SCALE=%S: expected a finite positive number" s))
 
 type system = Mutps | Basekv | Erpckv
 

@@ -1,13 +1,19 @@
 #!/bin/bash
-cd /root/repo
-dune runtest --force --no-buffer > /root/repo/test_output.txt 2>&1
-echo "TESTS_EXIT=$?" >> /root/repo/test_output.txt
+cd "$(dirname "$0")"
+dune runtest --force --no-buffer > test_output.txt 2>&1
+echo "TESTS_EXIT=$?" >> test_output.txt
 # MUTPS_BENCH_SCALE is propagated explicitly so a caller-chosen scale
 # survives any sudo/env-scrubbing indirection; MUTPS_SAMPLE=K[,INTERVAL]
 # (or empty for the defaults) switches the experiments to interval
-# sampling with reconstruction error bounds in the rows.
-env ${MUTPS_BENCH_SCALE:+MUTPS_BENCH_SCALE="$MUTPS_BENCH_SCALE"} \
-  dune exec bench/main.exe -- ${MUTPS_SAMPLE+--sample=$MUTPS_SAMPLE} \
-  > /root/repo/bench_output.txt 2>&1
-echo "BENCH_EXIT=$?" >> /root/repo/bench_output.txt
-touch /root/repo/.final_done
+# sampling with reconstruction error bounds in the rows.  BENCH_EXIT is
+# non-zero if any step failed.
+status=0
+{
+  env ${MUTPS_BENCH_SCALE:+MUTPS_BENCH_SCALE="$MUTPS_BENCH_SCALE"} \
+    dune exec bin/mutps_cli.exe -- run \
+    ${MUTPS_SAMPLE+--sample=$MUTPS_SAMPLE} all || status=$?
+  dune exec bin/mutps_cli.exe -- engine-micro || status=$?
+  dune exec bench/main.exe || status=$?
+} > bench_output.txt 2>&1
+echo "BENCH_EXIT=$status" >> bench_output.txt
+touch .final_done

@@ -1,5 +1,5 @@
 (* Tests for the experiment harness's pure parts: the registry, table
-   rendering, and scale handling. *)
+   rendering, and scale handling; plus the engine gate's counts. *)
 
 open Mutps_experiments
 
@@ -68,6 +68,31 @@ let test_scale_fields_sane () =
   check_bool "keyspace positive" true (s.Harness.keyspace > 0);
   check_bool "cores >= 2" true (s.Harness.cores >= 2);
   check_bool "warmup < measure * 2" true (s.Harness.warmup < 2 * s.Harness.measure)
+
+(* MUTPS_BENCH_SCALE comes from outside the program: a factor scales the
+   default keyspace and windows, anything but a finite positive number is
+   refused with a message naming the variable *)
+let test_scale_from_env () =
+  let with_scale v f =
+    Unix.putenv "MUTPS_BENCH_SCALE" v;
+    Fun.protect ~finally:(fun () -> Unix.putenv "MUTPS_BENCH_SCALE" "") f
+  in
+  with_scale "0.02" (fun () ->
+      match Harness.scale_from_env () with
+      | Ok s ->
+        check_int "keyspace" 4_000 s.Harness.keyspace;
+        check_int "measure" 500_000 s.Harness.measure;
+        check_int "clients keep their floor" 48 s.Harness.clients
+      | Error msg -> Alcotest.fail msg);
+  List.iter
+    (fun v ->
+      with_scale v (fun () ->
+          match Harness.scale_from_env () with
+          | Ok _ -> Alcotest.failf "MUTPS_BENCH_SCALE=%s accepted" v
+          | Error msg ->
+            check_bool (v ^ ": message names the variable") true
+              (String.starts_with ~prefix:"MUTPS_BENCH_SCALE" msg)))
+    [ "abc"; "-1"; "0"; "nan"; "inf" ]
 
 let test_system_names () =
   Alcotest.(check string) "mutps" "uTPS" (Harness.system_name Harness.Mutps);
@@ -209,6 +234,33 @@ let test_runner_unknown_name () =
     | exception Invalid_argument _ -> true
     | _ -> false)
 
+(* --- the engine gate's deterministic counts --- *)
+
+(* dune exec runs us from the root, dune runtest inside test/experiments;
+   the root's path is tried first, as it cannot name a file outside the
+   checkout *)
+let engine_gate_path =
+  let root = "test/golden/engine_gate.json" in
+  if Sys.file_exists root then root else "../golden/engine_gate.json"
+
+(* Events, simulated cycles and completed requests must equal the golden.
+   Words per event are left to CI's check under two GC pacings, which
+   runs on the compiler version the golden was recorded with. *)
+let test_engine_gate_counts () =
+  let counts =
+    List.map (fun (r : Report.row) ->
+        { r with
+          Report.metrics =
+            List.remove_assoc "minor_words_per_event" r.Report.metrics })
+  in
+  let baseline = counts (Report.read_file engine_gate_path) in
+  let current = counts (List.map fst (Engine_micro.run ())) in
+  check_int "one row per case" 3 (List.length baseline);
+  match Report.diff ~baseline ~current () with
+  | [] -> ()
+  | drifts ->
+    Alcotest.fail (String.concat "; " (List.map Report.drift_to_string drifts))
+
 let test_mk_config_scales_geometry () =
   (* below ~500K keys the geometry sits on its floor; above it scales *)
   let small = Harness.mk_config { Harness.default_scale with Harness.keyspace = 500_000 } in
@@ -236,6 +288,7 @@ let () =
       ( "harness",
         [
           Alcotest.test_case "scale sane" `Quick test_scale_fields_sane;
+          Alcotest.test_case "scale from env" `Quick test_scale_from_env;
           Alcotest.test_case "system names" `Quick test_system_names;
           Alcotest.test_case "populate size" `Quick test_populate_size;
           Alcotest.test_case "scaled geometry" `Quick test_mk_config_scales_geometry;
@@ -249,6 +302,8 @@ let () =
             test_report_json_rejects_garbage;
           Alcotest.test_case "diff" `Quick test_report_diff;
         ] );
+      ( "engine micro",
+        [ Alcotest.test_case "gate counts" `Quick test_engine_gate_counts ] );
       ( "runner",
         [
           Alcotest.test_case "unknown name" `Quick test_runner_unknown_name;

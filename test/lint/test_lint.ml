@@ -18,6 +18,21 @@ let check_string = Alcotest.(check string)
 let fixture_dir =
   if Sys.file_exists "fixtures" then "fixtures" else "test/lint/fixtures"
 
+let rec collect_ml acc path =
+  if Sys.is_directory path then
+    Sys.readdir path |> Array.to_list |> List.sort compare
+    |> List.fold_left (fun acc f -> collect_ml acc (Filename.concat path f)) acc
+  else if Filename.check_suffix path ".ml" then path :: acc
+  else acc
+
+(* the library tree, found from where [fixture_dir] was: the tree tests
+   must walk this repository's lib and nothing else, and fail without it *)
+let lib_files () =
+  let lib = if fixture_dir = "fixtures" then "../../lib" else "lib" in
+  if not (Sys.file_exists lib && Sys.is_directory lib) then
+    Alcotest.failf "library tree %s not found" lib;
+  List.sort compare (collect_ml [] lib)
+
 let findings ?rule_path file =
   match Lint.check_file ?rule_path (Filename.concat fixture_dir file) with
   | Ok fs -> fs
@@ -241,46 +256,27 @@ let test_alloc_good () =
   check_int "helper reached" 3 (List.length r.Alloc.hot_set)
 
 (* regression: the real annotated hot set (everything under lib/) must
-   certify with zero findings and no stale suppressions.  dune copies the
-   sources into _build, so ../../lib is visible from test/lint; skip
-   gracefully if a sandboxed runner hides it (CI's `dune build @lint`
-   covers the same ground). *)
-let rec collect_ml acc path =
-  if Sys.is_directory path then
-    Sys.readdir path |> Array.to_list |> List.sort compare
-    |> List.fold_left (fun acc f -> collect_ml acc (Filename.concat path f)) acc
-  else if Filename.check_suffix path ".ml" then path :: acc
-  else acc
-
+   certify with zero findings and no stale suppressions *)
 let test_alloc_hot_tree_certified () =
-  let lib =
-    if Sys.file_exists "../../lib" then Some "../../lib"
-    else if Sys.file_exists "lib" then Some "lib"
-    else None
-  in
-  match lib with
-  | None -> ()
-  | Some lib ->
-    let files = List.sort compare (collect_ml [] lib) in
-    let r = Alloc.check_project (world_of_files files) in
-    List.iter
-      (fun (f : Lint.finding) -> print_endline (Lint.finding_to_string f))
-      r.Alloc.findings;
-    check_int "annotated hot set certifies zero-alloc" 0
-      (List.length r.Alloc.findings);
-    Alcotest.(check bool)
-      "all hot roots discovered" true
-      (List.length r.Alloc.hot_roots >= 20);
-    Alcotest.(check bool)
-      "at most 3 [@alloc.allow] suppressions" true
-      (List.length r.Alloc.allow_sites <= 3);
-    List.iter
-      (fun (s : Lint.allow_site) ->
-        Alcotest.(check bool)
-          (Printf.sprintf "allow at %s:%d is live" s.Lint.as_file
-             s.Lint.as_line)
-          true (s.Lint.as_uses > 0))
-      r.Alloc.allow_sites
+  let r = Alloc.check_project (world_of_files (lib_files ())) in
+  List.iter
+    (fun (f : Lint.finding) -> print_endline (Lint.finding_to_string f))
+    r.Alloc.findings;
+  check_int "annotated hot set certifies zero-alloc" 0
+    (List.length r.Alloc.findings);
+  Alcotest.(check bool)
+    "all hot roots discovered" true
+    (List.length r.Alloc.hot_roots >= 20);
+  Alcotest.(check bool)
+    "at most 3 [@alloc.allow] suppressions" true
+    (List.length r.Alloc.allow_sites <= 3);
+  List.iter
+    (fun (s : Lint.allow_site) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "allow at %s:%d is live" s.Lint.as_file
+           s.Lint.as_line)
+        true (s.Lint.as_uses > 0))
+    r.Alloc.allow_sites
 
 let test_syntax_error () =
   match Lint.check_string "let let let" with
@@ -475,42 +471,33 @@ let test_dom_san_subset () =
    acyclic lock-order graph, every [@dom.allow] live, at most 5 of
    them. *)
 let test_dom_tree_certified () =
-  let lib =
-    if Sys.file_exists "lib" then Some "lib"
-    else if Sys.file_exists "../../lib" then Some "../../lib"
-    else None
-  in
-  match lib with
-  | None -> ()
-  | Some lib ->
-    let files = List.sort compare (collect_ml [] lib) in
-    let r = Dom.check_project (world_of_files files) in
-    List.iter
-      (fun (f : Lint.finding) -> print_endline (Lint.finding_to_string f))
-      r.Dom.findings;
-    check_int "library tree certifies domain-safe" 0
-      (List.length r.Dom.findings);
-    Alcotest.(check (list (list string)))
-      "lock-order graph acyclic" []
-      (Dom.Lockgraph.cycles r.Dom.graph);
-    Alcotest.(check bool)
-      "module-level mutable state is inventoried" true
-      (List.length r.Dom.globals >= 8);
-    Alcotest.(check bool)
-      "no flagged globals" true
-      (List.for_all
-         (fun (g : Dom.global) -> g.Dom.g_status <> Dom.S_flagged)
-         r.Dom.globals);
-    Alcotest.(check bool)
-      "at most 5 [@dom.allow] suppressions" true
-      (List.length r.Dom.allow_sites <= 5);
-    List.iter
-      (fun (s : Lint.allow_site) ->
-        Alcotest.(check bool)
-          (Printf.sprintf "allow at %s:%d is live" s.Lint.as_file
-             s.Lint.as_line)
-          true (s.Lint.as_uses > 0))
-      r.Dom.allow_sites
+  let r = Dom.check_project (world_of_files (lib_files ())) in
+  List.iter
+    (fun (f : Lint.finding) -> print_endline (Lint.finding_to_string f))
+    r.Dom.findings;
+  check_int "library tree certifies domain-safe" 0
+    (List.length r.Dom.findings);
+  Alcotest.(check (list (list string)))
+    "lock-order graph acyclic" []
+    (Dom.Lockgraph.cycles r.Dom.graph);
+  Alcotest.(check bool)
+    "module-level mutable state is inventoried" true
+    (List.length r.Dom.globals >= 8);
+  Alcotest.(check bool)
+    "no flagged globals" true
+    (List.for_all
+       (fun (g : Dom.global) -> g.Dom.g_status <> Dom.S_flagged)
+       r.Dom.globals);
+  Alcotest.(check bool)
+    "at most 5 [@dom.allow] suppressions" true
+    (List.length r.Dom.allow_sites <= 5);
+  List.iter
+    (fun (s : Lint.allow_site) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "allow at %s:%d is live" s.Lint.as_file
+           s.Lint.as_line)
+        true (s.Lint.as_uses > 0))
+    r.Dom.allow_sites
 
 (* --- the shared closed world --- *)
 
