@@ -13,16 +13,15 @@
    answered in the scheduler turn that delivered it.
 
    Wire protocol: {!Resp} (GET/SET/DEL/PING).  Per-connection response
-   order equals request order: every parsed command takes a ticket, and a
-   sequencer releases encoded replies in ticket order no matter which
-   shard fiber completes them.
+   order equals request order: every parsed command queues a reply slot
+   on its connection, a reply fills its request's slot whichever shard
+   fiber posted it, and only a connection's filled prefix is encoded.
 
-   Threading picture (D rules): the poller fiber owns all socket state
-   and each connection's read side; a shard fiber owns its KVS and its
-   loops; the only cross-fiber state is the per-shard rx queue
-   ([rx_lock]), the connection table ([conns_lock]) and each connection's
-   reply sequencer ([out_lock]) — three distinct single-level locks,
-   never nested. *)
+   Threading picture (D rules): the poller fiber owns every connection —
+   its socket, read side, reply slots and reply buffer — and the request
+   id table; a shard fiber owns its KVS and its loops.  The only
+   cross-fiber state is each shard's request queue and reply queue, both
+   under the shard's one lock ([rx_lock]), never nested. *)
 
 module Env = Mutps_mem.Env
 module Costs = Mutps_mem.Costs
@@ -80,20 +79,20 @@ type summary = {
 }
 
 (* ------------------------------------------------------------------ *)
-(* Native transport: the same first-class interface the simulated      *)
-(* transports implement, over an in-process handoff queue.  Addresses  *)
-(* are synthetic — the free-running Env never dereferences them.       *)
+(* Native transport: the same first-class interface the simulated     *)
+(* transports implement, over in-process handoff queues.  A message's *)
+(* seq is the request id the poller gave it, and a reply goes back to *)
+(* the poller as [(seq, value)].  Addresses are synthetic — the       *)
+(* free-running Env never dereferences them.                          *)
 (* ------------------------------------------------------------------ *)
 
 type native_tr = {
-  rx_lock : Mutex.t;  (* guards rx, by_seq, next_seq *)
+  rx_lock : Mutex.t;  (* guards rx and replies *)
   rx : (int * Message.t) Queue.t;
-  by_seq : (int, Message.t) Hashtbl.t;
-  mutable next_seq : int;
+  replies : (int * bytes option) Queue.t;
   resp_top : int Atomic.t;
   inflight : int Atomic.t;
   responded : int Atomic.t;
-  mutable on_resp : Message.t -> bytes option -> unit;
 }
 
 let slot_stride = 4096
@@ -103,12 +102,10 @@ let make_transport () =
     {
       rx_lock = Mutex.create ();
       rx = Queue.create ();
-      by_seq = Hashtbl.create 256;
-      next_seq = 0;
+      replies = Queue.create ();
       resp_top = Atomic.make 0x4000_0000;
       inflight = Atomic.make 0;
       responded = Atomic.make 0;
-      on_resp = (fun _ _ -> ());
     }
   in
   let tr =
@@ -117,10 +114,7 @@ let make_transport () =
       deliver =
         (fun msg ->
           Mutex.lock nt.rx_lock;
-          let seq = nt.next_seq in
-          nt.next_seq <- seq + 1;
-          Queue.push (seq, msg) nt.rx;
-          Hashtbl.replace nt.by_seq seq msg;
+          Queue.push (msg.Message.id, msg) nt.rx;
           Mutex.unlock nt.rx_lock;
           Atomic.incr nt.inflight);
       poll =
@@ -136,16 +130,11 @@ let make_transport () =
       post_response =
         (fun _env ~seq ~resp_addr:_ ~bytes:_ ~value ->
           Mutex.lock nt.rx_lock;
-          let msg = Hashtbl.find_opt nt.by_seq seq in
-          Hashtbl.remove nt.by_seq seq;
+          Queue.push (seq, value) nt.replies;
           Mutex.unlock nt.rx_lock;
-          match msg with
-          | Some msg ->
-            Atomic.decr nt.inflight;
-            Atomic.incr nt.responded;
-            nt.on_resp msg value
-          | None -> invalid_arg "native transport: unknown response seq");
-      set_on_response = (fun f -> nt.on_resp <- f);
+          Atomic.decr nt.inflight;
+          Atomic.incr nt.responded);
+      set_on_response = (fun _ -> ());
       workers = (fun () -> 1);
       set_workers = (fun _ -> ());
       reconfig_in_progress = (fun () -> false);
@@ -299,53 +288,39 @@ let spawn_shard sched shard =
 (* Connections and the socket poller                                   *)
 (* ------------------------------------------------------------------ *)
 
+(* A reply slot, queued on its connection when the command is parsed and
+   filled when its reply is known. *)
+type slot = { mutable reply : Resp.reply option }
+
 type conn = {
   cid : int;
   fd : Unix.file_descr;
-  mutable rbuf : bytes;  (* poller-only read accumulation *)
+  mutable rbuf : bytes;  (* read accumulation *)
   mutable rlen : int;
-  mutable tickets : int;  (* poller-only: next request ticket *)
-  out_lock : Mutex.t;  (* guards pending, next_out, obuf *)
-  pending : (int, Resp.reply) Hashtbl.t;
-  mutable next_out : int;
+  slots : slot Queue.t;  (* one per command not yet encoded, in request order *)
   obuf : Buffer.t;  (* in-order encoded replies awaiting the socket *)
-  mutable wpend : string;  (* poller-only write staging *)
+  mutable wpend : string;  (* write staging *)
   mutable woff : int;
   mutable closing : bool;  (* close once every reply has been flushed *)
 }
 
 (* A client that pipelines requests and never reads the replies would
    grow [obuf] without bound.  Past this many bytes, Valkey's
-   [client-output-buffer-limit] hard limit, no more replies are encoded
-   for it and the poller drops the connection. *)
+   [client-output-buffer-limit] hard limit, the poller drops the
+   connection as it encodes. *)
 let obuf_limit = 16 * Request.max_size
 
-(* Release replies in ticket order: a completion may land out of order
-   (different shards), so park it in [pending] and drain the prefix. *)
-let conn_complete conn ~ticket reply =
-  Mutex.lock conn.out_lock;
-  Hashtbl.replace conn.pending ticket reply;
-  let continue = ref true in
-  while !continue do
-    match Hashtbl.find_opt conn.pending conn.next_out with
-    | Some r ->
-      Hashtbl.remove conn.pending conn.next_out;
-      conn.next_out <- conn.next_out + 1;
-      if Buffer.length conn.obuf <= obuf_limit then
-        Resp.encode_reply conn.obuf r
-    | None -> continue := false
-  done;
-  Mutex.unlock conn.out_lock
-
+(* The poller's alone, but for the shards' queues. *)
 type state = {
   cfg : config;
   shards : shard array;
   sched : Sched.t;
   stop : bool Atomic.t;
   lfd : Unix.file_descr;
-  conns_lock : Mutex.t;  (* guards the completion-lookup table only *)
-  conns : (int, conn) Hashtbl.t;
-  (* the rest is poller-only *)
+  mutable next_id : int;  (* the next request id, a transport seq *)
+  waiting : (int, conn * slot * Request.kind) Hashtbl.t;
+      (* request id -> the slot its reply fills *)
+  replies : (int * bytes option) Queue.t;  (* taken from the shards *)
   mutable accepted : int;
   mutable refused : int;
   mutable live : conn list;  (* every open connection *)
@@ -354,14 +329,6 @@ type state = {
   mutable rewatch : bool;  (* [watched] is stale: a conn opened or began closing *)
   mutable closing_conns : int;  (* live conns with [closing] set *)
 }
-
-let complete_by_id st ~cid ~ticket reply =
-  Mutex.lock st.conns_lock;
-  let conn = Hashtbl.find_opt st.conns cid in
-  Mutex.unlock st.conns_lock;
-  match conn with
-  | Some conn -> conn_complete conn ~ticket reply
-  | None -> ()  (* connection closed with replies in flight *)
 
 (* Stop reading [conn]: it leaves the watched set at the next select and
    closes once its replies have drained. *)
@@ -374,31 +341,65 @@ let begin_close st conn =
 
 (* The peer is gone: nothing more can reach it, so drop the replies still
    owed and let the close sweep take the connection at once.  A reply
-   completing later parks in [pending] and is never encoded. *)
+   arriving later fills a slot no longer queued and is never encoded. *)
 let conn_drop st conn =
   begin_close st conn;
   conn.wpend <- "";
   conn.woff <- 0;
-  Mutex.lock conn.out_lock;
-  Hashtbl.reset conn.pending;
-  Buffer.clear conn.obuf;
-  conn.next_out <- conn.tickets;
-  Mutex.unlock conn.out_lock
+  Queue.clear conn.slots;
+  Buffer.clear conn.obuf
 
-(* Dispatch one parsed command: route KVS ops to their shard's transport
-   (the reply arrives through the shard's response callback), answer
-   PING inline through the same sequencer. *)
+(* Encode [conn]'s filled prefix of slots, or drop a reader that let more
+   than [obuf_limit] bytes of them pile up. *)
+let rec encode_filled st conn =
+  match Queue.peek_opt conn.slots with
+  | Some { reply = Some r } ->
+    ignore (Queue.take conn.slots);
+    Resp.encode_reply conn.obuf r;
+    if Buffer.length conn.obuf > obuf_limit then conn_drop st conn
+    else encode_filled st conn
+  | Some { reply = None } | None -> ()
+
+(* Take every shard's replies; each fills the slot its request queued. *)
+let collect_replies st =
+  Array.iter
+    (fun shard ->
+      Mutex.lock shard.nt.rx_lock;
+      Queue.transfer shard.nt.replies st.replies;
+      Mutex.unlock shard.nt.rx_lock)
+    st.shards;
+  while not (Queue.is_empty st.replies) do
+    let id, value = Queue.take st.replies in
+    match Hashtbl.find_opt st.waiting id with
+    | None -> invalid_arg "native server: reply to an unknown request id"
+    | Some (conn, slot, kind) ->
+      Hashtbl.remove st.waiting id;
+      slot.reply <- Some (Resp.reply_for_op kind value);
+      encode_filled st conn
+  done
+
+(* Answer on [conn], in request order, what no shard answers. *)
+let answer st conn reply =
+  Queue.push { reply = Some reply } conn.slots;
+  encode_filled st conn
+
+(* Dispatch one parsed command: send a KVS op to its shard's transport
+   under a fresh request id, whose reply fills the slot queued here;
+   answer PING inline. *)
 let dispatch st conn cmd =
-  let ticket = conn.tickets in
-  conn.tickets <- ticket + 1;
   let send req value =
+    let id = st.next_id in
+    st.next_id <- id + 1;
+    let slot = { reply = None } in
+    Queue.push slot conn.slots;
+    Hashtbl.replace st.waiting id (conn, slot, req.Request.kind);
     let shard =
       st.shards.(shard_of_key ~shards:(Array.length st.shards)
                    req.Request.key)
     in
     shard.tr.Transport.deliver
       {
-        Message.id = ticket;
+        Message.id;
         client = conn.cid;
         sent_at = 0;
         target = -1;
@@ -407,7 +408,7 @@ let dispatch st conn cmd =
       }
   in
   match cmd with
-  | Resp.Ping -> conn_complete conn ~ticket (Resp.Ok_simple "PONG")
+  | Resp.Ping -> answer st conn (Resp.Ok_simple "PONG")
   | Resp.Get key -> send (Request.get ~key ~buf:0) None
   | Resp.Del key -> send (Request.delete ~key ~buf:0) None
   | Resp.Set (key, v) ->
@@ -419,9 +420,7 @@ let conn_parse st conn =
     match Resp.parse_command conn.rbuf ~len:conn.rlen with
     | `Need_more -> continue := false
     | `Bad reason ->
-      let ticket = conn.tickets in
-      conn.tickets <- ticket + 1;
-      conn_complete conn ~ticket (Resp.Error reason);
+      answer st conn (Resp.Error reason);
       begin_close st conn
     | `Ok (cmd, consumed) ->
       Bytes.blit conn.rbuf consumed conn.rbuf 0 (conn.rlen - consumed);
@@ -447,22 +446,16 @@ let conn_read st conn =
   | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) ->
     conn_drop st conn
 
-(* Move sequenced replies to the socket, or drop a reader that let more
-   than [obuf_limit] bytes of them pile up. *)
+(* Move encoded replies to the socket. *)
 let conn_flush st conn =
-  Mutex.lock conn.out_lock;
-  let overflowed = Buffer.length conn.obuf > obuf_limit in
-  if (not overflowed) && conn.woff >= String.length conn.wpend
-     && Buffer.length conn.obuf > 0
+  if conn.woff >= String.length conn.wpend && Buffer.length conn.obuf > 0
   then begin
     conn.wpend <- Buffer.contents conn.obuf;
     conn.woff <- 0;
     Buffer.clear conn.obuf
   end;
-  Mutex.unlock conn.out_lock;
   let len = String.length conn.wpend - conn.woff in
-  if overflowed then conn_drop st conn
-  else if len > 0 then begin
+  if len > 0 then begin
     match Unix.write_substring conn.fd conn.wpend conn.woff len with
     | n -> conn.woff <- conn.woff + n
     | exception
@@ -472,20 +465,13 @@ let conn_flush st conn =
       conn_drop st conn
   end
 
-(* A closing connection drains once every issued ticket has its reply
+(* A closing connection drains once every queued slot has its reply
    encoded and written. *)
 let conn_drained conn =
-  conn.woff >= String.length conn.wpend
-  &&
-  (Mutex.lock conn.out_lock;
-   let d = conn.next_out = conn.tickets && Buffer.length conn.obuf = 0 in
-   Mutex.unlock conn.out_lock;
-   d)
+  Queue.is_empty conn.slots && Buffer.length conn.obuf = 0
+  && conn.woff >= String.length conn.wpend
 
 let close_conn st conn =
-  Mutex.lock st.conns_lock;
-  Hashtbl.remove st.conns conn.cid;
-  Mutex.unlock st.conns_lock;
   Hashtbl.remove st.by_fd conn.fd;
   (try Unix.close conn.fd with Unix.Unix_error _ -> ())
 
@@ -522,10 +508,7 @@ let accept_conns st =
           fd;
           rbuf = Bytes.create read_chunk;
           rlen = 0;
-          tickets = 0;
-          out_lock = Mutex.create ();
-          pending = Hashtbl.create 16;
-          next_out = 0;
+          slots = Queue.create ();
           obuf = Buffer.create 256;
           wpend = "";
           woff = 0;
@@ -533,9 +516,6 @@ let accept_conns st =
         }
       in
       st.accepted <- st.accepted + 1;
-      Mutex.lock st.conns_lock;
-      Hashtbl.replace st.conns conn.cid conn;
-      Mutex.unlock st.conns_lock;
       st.live <- conn :: st.live;
       Hashtbl.replace st.by_fd fd conn;
       st.rewatch <- true
@@ -555,11 +535,12 @@ let close_sweep st =
     st.live <- kept;
     st.closing_conns <- st.closing_conns - List.length closed
 
-(* One poller turn, driven by readiness: replies finished during the last
-   pass over the shard fibers leave first, then one zero-timeout select
-   names the sockets worth an accept or a read, and nothing else is
-   touched. *)
+(* One poller turn, driven by readiness: the replies the shard fibers
+   posted since the last turn are collected, encoded and leave first, then
+   one zero-timeout select names the sockets worth an accept or a read,
+   and nothing else is touched. *)
 let poll_turn st =
+  collect_replies st;
   List.iter (conn_flush st) st.live;
   if st.rewatch then begin
     st.watched <-
@@ -620,21 +601,20 @@ let poller_fiber st () =
 (* ------------------------------------------------------------------ *)
 
 let listen_socket cfg =
-  match cfg.listen with
-  | Unix_path path ->
-    (try Sys.remove path with Sys_error _ -> ());
-    let fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-    Unix.bind fd (Unix.ADDR_UNIX path);
-    Unix.listen fd 64;
-    Unix.set_nonblock fd;
-    fd
-  | Tcp (host, port) ->
-    let fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
-    Unix.setsockopt fd Unix.SO_REUSEADDR true;
-    Unix.bind fd (Unix.ADDR_INET (Unix.inet_addr_of_string host, port));
-    Unix.listen fd 64;
-    Unix.set_nonblock fd;
-    fd
+  let addr =
+    match cfg.listen with
+    | Unix_path path ->
+      (try Sys.remove path with Sys_error _ -> ());
+      Unix.ADDR_UNIX path
+    | Tcp (host, port) -> Unix.ADDR_INET (Unix.inet_addr_of_string host, port)
+  in
+  let domain = Unix.domain_of_sockaddr addr in
+  let fd = Unix.socket ~cloexec:true domain Unix.SOCK_STREAM 0 in
+  if domain = Unix.PF_INET then Unix.setsockopt fd Unix.SO_REUSEADDR true;
+  Unix.bind fd addr;
+  Unix.listen fd 64;
+  Unix.set_nonblock fd;
+  fd
 
 let listen_to_string = function
   | Unix_path p -> "unix:" ^ p
@@ -657,8 +637,9 @@ let prepare (cfg : config) =
       sched = Sched.create ~workers:cfg.domains ();
       stop;
       lfd;
-      conns_lock = Mutex.create ();
-      conns = Hashtbl.create 64;
+      next_id = 0;
+      waiting = Hashtbl.create 256;
+      replies = Queue.create ();
       accepted = 0;
       refused = 0;
       live = [];
@@ -668,12 +649,6 @@ let prepare (cfg : config) =
       closing_conns = 0;
     }
   in
-  Array.iter
-    (fun shard ->
-      shard.tr.Transport.set_on_response (fun (msg : Message.t) value ->
-          complete_by_id st ~cid:msg.Message.client ~ticket:msg.Message.id
-            (Resp.reply_for_op msg.Message.req.Request.kind value)))
-    shards;
   Array.iter (spawn_shard st.sched) shards;
   Sched.spawn st.sched (poller_fiber st);
   cfg.log

@@ -12,9 +12,11 @@
     domain, and a shard answers what it was given before it yields to the
     scheduler; shards run in parallel.
 
-    Per-connection replies are released in request order regardless of
-    which shard fiber completes them.  One poller fiber serves every
-    connection: each turn flushes the sequenced replies, makes one
+    One poller fiber owns every connection; a shard fiber never touches
+    one.  Each turn the poller takes the replies the shards posted, puts
+    each into the slot its request queued on its connection and encodes
+    every connection's filled prefix, so replies leave in request order
+    whichever shard fiber completes them.  It then writes, makes one
     zero-timeout [Unix.select], and accepts or reads only where the
     kernel reports readiness.  A connection that lets about 64 MiB of
     replies queue up unread is dropped.  Starting a server sets

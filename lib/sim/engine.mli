@@ -124,7 +124,9 @@ val current_sanitizer_factory : unit -> (unit -> sanitizer) option
     the engine exactly like the sanitizer: a record of closures invoked by
     instrumented layers through their engine handle.  [None] (the
     default) costs one branch per hook site and allocates nothing — the
-    "zero-cost-when-off" contract the [bench] suite measures. *)
+    "zero-cost-when-off" contract: the A rules certify the trace-off
+    path, and the perf ledger's [trace.overhead_frac] measures the
+    trace-on cost. *)
 
 type tracer = {
   tr_thread : string -> int;

@@ -1,7 +1,7 @@
 #!/bin/bash
 # Full evaluation pass: every experiment fanned out over domains, then the
-# engine micro-benchmarks and the Bechamel microbenchmarks.  Produces:
-#   bench_output.txt            text tables + microbenchmark figures
+# engine micro-benchmarks.  Produces:
+#   bench_output.txt            text tables + engine micro rows
 #   bench_json/BENCH_<exp>.json per-experiment canonical rows
 #   bench_json/BENCH_all.json   combined canonical experiment rows
 #   bench_json/BENCH_engine_micro.json  engine gate rows (fixed scale)
@@ -23,7 +23,6 @@ status=0
     --json bench_json/BENCH_all.json --json-dir bench_json all || status=$?
   dune exec bin/mutps_cli.exe -- engine-micro \
     --json bench_json/BENCH_engine_micro.json || status=$?
-  dune exec bench/main.exe || status=$?
 } > bench_output.txt 2>&1
 echo "BENCH_EXIT=$status" >> bench_output.txt
 touch .bench_done

@@ -13,7 +13,6 @@ status=0
     dune exec bin/mutps_cli.exe -- run \
     ${MUTPS_SAMPLE+--sample=$MUTPS_SAMPLE} all || status=$?
   dune exec bin/mutps_cli.exe -- engine-micro || status=$?
-  dune exec bench/main.exe || status=$?
 } > bench_output.txt 2>&1
 echo "BENCH_EXIT=$status" >> bench_output.txt
 touch .final_done

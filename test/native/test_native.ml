@@ -578,23 +578,35 @@ let test_serve_ping_and_errors () =
 let poller_keyspace = 64
 let poller_value_size = 16
 
-let launch_poller_server ?(mode = Server.Split) ?(domains = 2) name =
+(* loadgen traffic for the poller cases: skewed, 30% SETs, every key
+   preloaded *)
+let poller_spec =
+  {
+    Opgen.name = "poller";
+    keyspace = poller_keyspace;
+    key_dist = Opgen.Zipfian 0.9;
+    size_dist = Opgen.Fixed poller_value_size;
+    mix = { Opgen.get = 0.7; put = 0.3; scan = 0.0 };
+    scan_len = 1;
+  }
+
+let launch_poller ?(mode = Server.Split) ?(domains = 2) listen =
+  Server.launch
+    {
+      Server.default_config with
+      Server.mode;
+      listen;
+      domains;
+      shards = 2;
+      keyspace = poller_keyspace;
+      value_size = poller_value_size;
+      hot_cap = 16;
+    }
+
+let launch_poller_server ?mode ?domains name =
   let path = Filename.temp_file name ".sock" in
   Sys.remove path;
-  let handle =
-    Server.launch
-      {
-        Server.default_config with
-        Server.mode;
-        listen = Server.Unix_path path;
-        domains;
-        shards = 2;
-        keyspace = poller_keyspace;
-        value_size = poller_value_size;
-        hot_cap = 16;
-      }
-  in
-  (path, handle)
+  (path, launch_poller ?mode ?domains (Server.Unix_path path))
 
 let connect_unix path =
   let fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
@@ -637,15 +649,21 @@ let ping_ok fd =
 (* One write carries hundreds of commands over both shards — hits on
    preloaded keys (repeated, so a batch sees duplicates), SETs, PINGs,
    misses, and a DEL, SET, GET of one key back to back, read again much
-   later — and must come back in order, each answered exactly once; then
-   a command split over two writes is reassembled. *)
+   later — and must come back in order, each answered exactly once (the
+   server's own count of KVS replies included); then a command split over
+   two writes is reassembled. *)
 let test_poller_pipelined ?domains mode () =
   let path, handle = launch_poller_server ~mode ?domains "mutps-pipe" in
   let fd = connect_unix path in
   let cmds = Buffer.create 16384 and want = Buffer.create 16384 in
+  (* GET/SET/DEL commands sent: the poller answers PING itself *)
+  let kv_sent = ref 0 in
   let add cmd reply =
     Resp.encode_command cmds cmd;
-    Buffer.add_string want (Resp.reply_to_string reply)
+    Buffer.add_string want (Resp.reply_to_string reply);
+    match cmd with
+    | Resp.Ping -> ()
+    | Resp.Get _ | Resp.Set _ | Resp.Del _ -> incr kv_sent
   in
   (* preloaded keys the GETs below never touch *)
   let reset_key i = Int64.of_int (20 + (i / 100)) in
@@ -690,26 +708,24 @@ let test_poller_pipelined ?domains mode () =
   check_string "split command applied" want (read_exactly fd (String.length want));
   Unix.close fd;
   Server.stop handle;
-  ignore (Server.wait handle)
+  let s = Server.wait handle in
+  check_int "the shards answered every KVS command once" (!kv_sent + 2)
+    s.Server.responded
 
 (* 64 closed loops at once, every reply checked against the value its key
    owes. *)
 let test_poller_many_conns () =
   let path, handle = launch_poller_server "mutps-many" in
-  let spec =
-    {
-      Opgen.name = "many";
-      keyspace = poller_keyspace;
-      key_dist = Opgen.Zipfian 0.9;
-      size_dist = Opgen.Fixed poller_value_size;
-      mix = { Opgen.get = 0.7; put = 0.3; scan = 0.0 };
-      scan_len = 1;
-    }
-  in
   let ops = 6_400 in
   let r =
     Loadgen.run
-      { Loadgen.connect = Server.Unix_path path; conns = 64; ops; spec; seed = 9 }
+      {
+        Loadgen.connect = Server.Unix_path path;
+        conns = 64;
+        ops;
+        spec = poller_spec;
+        seed = 9;
+      }
   in
   check_int "every op answered" ops r.Loadgen.completed;
   check_int "no errors" 0 r.Loadgen.errors;
@@ -718,6 +734,35 @@ let test_poller_many_conns () =
   Server.stop handle;
   let s = Server.wait handle in
   check_int "connections accepted" 64 s.Server.conns
+
+(* The TCP listener: a free loopback port, found by binding port 0,
+   serves a loadgen round with every reply the one owed. *)
+let test_serve_tcp () =
+  let port =
+    let fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
+    Unix.bind fd (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+    let port =
+      match Unix.getsockname fd with
+      | Unix.ADDR_INET (_, port) -> port
+      | Unix.ADDR_UNIX _ -> Alcotest.fail "port 0 bound no port"
+    in
+    Unix.close fd;
+    port
+  in
+  let listen = Server.Tcp ("127.0.0.1", port) in
+  let handle = launch_poller listen in
+  let ops = 2_000 in
+  let r =
+    Loadgen.run
+      { Loadgen.connect = listen; conns = 4; ops; spec = poller_spec; seed = 13 }
+  in
+  check_int "every op answered" ops r.Loadgen.completed;
+  check_int "no errors" 0 r.Loadgen.errors;
+  check_int "every reply the one owed" 0 r.Loadgen.wrong;
+  Server.stop handle;
+  let s = Server.wait handle in
+  check_int "connections accepted" 4 s.Server.conns;
+  check_int "the shards answered every op once" ops s.Server.responded
 
 let open_fds () = Array.length (Sys.readdir "/proc/self/fd")
 
@@ -980,5 +1025,6 @@ let () =
             (test_poller_pipelined ~domains:1 (Server.Rtc_pool Kvs.Exec.Locked));
           Alcotest.test_case "slow reader dropped" `Quick
             test_poller_slow_reader;
+          Alcotest.test_case "serve + loadgen over TCP" `Quick test_serve_tcp;
         ] );
     ]
