@@ -9,19 +9,22 @@ let node_bytes = 256
    the key area (binary search), i.e. two of four lines. *)
 let probe_bytes = 128
 
+(* Node keys are stored unboxed, 8 bytes each in a [Bytes.t] read with
+   [key] below: an [int64 array] holds pointers to boxed values, so each
+   comparison of a search would chase one more host cache line. *)
 type node = Leaf of leaf | Internal of internal
 
 and leaf = {
   laddr : int;
-  mutable lkeys : int64 array; (* sorted, length = lsize *)
+  mutable lkeys : Bytes.t; (* sorted, nkeys = lsize *)
   mutable litems : Item.t array;
   mutable lnext : leaf option;
 }
 
 and internal = {
   iaddr : int;
-  (* children.(i) covers keys < ikeys.(i); children.(n) covers the rest *)
-  mutable ikeys : int64 array;
+  (* children.(i) covers keys < key ikeys i; children.(n) covers the rest *)
+  mutable ikeys : Bytes.t;
   mutable ichildren : node array;
 }
 
@@ -41,7 +44,7 @@ let create layout ~seed:_ =
   let laddr = Layout.alloc region ~align:64 node_bytes in
   {
     region;
-    root = Leaf { laddr; lkeys = [||]; litems = [||]; lnext = None };
+    root = Leaf { laddr; lkeys = Bytes.empty; litems = [||]; lnext = None };
     count = 0;
     depth = 1;
   }
@@ -49,23 +52,51 @@ let create layout ~seed:_ =
 let count t = t.count
 let depth t = t.depth
 
-(* index of first key >= k in a sorted array *)
-let lower_bound keys k =
-  let lo = ref 0 and hi = ref (Array.length keys) in
+(* --- unboxed keys --- *)
+
+external get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set64u : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+
+let nkeys b = Bytes.length b lsr 3
+let key b i = get64u b (i lsl 3)
+
+let keys_insert b i k =
+  let n = Bytes.length b and off = i lsl 3 in
+  let c = Bytes.create (n + 8) in
+  Bytes.blit b 0 c 0 off;
+  set64u c off k;
+  Bytes.blit b off c (off + 8) (n - off);
+  c
+
+let keys_remove b i =
+  let n = Bytes.length b and off = i lsl 3 in
+  let c = Bytes.create (n - 8) in
+  Bytes.blit b 0 c 0 off;
+  Bytes.blit b (off + 8) c off (n - off - 8);
+  c
+
+let keys_sub b i len = Bytes.sub b (i lsl 3) (len lsl 3)
+
+(* index of first key >= k in sorted keys *)
+let lower_bound keys (k : int64) =
+  let lo = ref 0 and hi = ref (nkeys keys) in
   while !lo < !hi do
     let mid = (!lo + !hi) / 2 in
-    if Int64.compare keys.(mid) k < 0 then lo := mid + 1 else hi := mid
+    if key keys mid < k then lo := mid + 1 else hi := mid
   done;
   !lo
 
-let child_index (n : internal) k =
+let child_index (n : internal) (k : int64) =
   (* first separator > k gives the child slot *)
-  let lo = ref 0 and hi = ref (Array.length n.ikeys) in
+  let lo = ref 0 and hi = ref (nkeys n.ikeys) in
   while !lo < !hi do
     let mid = (!lo + !hi) / 2 in
-    if Int64.compare n.ikeys.(mid) k <= 0 then lo := mid + 1 else hi := mid
+    if key n.ikeys mid <= k then lo := mid + 1 else hi := mid
   done;
   !lo
+
+(* key [i] of [keys] exists and is [k] *)
+let key_is keys i (k : int64) = i < nkeys keys && key keys i = k
 
 (* --- array edit helpers --- *)
 
@@ -87,33 +118,33 @@ let array_remove a i =
 type split = NoSplit | Split of int64 * node (* separator, new right node *)
 
 let split_leaf t l =
-  let n = Array.length l.lkeys in
+  let n = nkeys l.lkeys in
   let mid = n / 2 in
   let right =
     {
       laddr = alloc_addr t;
-      lkeys = Array.sub l.lkeys mid (n - mid);
+      lkeys = keys_sub l.lkeys mid (n - mid);
       litems = Array.sub l.litems mid (n - mid);
       lnext = l.lnext;
     }
   in
-  l.lkeys <- Array.sub l.lkeys 0 mid;
+  l.lkeys <- keys_sub l.lkeys 0 mid;
   l.litems <- Array.sub l.litems 0 mid;
   l.lnext <- Some right;
-  Split (right.lkeys.(0), Leaf right)
+  Split (key right.lkeys 0, Leaf right)
 
 let split_internal t n =
-  let nk = Array.length n.ikeys in
+  let nk = nkeys n.ikeys in
   let mid = nk / 2 in
-  let sep = n.ikeys.(mid) in
+  let sep = key n.ikeys mid in
   let right =
     {
       iaddr = alloc_addr t;
-      ikeys = Array.sub n.ikeys (mid + 1) (nk - mid - 1);
+      ikeys = keys_sub n.ikeys (mid + 1) (nk - mid - 1);
       ichildren = Array.sub n.ichildren (mid + 1) (nk - mid);
     }
   in
-  n.ikeys <- Array.sub n.ikeys 0 mid;
+  n.ikeys <- keys_sub n.ikeys 0 mid;
   n.ichildren <- Array.sub n.ichildren 0 (mid + 1);
   Split (sep, Internal right)
 
@@ -124,7 +155,7 @@ let rec insert_rec t env node k item =
   match node with
   | Leaf l ->
     let i = lower_bound l.lkeys k in
-    if i < Array.length l.lkeys && Int64.equal l.lkeys.(i) k then begin
+    if key_is l.lkeys i k then begin
       (match env with
       | Some env -> Env.store env ~addr:(l.laddr + (i * 16)) ~size:16
       | None -> ());
@@ -132,25 +163,25 @@ let rec insert_rec t env node k item =
       NoSplit
     end
     else begin
-      l.lkeys <- array_insert l.lkeys i k;
+      l.lkeys <- keys_insert l.lkeys i k;
       l.litems <- array_insert l.litems i item;
       t.count <- t.count + 1;
       (match env with
       | Some env -> Env.store env ~addr:l.laddr ~size:node_bytes
       | None -> ());
-      if Array.length l.lkeys > fanout then split_leaf t l else NoSplit
+      if nkeys l.lkeys > fanout then split_leaf t l else NoSplit
     end
   | Internal n -> (
     let ci = child_index n k in
     match insert_rec t env n.ichildren.(ci) k item with
     | NoSplit -> NoSplit
     | Split (sep, right) ->
-      n.ikeys <- array_insert n.ikeys ci sep;
+      n.ikeys <- keys_insert n.ikeys ci sep;
       n.ichildren <- array_insert n.ichildren (ci + 1) right;
       (match env with
       | Some env -> Env.store env ~addr:n.iaddr ~size:node_bytes
       | None -> ());
-      if Array.length n.ikeys > fanout then split_internal t n else NoSplit)
+      if nkeys n.ikeys > fanout then split_internal t n else NoSplit)
 
 let root_split t result =
   match result with
@@ -158,7 +189,11 @@ let root_split t result =
   | Split (sep, right) ->
     let root =
       Internal
-        { iaddr = alloc_addr t; ikeys = [| sep |]; ichildren = [| t.root; right |] }
+        {
+          iaddr = alloc_addr t;
+          ikeys = keys_insert Bytes.empty 0 sep;
+          ichildren = [| t.root; right |];
+        }
     in
     t.root <- root;
     t.depth <- t.depth + 1
@@ -174,9 +209,7 @@ let lookup t env k =
     match node with
     | Leaf l ->
       let i = lower_bound l.lkeys k in
-      if i < Array.length l.lkeys && Int64.equal l.lkeys.(i) k then
-        Some l.litems.(i)
-      else None
+      if key_is l.lkeys i k then Some l.litems.(i) else None
     | Internal n -> go n.ichildren.(child_index n k)
   in
   go t.root
@@ -205,8 +238,7 @@ let batch_lookup t env keys =
       match frontier.(j) with
       | Leaf l ->
         let x = lower_bound l.lkeys keys.(i) in
-        if x < Array.length l.lkeys && Int64.equal l.lkeys.(x) keys.(i) then
-          result.(i) <- Some l.litems.(x)
+        if key_is l.lkeys x keys.(i) then result.(i) <- Some l.litems.(x)
       | Internal nd ->
         frontier.(!k) <- nd.ichildren.(child_index nd keys.(i));
         orig.(!k) <- i;
@@ -227,9 +259,9 @@ let remove t env k =
     match node with
     | Leaf l ->
       let i = lower_bound l.lkeys k in
-      if i < Array.length l.lkeys && Int64.equal l.lkeys.(i) k then begin
+      if key_is l.lkeys i k then begin
         Env.store env ~addr:l.laddr ~size:node_bytes;
-        l.lkeys <- array_remove l.lkeys i;
+        l.lkeys <- keys_remove l.lkeys i;
         l.litems <- array_remove l.litems i;
         t.count <- t.count - 1;
         true
@@ -255,8 +287,8 @@ let range t env ~lo ~n =
       if start > 0 || l.laddr <> leaf.laddr then
         Env.load env ~addr:l.laddr ~size:node_bytes;
       let i = ref start in
-      while !taken < n && !i < Array.length l.lkeys do
-        acc := (l.lkeys.(!i), l.litems.(!i)) :: !acc;
+      while !taken < n && !i < nkeys l.lkeys do
+        acc := (key l.lkeys !i, l.litems.(!i)) :: !acc;
         incr taken;
         incr i
       done;
@@ -277,32 +309,32 @@ let check_invariants t =
     | Leaf l ->
       if depth <> t.depth then fail "leaf at depth %d, expected %d" depth t.depth;
       leaves := l :: !leaves;
-      Array.iteri
-        (fun i k ->
-          (match lo with
-          | Some lo when Int64.compare k lo < 0 -> fail "leaf key below bound"
-          | _ -> ());
-          (match hi with
-          | Some hi when Int64.compare k hi >= 0 -> fail "leaf key above bound"
-          | _ -> ());
-          if i > 0 && Int64.compare l.lkeys.(i - 1) k >= 0 then
-            fail "leaf keys not strictly sorted")
-        l.lkeys;
-      if Array.length l.lkeys <> Array.length l.litems then
+      for i = 0 to nkeys l.lkeys - 1 do
+        let k = key l.lkeys i in
+        (match lo with
+        | Some lo when Int64.compare k lo < 0 -> fail "leaf key below bound"
+        | _ -> ());
+        (match hi with
+        | Some hi when Int64.compare k hi >= 0 -> fail "leaf key above bound"
+        | _ -> ());
+        if i > 0 && Int64.compare (key l.lkeys (i - 1)) k >= 0 then
+          fail "leaf keys not strictly sorted"
+      done;
+      if nkeys l.lkeys <> Array.length l.litems then
         fail "leaf keys/items length mismatch"
     | Internal n ->
-      let nk = Array.length n.ikeys in
+      let nk = nkeys n.ikeys in
       if Array.length n.ichildren <> nk + 1 then fail "child count mismatch";
       if nk = 0 then fail "empty internal node";
       if nk > fanout then fail "overfull internal node";
       for i = 1 to nk - 1 do
-        if Int64.compare n.ikeys.(i - 1) n.ikeys.(i) >= 0 then
+        if Int64.compare (key n.ikeys (i - 1)) (key n.ikeys i) >= 0 then
           fail "separators not sorted"
       done;
       Array.iteri
         (fun i child ->
-          let lo' = if i = 0 then lo else Some n.ikeys.(i - 1) in
-          let hi' = if i = nk then hi else Some n.ikeys.(i) in
+          let lo' = if i = 0 then lo else Some (key n.ikeys (i - 1)) in
+          let hi' = if i = nk then hi else Some (key n.ikeys i) in
           walk child ~lo:lo' ~hi:hi' ~depth:(depth + 1))
         n.ichildren);
     ()
@@ -323,7 +355,7 @@ let check_invariants t =
   List.iter2
     (fun a b -> if a.laddr <> b.laddr then fail "leaf chain out of order")
     chained in_tree;
-  let total = List.fold_left (fun acc l -> acc + Array.length l.lkeys) 0 in_tree in
+  let total = List.fold_left (fun acc l -> acc + nkeys l.lkeys) 0 in_tree in
   if total <> t.count then fail "count %d <> leaf total %d" t.count total
 
 let ops t =

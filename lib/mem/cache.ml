@@ -69,26 +69,32 @@ let rec find_way_from data base (tagbits : int) ways w =
    match. *)
 let find_way t base line = find_way_from t.data base line t.ways 0
 
-(* Single-pass combined match + LRU-victim scan, with the LRU victim
-   policy: the first invalid allowed way wins immediately (stamp pinned
-   to [min_int] so later ways cannot displace it); among valid allowed
-   ways the earliest minimal stamp wins (strict [<]).  Early-exits with
-   [w + 1] (positive) on a tag match; otherwise finishes the set and
-   returns [-(best + 2)] where [best] is the victim way ([-1] = no
-   eligible victim).  Running both searches in one sweep halves the set
-   walks on the miss path. *)
-let rec match_or_victim data base (line : int) mask ways w best best_stamp =
-  if w = ways then -(best + 2)
+(* Single-pass combined match + LRU-victim scan.  Early-exits with
+   [w + 1] (positive) on a tag match.  Otherwise each way gets one rank
+   key and the victim is the least key: a free allowed way ranks by its
+   index, a valid allowed way by [(stamp lsl 6) lor w], a way outside the
+   mask at [max_int].  Stamps start at 1, so every free way ranks before
+   every valid one: the policy is the first free allowed way, else the
+   least recently used allowed way.  The key and the running minimum are
+   computed without branches ([e asr 62] is -1 exactly for a free way,
+   [d land (d asr 62)] is [min d 0]), so only the tag match is a branch.
+   Returns [-(best + 2)] where [best] is the victim way ([-1] = no
+   allowed way).  Running both searches in one sweep halves the set walks
+   on the miss path. *)
+let rec match_or_victim data base (line : int) mask ways w best =
+  if w = ways then if best = max_int then -1 else -((best land 63) + 2)
   else begin
     let e = Array.unsafe_get data (base + w) in
     if e lsr stamp_bits = line then w + 1
-    else if mask land (1 lsl w) <> 0 then
-      if e = -1 && best_stamp > min_int then
-        match_or_victim data base line mask ways (w + 1) w min_int
-      else if best_stamp > min_int && e land stamp_mask < best_stamp then
-        match_or_victim data base line mask ways (w + 1) w (e land stamp_mask)
-      else match_or_victim data base line mask ways (w + 1) best best_stamp
-    else match_or_victim data base line mask ways (w + 1) best best_stamp
+    else begin
+      let key =
+        ((e land stamp_mask) lsl 6) land lnot (e asr 62)
+        lor w
+        lor ((((mask lsr w) land 1) - 1) land max_int)
+      in
+      let d = key - best in
+      match_or_victim data base line mask ways (w + 1) (best + (d land (d asr 62)))
+    end
   end
 
 (* Allocation-free access for hot callers: -2 = hit, -1 = miss with
@@ -100,7 +106,7 @@ let[@hot] access_raw t ~line ~way_mask =
   t.clock <- t.clock + 1;
   let base = set_of_line t line * t.ways in
   let mask = way_mask land full_mask t in
-  let r = match_or_victim t.data base line mask t.ways 0 (-1) max_int in
+  let r = match_or_victim t.data base line mask t.ways 0 max_int in
   if r > 0 then begin
     t.hits <- t.hits + 1;
     t.data.(base + r - 1) <- (line lsl stamp_bits) lor t.clock;

@@ -68,7 +68,19 @@ type stats = {
    nodes, item payloads) carries over to the simulator's directory
    traffic instead of being destroyed by a hash.  An entry packed as 0
    (no sharers, no dirty owner) is observationally identical to an
-   absent line at every use site, so "removal" just stores 0. *)
+   absent line at every use site, so "removal" just stores 0.
+
+   An entry is a superset, not an exact record: an L1 or L2 eviction
+   leaves the directory alone, so a sharer bit or a dirty owner may
+   outlive the core's copy.  Keeping them exact would cost a write to a
+   cold directory entry and a probe of the sibling level on every
+   private fill.  The two decisions that depend on them filter through
+   the caches themselves, in {!access_line}: the miss path charges a
+   dirty transfer only if the recorded owner still {!holds} the line,
+   and the write path counts only the remote sharers whose
+   {!Cache.invalidate} found it.  The DDIO snoop needs no filter:
+   invalidating an absent line changes nothing.  So every cost and
+   statistic is the one an exact directory gives. *)
 let chunk_shift = 16
 let chunk_lines = 1 lsl chunk_shift
 let chunk_mask = chunk_lines - 1
@@ -184,61 +196,28 @@ let[@inline] dir_ensure t line =
   if not (dir_allocated t line) then dir_grow t line;
   line
 
-let dir_remove_sharer t line core =
-  if dir_allocated t line then begin
-    let v = dir_val t line in
-    if v <> 0 then begin
-      let sharers = dir_sharers v land lnot (1 lsl core) in
-      let dirty = dir_dirty v in
-      let dirty = if dirty = core then -1 else dirty in
-      dir_set_val t line (dir_pack ~sharers ~dirty)
-    end
-  end
+(* Core [c] holds [line] in a private level: the directory entry's claim
+   about [c], checked against the caches themselves. *)
+let holds t c (line : int) =
+  Cache.probe t.l1.(c) ~line || Cache.probe t.l2.(c) ~line
 
-(* A line evicted from one private level may still live in the other; only
-   drop the directory bit when the core holds no copy at all.  The level
-   that just evicted the line cannot still hold it (a line occupies at
-   most one way of its set), so each helper probes only the sibling
-   level.  [victim] uses {!Cache.access_raw}'s encoding: negative =
-   nothing evicted. *)
-let evicted_from_l1 t core victim =
-  if victim >= 0 && not (Cache.probe t.l2.(core) ~line:victim) then
-    dir_remove_sharer t victim core
-
-let evicted_from_l2 t core victim =
-  if victim >= 0 && not (Cache.probe t.l1.(core) ~line:victim) then
-    dir_remove_sharer t victim core
-
-(* Install [line] into the core's private levels and record the sharer
-   bit at directory slot [di] (already ensured by the caller).  Eviction
-   removals never insert or grow the table, so [di] stays valid across
-   them; and the victims cannot equal [line] (it just missed in both
-   levels), so their removal cannot touch [di]'s entry. *)
-let fill_private_at t core line di =
-  evicted_from_l2 t core
-    (Cache.access_raw t.l2.(core) ~line ~way_mask:(Cache.full_mask t.l2.(core)));
-  evicted_from_l1 t core
-    (Cache.access_raw t.l1.(core) ~line ~way_mask:(Cache.full_mask t.l1.(core)));
-  let v = dir_val t di in
-  dir_set_val t di
-      (dir_pack ~sharers:(dir_sharers v lor (1 lsl core)) ~dirty:(dir_dirty v))
-
+(* Invalidate [line] in the private levels of every core in [remote];
+   returns how many of them held it.  A core whose sharer bit outlived its
+   copy finds nothing to invalidate and is not counted. *)
 let rec invalidate_core_loop t line remote c n =
   if c >= t.geometry.cores then n
   else if remote land (1 lsl c) <> 0 then begin
-    ignore (Cache.invalidate t.l1.(c) ~line);
-    ignore (Cache.invalidate t.l2.(c) ~line);
-    invalidate_core_loop t line remote (c + 1) (n + 1)
+    let in_l1 = Cache.invalidate t.l1.(c) ~line in
+    let in_l2 = Cache.invalidate t.l2.(c) ~line in
+    invalidate_core_loop t line remote (c + 1) (if in_l1 || in_l2 then n + 1 else n)
   end
   else invalidate_core_loop t line remote (c + 1) n
 
-(* One line, full path; returns latency in cycles.  Directory traffic is
-   one probe per phase: the miss path ensures the slot once up front and
-   reuses the index through the dirty check and {!fill_private_at}; the
-   write tail folds the remote-invalidate bookkeeping and the owner
-   update into a single ensured slot (the sequential compose of
-   "drop remotes" then "set owner" collapses to sharers = just this
-   core, dirty = this core whenever remotes existed). *)
+(* One line, full path; returns latency in cycles.  The directory is
+   read and written once per phase and never on an L1 or L2 hit: the miss
+   path ensures the slot, settles the dirty owner and records the new
+   sharer in one write; the write tail invalidates the remote sharers and
+   leaves sharers = just this core, dirty = this core. *)
 let access_line t ~core ~line ~write =
   let c = t.costs in
   let st = t.stats.(core) in
@@ -249,26 +228,23 @@ let access_line t ~core ~line ~write =
     end
     else if Cache.touch t.l2.(core) ~line then begin
       st.l2_hits <- st.l2_hits + 1;
-      (* refresh L1 *)
-      evicted_from_l1 t core
+      (* refresh L1; the core's sharer bit is already set *)
+      ignore
         (Cache.access_raw t.l1.(core) ~line
            ~way_mask:(Cache.full_mask t.l1.(core)));
-      let i = dir_ensure t line in
-      let v = dir_val t i in
-      dir_set_val t i
-          (dir_pack ~sharers:(dir_sharers v lor (1 lsl core)) ~dirty:(dir_dirty v));
       c.Costs.l2_hit
     end
     else begin
-      (* remote-dirty check happens before the LLC lookup *)
+      (* remote-dirty check happens before the LLC lookup.  A recorded
+         owner that no longer holds the line wrote it back, so the line is
+         clean; that includes this core, which just missed in both
+         levels. *)
       let di = dir_ensure t line in
       let v = dir_val t di in
       let d = dir_dirty v in
       let dirty_penalty =
-        if d >= 0 && d <> core then begin
+        if d >= 0 && holds t d line then begin
           st.dirty_transfers <- st.dirty_transfers + 1;
-          dir_set_val t di
-              (dir_pack ~sharers:(dir_sharers v) ~dirty:(-1));
           c.Costs.dirty_transfer
         end
         else 0
@@ -288,24 +264,27 @@ let access_line t ~core ~line ~write =
           c.Costs.dram
         end
       in
-      fill_private_at t core line di;
+      (* install into the private levels; their victims keep their
+         directory entries (see the directory comment) *)
+      ignore
+        (Cache.access_raw t.l2.(core) ~line
+           ~way_mask:(Cache.full_mask t.l2.(core)));
+      ignore
+        (Cache.access_raw t.l1.(core) ~line
+           ~way_mask:(Cache.full_mask t.l1.(core)));
+      dir_set_val t di
+        (dir_pack ~sharers:(dir_sharers v lor (1 lsl core)) ~dirty:(-1));
       dirty_penalty + fetch
     end
   in
   if write then begin
     let di = dir_ensure t line in
-    let v = dir_val t di in
-    let sharers = dir_sharers v in
     let bit = 1 lsl core in
-    let remote = sharers land lnot bit in
-    if remote = 0 then begin
-      dir_set_val t di
-          (dir_pack ~sharers:(sharers lor bit) ~dirty:core);
-      base_latency
-    end
+    let remote = dir_sharers (dir_val t di) land lnot bit in
+    let n = if remote = 0 then 0 else invalidate_core_loop t line remote 0 0 in
+    dir_set_val t di (dir_pack ~sharers:bit ~dirty:core);
+    if n = 0 then base_latency
     else begin
-      let n = invalidate_core_loop t line remote 0 0 in
-      dir_set_val t di (dir_pack ~sharers:bit ~dirty:core);
       st.invalidations_sent <- st.invalidations_sent + 1;
       base_latency + c.Costs.invalidate
       + ((n - 1) * c.Costs.invalidate_per_extra_sharer)
@@ -501,6 +480,4 @@ let reset_stats t =
 
 let probe_llc t ~addr = Cache.probe t.llc ~line:(Layout.line_of_addr addr)
 
-let probe_private t ~core ~addr =
-  let line = Layout.line_of_addr addr in
-  Cache.probe t.l1.(core) ~line || Cache.probe t.l2.(core) ~line
+let probe_private t ~core ~addr = holds t core (Layout.line_of_addr addr)

@@ -24,7 +24,7 @@ type t = {
   mutable cfg : config;
   gens : Opgen.t array;
   mutable next_id : int;
-  in_flight : (int, Opgen.op) Hashtbl.t; (* message id -> op *)
+  in_flight : Opgen.op Message.Tbl.t; (* message id -> op *)
   latency : Stats.Hist.t;
   monitor : Stats.Monitor.t;
   mutable completed : int;
@@ -34,12 +34,22 @@ type t = {
   mutable hook : (Opgen.op -> bytes option -> unit) option;
 }
 
+external set64u : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+
+(* Byte [i] is the low byte of hash round [i / 8 + 1], so each 8-byte run
+   holds one byte value: a whole run is written at once, as that byte
+   times 0x0101010101010101, and only a tail shorter than 8 bytewise. *)
 let payload ~key ~size =
   let b = Bytes.create size in
   let h = ref (Rng.hash64 key) in
-  for i = 0 to size - 1 do
-    if i mod 8 = 0 then h := Rng.hash64 !h;
-    Bytes.set b i (Char.chr (Int64.to_int !h land 0xFF))
+  let i = ref 0 in
+  while !i < size do
+    h := Rng.hash64 !h;
+    let byte = Int64.to_int !h land 0xFF in
+    if size - !i >= 8 then
+      set64u b !i (Int64.mul (Int64.of_int byte) 0x0101010101010101L)
+    else Bytes.fill b !i (size - !i) (Char.unsafe_chr byte);
+    i := !i + 8
   done;
   b
 
@@ -72,7 +82,7 @@ let issue t client =
       value;
     }
   in
-  Hashtbl.replace t.in_flight id op;
+  Message.Tbl.replace t.in_flight id op;
   t.sent <- t.sent + 1;
   let arrival =
     Link.rx_arrival t.link ~sent_at:msg.Message.sent_at
@@ -87,9 +97,9 @@ let on_response t (msg : Message.t) value =
     Stats.Monitor.record t.monitor ~now 1
   end;
   t.completed <- t.completed + 1;
-  (match Hashtbl.find_opt t.in_flight msg.Message.id with
+  (match Message.Tbl.find_opt t.in_flight msg.Message.id with
   | Some op ->
-    Hashtbl.remove t.in_flight msg.Message.id;
+    Message.Tbl.remove t.in_flight msg.Message.id;
     (match t.hook with Some f -> f op value | None -> ())
   | None -> ());
   (* closed loop: next request from the same client *)
@@ -107,7 +117,7 @@ let start ~engine ~link ~transport cfg =
         Array.init cfg.clients (fun i ->
             Opgen.make cfg.spec ~seed:(cfg.seed + (i * 7919)));
       next_id = 0;
-      in_flight = Hashtbl.create 1024;
+      in_flight = Message.Tbl.create 1024;
       latency = Stats.Hist.create ();
       (* 1 ms at the default 2.5 GHz clock *)
       monitor = Stats.Monitor.create ~window:2_500_000;
@@ -150,5 +160,5 @@ let reset_stats t =
 
 let set_recording t on = t.recording <- on
 let stop t = t.stopped <- true
-let outstanding t = Hashtbl.length t.in_flight
+let outstanding t = Message.Tbl.length t.in_flight
 let on_completion t f = t.hook <- Some f

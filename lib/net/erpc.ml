@@ -34,7 +34,7 @@ type t = {
   rings : ring array;
   resp_base : int array;
   resp_cursor : int array;
-  slots : (int, slot) Hashtbl.t;
+  slots : slot Message.Tbl.t;
   mutable on_response : (Message.t -> bytes option -> unit) option;
   mutable outstanding : int;
   mutable delivered : int;
@@ -67,7 +67,7 @@ let create ?(config = default_config) ~engine ~hier ~layout ~link ~workers () =
       Array.init workers (fun _ ->
           Layout.alloc resp_region ~align:64 config.resp_buf_bytes);
     resp_cursor = Array.make workers 0;
-    slots = Hashtbl.create 4096;
+    slots = Message.Tbl.create 4096;
     on_response = None;
     outstanding = 0;
     delivered = 0;
@@ -97,13 +97,13 @@ let deliver t (msg : Message.t) =
   let msg =
     { msg with Message.req = { msg.Message.req with Mutps_queue.Request.buf = seq } }
   in
-  Hashtbl.replace t.slots seq { addr; len; msg; responded = false };
+  Message.Tbl.replace t.slots seq { addr; len; msg; responded = false };
   ring.outstanding_bytes <- ring.outstanding_bytes + len;
   t.outstanding <- t.outstanding + 1;
   t.delivered <- t.delivered + 1
 
 let slot_exn t seq =
-  match Hashtbl.find_opt t.slots seq with
+  match Message.Tbl.find_opt t.slots seq with
   | Some s -> s
   | None -> invalid_arg (Printf.sprintf "Erpc: unknown slot %d" seq)
 
@@ -146,7 +146,7 @@ let post_response t env ~seq ~resp_addr ~bytes ~value =
   t.rings.(worker).outstanding_bytes <-
     t.rings.(worker).outstanding_bytes - slot.len;
   t.outstanding <- t.outstanding - 1;
-  Hashtbl.remove t.slots seq;
+  Message.Tbl.remove t.slots seq;
   let msg = slot.msg in
   match t.on_response with
   | None -> ()

@@ -22,3 +22,10 @@ let request_bytes t =
 
 let pp fmt t =
   Format.fprintf fmt "msg%d[client=%d %a]" t.id t.client Request.pp t.req
+
+module Tbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash (i : int) = i
+end)

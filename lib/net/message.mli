@@ -18,3 +18,8 @@ val request_bytes : t -> int
     the returned data). *)
 
 val pp : Format.formatter -> t -> unit
+
+module Tbl : Hashtbl.S with type key = int
+(** Requests in flight, keyed by message id or rx slot sequence number.
+    Both are dense ints, so the key is its own hash: a lookup makes no C
+    call.  No user iterates these tables, so their order is never seen. *)

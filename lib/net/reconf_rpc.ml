@@ -26,7 +26,7 @@ type t = {
   resp_base : int array;
   resp_cursor : int array;
   cursors : int array; (* per worker: next candidate slot seq *)
-  slots : (int, slot) Hashtbl.t;
+  slots : slot Message.Tbl.t;
   mutable write_seq : int;
   mutable write_off : int;
   (* Worker-count regimes: [(from_seq, n); ...] ascending by from_seq, the
@@ -72,7 +72,7 @@ let create ?(config = default_config) ~engine ~hier ~layout ~link ~max_workers
     resp_base;
     resp_cursor = Array.make max_workers 0;
     cursors = Array.make max_workers 0;
-    slots = Hashtbl.create 4096;
+    slots = Message.Tbl.create 4096;
     write_seq = 0;
     write_off = 0;
     regimes = [ (0, workers) ];
@@ -166,13 +166,13 @@ let deliver t (msg : Message.t) =
   Hierarchy.dma_write t.hier ~addr ~size:len;
   Hierarchy.dma_write t.hier ~addr:t.head_addr ~size:8;
   let msg = { msg with Message.req = { msg.Message.req with Mutps_queue.Request.buf = seq } } in
-  Hashtbl.replace t.slots seq { addr; len; msg; responded = false };
+  Message.Tbl.replace t.slots seq { addr; len; msg; responded = false };
   t.outstanding <- t.outstanding + 1;
   t.outstanding_bytes <- t.outstanding_bytes + len;
   t.delivered <- t.delivered + 1
 
 let slot_exn t seq =
-  match Hashtbl.find_opt t.slots seq with
+  match Message.Tbl.find_opt t.slots seq with
   | Some s -> s
   | None -> invalid_arg (Printf.sprintf "Reconf_rpc: unknown slot %d" seq)
 
@@ -230,7 +230,7 @@ let post_response t env ~seq ~resp_addr ~bytes ~value =
   t.outstanding <- t.outstanding - 1;
   t.outstanding_bytes <- t.outstanding_bytes - slot.len;
   t.responded <- t.responded + 1;
-  Hashtbl.remove t.slots seq;
+  Message.Tbl.remove t.slots seq;
   let msg = slot.msg in
   match t.on_response with
   | None -> ()

@@ -355,22 +355,41 @@ let test_btree_remove_keeps_invariants () =
 (* Model-based property test                                           *)
 (* ------------------------------------------------------------------ *)
 
-type op = Insert of int | Remove of int | Lookup of int
+type op = Insert of int64 | Remove of int64 | Lookup of int64
+
+(* Keys are mostly 0-100, so operations meet on the same keys.  The rest
+   span the whole int64 range, both extremes and negatives included: a
+   pool of 32 spread values that repeats, and fresh uniform draws.  Native
+   RESP keys can be any int64, and the tree must order them as signed. *)
+let key_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (6, map Int64.of_int (int_bound 100));
+        ( 1,
+          oneofl
+            [ Int64.min_int; Int64.succ Int64.min_int; -1L;
+              Int64.pred Int64.max_int; Int64.max_int ] );
+        (2, map (fun k -> Int64.mul (Int64.of_int k) 0x9E3779B97F4A7C15L) (int_bound 31));
+        (1, int64);
+      ])
 
 let op_gen =
   QCheck.Gen.(
     frequency
       [
-        (5, map (fun k -> Insert k) (int_bound 100));
-        (2, map (fun k -> Remove k) (int_bound 100));
-        (3, map (fun k -> Lookup k) (int_bound 100));
+        (5, map (fun k -> Insert k) key_gen);
+        (2, map (fun k -> Remove k) key_gen);
+        (3, map (fun k -> Lookup k) key_gen);
       ])
 
 let op_print = function
-  | Insert k -> Printf.sprintf "Insert %d" k
-  | Remove k -> Printf.sprintf "Remove %d" k
-  | Lookup k -> Printf.sprintf "Lookup %d" k
+  | Insert k -> Printf.sprintf "Insert %Ld" k
+  | Remove k -> Printf.sprintf "Remove %Ld" k
+  | Lookup k -> Printf.sprintf "Lookup %Ld" k
 
+(* A tree index must also list every key in signed order from
+   [Int64.min_int]. *)
 let prop_index_matches_model mk name =
   QCheck.Test.make
     ~name:(name ^ " agrees with a model map")
@@ -385,18 +404,28 @@ let prop_index_matches_model mk name =
              List.iter
                (fun op ->
                  match op with
-                 | Insert k ->
-                   let key = Int64.of_int k in
+                 | Insert key ->
                    idx.insert env key (mk_item slab key);
-                   Hashtbl.replace model k ()
-                 | Remove k ->
-                   let was = idx.remove env (Int64.of_int k) in
-                   if was <> Hashtbl.mem model k then ok := false;
-                   Hashtbl.remove model k
-                 | Lookup k ->
-                   let found = idx.lookup env (Int64.of_int k) <> None in
-                   if found <> Hashtbl.mem model k then ok := false)
-               ops));
+                   Hashtbl.replace model key ()
+                 | Remove key ->
+                   let was = idx.remove env key in
+                   if was <> Hashtbl.mem model key then ok := false;
+                   Hashtbl.remove model key
+                 | Lookup key ->
+                   let found = idx.lookup env key <> None in
+                   if found <> Hashtbl.mem model key then ok := false)
+               ops;
+             if idx.kind = Index_intf.Tree then begin
+               let sorted =
+                 List.sort Int64.compare
+                   (Hashtbl.fold (fun k () acc -> k :: acc) model [])
+               in
+               let listed =
+                 List.map fst
+                   (idx.range env ~lo:Int64.min_int ~n:(Hashtbl.length model + 1))
+               in
+               if listed <> sorted then ok := false
+             end));
       !ok && idx.count () = Hashtbl.length model)
 
 let prop_cuckoo_model =

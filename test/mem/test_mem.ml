@@ -127,6 +127,75 @@ let prop_cache_capacity =
       Hashtbl.length present <= sets * ways
       && Hashtbl.fold (fun l () ok -> ok && Cache.probe c ~line:l) present true)
 
+(* A list-based reference LRU for one set: its ways in index order, each
+   free or holding a line with the time of its last use.  A hit refreshes
+   the way; a miss fills the first free allowed way, else the least
+   recently used allowed way, and with no allowed way bypasses.  Results
+   use [Cache.access_raw]'s encoding. *)
+type ref_way = Free | Held of int * int (* line, last use *)
+
+let ref_access set ~now ~line ~mask =
+  let ways = List.mapi (fun w x -> (w, x)) !set in
+  let put w x = set := List.mapi (fun i y -> if i = w then x else y) !set in
+  let has_line = function Held (l, _) -> l = line | Free -> false in
+  match List.find_opt (fun (_, x) -> has_line x) ways with
+  | Some (w, _) ->
+    put w (Held (line, now));
+    -2
+  | None -> (
+    let allowed = List.filter (fun (w, _) -> mask land (1 lsl w) <> 0) ways in
+    let lru =
+      List.fold_left
+        (fun best (w, x) ->
+          match (best, x) with
+          | _, Free -> best
+          | None, Held (l, t) -> Some (w, l, t)
+          | Some (_, _, bt), Held (l, t) when t < bt -> Some (w, l, t)
+          | Some _, Held _ -> best)
+        None allowed
+    in
+    match (List.find_opt (fun (_, x) -> x = Free) allowed, lru) with
+    | Some (w, _), _ ->
+      put w (Held (line, now));
+      -1
+    | None, Some (w, l, _) ->
+      put w (Held (line, now));
+      l
+    | None, None -> -1)
+
+let ref_invalidate set ~line =
+  let had = List.exists (function Held (l, _) -> l = line | Free -> false) !set in
+  set := List.map (function Held (l, _) when l = line -> Free | x -> x) !set;
+  had
+
+(* One set, so the reference needs no set mapping: the victim scan is
+   per set.  Each step is an access under a random way mask (one step in
+   ten has the empty mask, one the full mask) or an invalidation, which
+   leaves holes for the first-free rule to find. *)
+let prop_cache_matches_reference_lru =
+  QCheck.Test.make ~name:"access_raw agrees with a reference LRU" ~count:300
+    QCheck.(
+      pair (oneofl [ 1; 8; 12; 16 ])
+        (list_of_size (Gen.int_range 1 400)
+           (triple (int_bound 40) (int_bound 65535) (int_bound 9))))
+    (fun (ways, steps) ->
+      let c = Cache.create ~name:"c" ~sets:1 ~ways in
+      let set = ref (List.init ways (fun _ -> Free)) in
+      let now = ref 0 in
+      List.for_all
+        (fun (l, m, kind) ->
+          let line = l mod ((2 * ways) + 3) in
+          match kind with
+          | 0 -> Cache.invalidate c ~line = ref_invalidate set ~line
+          | _ ->
+            let mask =
+              match kind with 1 -> 0 | 2 -> full c | _ -> m land full c
+            in
+            incr now;
+            Cache.access_raw c ~line ~way_mask:mask
+            = ref_access set ~now:!now ~line ~mask)
+        steps)
+
 (* ------------------------------------------------------------------ *)
 (* Hierarchy                                                           *)
 (* ------------------------------------------------------------------ *)
@@ -488,6 +557,285 @@ let test_dir_dma_unallocated_chunk () =
     (Hierarchy.load h ~core:1 ~addr:far ~size:8);
   check_int "the load allocated one chunk" (before + chunk_words) (words h)
 
+(* ------------------------------------------------------------------ *)
+(* Lazy directory against an eager reference                           *)
+(* ------------------------------------------------------------------ *)
+
+(* The directory [Hierarchy] kept before its entries became supersets:
+   every L1 or L2 eviction drops the core's sharer bit, and its dirty
+   ownership, once neither level still holds the line.  Its entries are
+   exact, so no decision filters them.  Built on the public [Cache], over
+   the same geometry and costs. *)
+module Eager = struct
+  type t = {
+    cores : int;
+    l1 : Cache.t array;
+    l2 : Cache.t array;
+    llc : Cache.t;
+    clos : int array;
+    ddio_mask : int;
+    dir : (int, int * int) Hashtbl.t; (* line -> sharers, dirty owner or -1 *)
+    stats : int array array; (* per core, in [Hierarchy.stats] order *)
+    mutable nic_hits : int;
+    mutable nic_misses : int;
+  }
+
+  let create (g : Hierarchy.geometry) =
+    let mk sets ways _ = Cache.create ~name:"eager" ~sets ~ways in
+    {
+      cores = g.cores;
+      l1 = Array.init g.cores (mk g.l1_sets g.l1_ways);
+      l2 = Array.init g.cores (mk g.l2_sets g.l2_ways);
+      llc = mk g.llc_sets g.llc_ways 0;
+      clos = Array.make g.cores ((1 lsl g.llc_ways) - 1);
+      ddio_mask = (1 lsl g.ddio_ways) - 1;
+      dir = Hashtbl.create 64;
+      stats = Array.init g.cores (fun _ -> Array.make 6 0);
+      nic_hits = 0;
+      nic_misses = 0;
+    }
+
+  let entry t line = Option.value (Hashtbl.find_opt t.dir line) ~default:(0, -1)
+
+  let dir_remove_sharer t line core =
+    let sharers, dirty = entry t line in
+    Hashtbl.replace t.dir line
+      (sharers land lnot (1 lsl core), if dirty = core then -1 else dirty)
+
+  (* [victim] was evicted from one level of [core]; [sibling] is the other *)
+  let evicted t core victim sibling =
+    if victim >= 0 && not (Cache.probe sibling.(core) ~line:victim) then
+      dir_remove_sharer t victim core
+
+  let evicted_from_l1 t core line =
+    let c = t.l1.(core) in
+    evicted t core (Cache.access_raw c ~line ~way_mask:(Cache.full_mask c)) t.l2
+
+  let evicted_from_l2 t core line =
+    let c = t.l2.(core) in
+    evicted t core (Cache.access_raw c ~line ~way_mask:(Cache.full_mask c)) t.l1
+
+  let add_sharer t line core =
+    let sharers, dirty = entry t line in
+    Hashtbl.replace t.dir line (sharers lor (1 lsl core), dirty)
+
+  let access t ~core ~line ~write =
+    let c = Costs.default in
+    let st = t.stats.(core) in
+    let bump i = st.(i) <- st.(i) + 1 in
+    let base =
+      if Cache.touch t.l1.(core) ~line then begin
+        bump 0;
+        c.Costs.l1_hit
+      end
+      else if Cache.touch t.l2.(core) ~line then begin
+        bump 1;
+        evicted_from_l1 t core line;
+        add_sharer t line core;
+        c.Costs.l2_hit
+      end
+      else begin
+        let sharers, dirty = entry t line in
+        let penalty =
+          if dirty >= 0 && dirty <> core then begin
+            bump 5;
+            Hashtbl.replace t.dir line (sharers, -1);
+            c.Costs.dirty_transfer
+          end
+          else 0
+        in
+        let fetch =
+          if Cache.access_raw t.llc ~line ~way_mask:t.clos.(core) = -2 || penalty > 0
+          then begin
+            bump 2;
+            c.Costs.llc_hit
+          end
+          else begin
+            bump 3;
+            c.Costs.dram
+          end
+        in
+        evicted_from_l2 t core line;
+        evicted_from_l1 t core line;
+        add_sharer t line core;
+        penalty + fetch
+      end
+    in
+    if not write then base
+    else begin
+      let sharers, _ = entry t line in
+      let bit = 1 lsl core in
+      let remote = sharers land lnot bit in
+      if remote = 0 then begin
+        Hashtbl.replace t.dir line (sharers lor bit, core);
+        base
+      end
+      else begin
+        let n = ref 0 in
+        for r = 0 to t.cores - 1 do
+          if remote land (1 lsl r) <> 0 then begin
+            ignore (Cache.invalidate t.l1.(r) ~line);
+            ignore (Cache.invalidate t.l2.(r) ~line);
+            incr n
+          end
+        done;
+        Hashtbl.replace t.dir line (bit, core);
+        bump 4;
+        base + c.Costs.invalidate + ((!n - 1) * c.Costs.invalidate_per_extra_sharer)
+      end
+    end
+
+  let dma_write t ~line =
+    let sharers, _ = entry t line in
+    for r = 0 to t.cores - 1 do
+      if sharers land (1 lsl r) <> 0 then begin
+        ignore (Cache.invalidate t.l1.(r) ~line);
+        ignore (Cache.invalidate t.l2.(r) ~line)
+      end
+    done;
+    Hashtbl.remove t.dir line;
+    if Cache.probe t.llc ~line then begin
+      t.nic_hits <- t.nic_hits + 1;
+      ignore (Cache.touch t.llc ~line)
+    end
+    else begin
+      t.nic_misses <- t.nic_misses + 1;
+      ignore (Cache.access_raw t.llc ~line ~way_mask:t.ddio_mask)
+    end
+end
+
+type hier_op =
+  | Load of int * int (* core, line *)
+  | Store of int * int
+  | Dma of int
+  | Clos of int * int (* core, LLC way mask *)
+
+let hier_op_print = function
+  | Load (c, l) -> Printf.sprintf "Load(%d,%d)" c l
+  | Store (c, l) -> Printf.sprintf "Store(%d,%d)" c l
+  | Dma l -> Printf.sprintf "Dma %d" l
+  | Clos (c, m) -> Printf.sprintf "Clos(%d,%#x)" c m
+
+(* Lines mix a hot 64-line range, for sharing and dirty ownership, with a
+   cold 2,048-line range that overflows each core's L1 and L2, so owners
+   and sharers lose lines to evictions before others touch them. *)
+let hier_op_gen =
+  QCheck.Gen.(
+    let line = frequency [ (3, int_bound 63); (2, int_bound 2047) ] in
+    let core = int_bound 3 in
+    frequency
+      [
+        (6, map2 (fun c l -> Load (c, l)) core line);
+        (4, map2 (fun c l -> Store (c, l)) core line);
+        (1, map (fun l -> Dma l) line);
+        (1, map2 (fun c m -> Clos (c, m)) core (int_bound 255));
+      ])
+
+let prop_lazy_dir_matches_eager =
+  QCheck.Test.make
+    ~name:"lazy directory gives the eager directory's costs and stats"
+    ~count:100
+    (QCheck.make
+       ~print:QCheck.Print.(list hier_op_print)
+       QCheck.Gen.(list_size (int_range 1 3000) hier_op_gen))
+    (fun ops ->
+      let geo = Hierarchy.small_geometry ~cores:4 in
+      let h = Hierarchy.create geo and e = Eager.create geo in
+      let same_costs =
+        List.for_all
+          (function
+            | Load (core, line) ->
+              Hierarchy.load h ~core ~addr:(line * 64) ~size:8
+              = Eager.access e ~core ~line ~write:false
+            | Store (core, line) ->
+              Hierarchy.store h ~core ~addr:(line * 64) ~size:8
+              = Eager.access e ~core ~line ~write:true
+            | Dma line ->
+              Hierarchy.dma_write h ~addr:(line * 64) ~size:64;
+              Eager.dma_write e ~line;
+              true
+            | Clos (core, mask) ->
+              Hierarchy.set_clos h ~core mask;
+              e.Eager.clos.(core) <- mask;
+              true)
+          ops
+      in
+      let same_stats core =
+        let s = Hierarchy.core_stats h ~core in
+        [|
+          s.Hierarchy.l1_hits;
+          s.l2_hits;
+          s.llc_hits;
+          s.dram_fetches;
+          s.invalidations_sent;
+          s.dirty_transfers;
+        |]
+        = e.Eager.stats.(core)
+      in
+      let same_private core =
+        List.for_all
+          (fun line ->
+            Hierarchy.probe_private h ~core ~addr:(line * 64)
+            = (Cache.probe e.Eager.l1.(core) ~line
+              || Cache.probe e.Eager.l2.(core) ~line))
+          (List.init 2048 Fun.id)
+      in
+      same_costs
+      && List.for_all same_stats [ 0; 1; 2; 3 ]
+      && List.for_all same_private [ 0; 1; 2; 3 ]
+      && Hierarchy.nic_dma_stats h = (e.Eager.nic_hits, e.Eager.nic_misses))
+
+(* [core] touches 1,024 other lines, enough to push [addr] out of its L1
+   and L2 by conflict (about 32 lines per L2 set) while the LLC, with
+   about 2 per set, keeps it. *)
+let evict_privately h ~core ~addr =
+  for i = 1 to 1024 do
+    ignore (Hierarchy.load h ~core ~addr:(addr + (i * 64)) ~size:8)
+  done;
+  check_bool "evicted from the private levels" false
+    (Hierarchy.probe_private h ~core ~addr);
+  check_bool "still in the LLC" true (Hierarchy.probe_llc h ~addr)
+
+let test_dir_evicted_owner_clean () =
+  let h = mk () in
+  let addr = 0x40_0000 in
+  ignore (Hierarchy.store h ~core:0 ~addr ~size:8);
+  evict_privately h ~core:0 ~addr;
+  check_int "reader pays an LLC hit, no dirty transfer" costs.Costs.llc_hit
+    (Hierarchy.load h ~core:1 ~addr ~size:8);
+  check_int "no dirty transfer counted" 0
+    (Hierarchy.core_stats h ~core:1).Hierarchy.dirty_transfers;
+  (* the owner itself re-reading its evicted line is clean too *)
+  let h = mk () in
+  ignore (Hierarchy.store h ~core:0 ~addr ~size:8);
+  evict_privately h ~core:0 ~addr;
+  check_int "owner re-reads at LLC cost" costs.Costs.llc_hit
+    (Hierarchy.load h ~core:0 ~addr ~size:8);
+  check_int "then another reader pays no transfer" costs.Costs.llc_hit
+    (Hierarchy.load h ~core:1 ~addr ~size:8)
+
+let test_dir_evicted_sharer_not_invalidated () =
+  let h = mk () in
+  let addr = 0x40_0000 in
+  ignore (Hierarchy.load h ~core:1 ~addr ~size:8);
+  ignore (Hierarchy.load h ~core:2 ~addr ~size:8);
+  evict_privately h ~core:2 ~addr;
+  ignore (Hierarchy.load h ~core:0 ~addr ~size:8);
+  check_int "write invalidates core 1 only"
+    (costs.Costs.l1_hit + costs.Costs.invalidate)
+    (Hierarchy.store h ~core:0 ~addr ~size:8);
+  check_int "one invalidation round" 1
+    (Hierarchy.core_stats h ~core:0).Hierarchy.invalidations_sent;
+  (* with every other sharer gone the write is a plain hit *)
+  let h = mk () in
+  ignore (Hierarchy.load h ~core:2 ~addr ~size:8);
+  evict_privately h ~core:2 ~addr;
+  ignore (Hierarchy.load h ~core:0 ~addr ~size:8);
+  check_int "no sharer left: no invalidation" costs.Costs.l1_hit
+    (Hierarchy.store h ~core:0 ~addr ~size:8);
+  check_int "no invalidation round" 0
+    (Hierarchy.core_stats h ~core:0).Hierarchy.invalidations_sent
+
 let () =
   Alcotest.run "mem"
     [
@@ -506,6 +854,7 @@ let () =
           Alcotest.test_case "empty mask bypass" `Quick test_cache_empty_mask_bypasses;
           Alcotest.test_case "touch/invalidate" `Quick test_cache_touch_and_invalidate;
           QCheck_alcotest.to_alcotest prop_cache_capacity;
+          QCheck_alcotest.to_alcotest prop_cache_matches_reference_lru;
         ] );
       ( "hierarchy",
         [
@@ -540,5 +889,10 @@ let () =
           Alcotest.test_case "chunk boundary" `Quick test_dir_chunk_boundary;
           Alcotest.test_case "dma on unallocated chunk" `Quick
             test_dir_dma_unallocated_chunk;
+          Alcotest.test_case "evicted owner is clean" `Quick
+            test_dir_evicted_owner_clean;
+          Alcotest.test_case "evicted sharer not invalidated" `Quick
+            test_dir_evicted_sharer_not_invalidated;
+          QCheck_alcotest.to_alcotest prop_lazy_dir_matches_eager;
         ] );
     ]

@@ -393,6 +393,29 @@ let test_client_payload_deterministic () =
   check_bool "same key same payload" true (Bytes.equal a b);
   check_bool "different key different payload" false (Bytes.equal a c)
 
+(* The definition [Client.payload] keeps, one byte at a time: byte [i] is
+   the low byte of hash round [i / 8 + 1]. *)
+let payload_per_byte ~key ~size =
+  let b = Bytes.create size in
+  let h = ref (Rng.hash64 key) in
+  for i = 0 to size - 1 do
+    if i mod 8 = 0 then h := Rng.hash64 !h;
+    Bytes.set b i (Char.chr (Int64.to_int !h land 0xFF))
+  done;
+  b
+
+let test_client_payload_bytes () =
+  List.iter
+    (fun key ->
+      List.iter
+        (fun size ->
+          Alcotest.(check string)
+            (Printf.sprintf "key %Ld, %d bytes" key size)
+            (Bytes.to_string (payload_per_byte ~key ~size))
+            (Bytes.to_string (Client.payload ~key ~size)))
+        [ 0; 1; 7; 8; 9; 64; 65 ])
+    [ 0L; 42L; -1L; Int64.min_int; Int64.max_int ]
+
 let test_client_reset_stats () =
   let w = mk_world () in
   let rpc = mk_rpc ~workers:1 w in
@@ -573,6 +596,7 @@ let () =
         [
           Alcotest.test_case "closed loop" `Quick test_client_closed_loop;
           Alcotest.test_case "payload deterministic" `Quick test_client_payload_deterministic;
+          Alcotest.test_case "payload bytes" `Quick test_client_payload_bytes;
           Alcotest.test_case "reset stats" `Quick test_client_reset_stats;
         ] );
     ]
