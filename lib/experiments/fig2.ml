@@ -61,13 +61,13 @@ let tps_replay (scale : Harness.scale) spec ~n1 =
         while true do
           match tr.Transport.poll env ~worker:w with
           | Some (seq, _msg) ->
-            Env.compute env config.Kvs.Config.parse_cycles;
+            Env.compute env Kvs.Config.parse_cycles;
             let bytes = 16 + vsize in
             let resp_addr = tr.Transport.resp_alloc ~worker:w ~bytes in
             Env.store env ~addr:resp_addr ~size:bytes;
             tr.Transport.post_response env ~seq ~resp_addr ~bytes ~value:None;
             Simthread.commit ctx
-          | None -> Simthread.delay ctx config.Kvs.Config.poll_idle_cycles
+          | None -> Simthread.delay ctx Kvs.Config.poll_idle_cycles
         done)
   done;
   (* stage 2: replayed index lookups + data reads on the remaining cores *)

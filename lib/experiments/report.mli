@@ -54,6 +54,8 @@ val to_json : row list -> string
 val write_file : string -> row list -> unit
 
 exception Parse_error of string
+(** [Mutps_trace.Json.Parse_error], re-exported: catching either catches
+    both. *)
 
 val of_json : string -> row list
 (** Accepts any JSON document with the {!schema} shape (not only the

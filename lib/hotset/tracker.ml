@@ -7,12 +7,14 @@ type t = {
   cms : Cms.t;
 }
 
-let create ?(sample_every = 16) ?(reservoir = 65_536) ?(cms_width = 16_384)
-    ~seed:_ () =
-  if sample_every <= 0 || reservoir <= 0 then invalid_arg "Tracker.create";
+let reservoir_size = 65_536
+let cms_width = 16_384
+
+let create ~sample_every =
+  if sample_every <= 0 then invalid_arg "Tracker.create";
   {
     sample_every;
-    reservoir = Array.make reservoir 0L;
+    reservoir = Array.make reservoir_size 0L;
     seen = 0;
     stored = 0;
     cursor = 0;

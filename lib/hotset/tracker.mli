@@ -5,10 +5,9 @@
 
 type t
 
-val create : ?sample_every:int -> ?reservoir:int -> ?cms_width:int -> seed:int -> unit -> t
-(** [sample_every] (default 16): record one of every N offered keys.
-    [reservoir] (default 65536): sample buffer capacity (older samples are
-    overwritten ring-style). *)
+val create : sample_every:int -> t
+(** Record one of every [sample_every] offered keys, in a buffer of 65,536
+    samples (older samples are overwritten ring-style). *)
 
 val record : t -> int64 -> unit
 (** Called by worker threads on each processed key; cheap and allocation

@@ -17,21 +17,7 @@ type t = {
           footprint-to-LLC ratio (a 10M-item store vs 42 MB). *)
   costs : Mutps_mem.Costs.t;
   link : Mutps_net.Link.config;
-  parse_cycles : int;  (** request header parse / dispatch *)
-  rtc_extra_cycles : int;
-      (** per-request front-end overhead of run-to-completion workers: the
-          monolithic poll→index→copy→respond function blows the
-          instruction cache, branch predictors and prefetcher state that
-          μTPS's small stage loops keep warm.  §2.2.1's replay experiment
-          measures stage separation alone at 1.22-1.54× on ~500-cycle
-          operations, i.e. 110-270 cycles; we use 150 (60 ns at 2.5 GHz).
-          Set to 0 to ablate. *)
-  poll_idle_cycles : int;  (** backoff when a poll finds nothing *)
   batch : int;  (** CR-MR batch size; also the RTC pipeline batch *)
-  flush_cycles : int;
-      (** max time a partially filled CR-MR batch may wait before being
-          pushed (bounds queueing latency at low load without giving up
-          batching at saturation) *)
   crmr_slots : int;  (** ring slots per CR-MR pair *)
   dlb : bool;
       (** offload the CR-MR queue to an Intel DLB-style hardware queue —
@@ -50,11 +36,7 @@ let default ?(cores = 8) ?(index = Tree) ~capacity () =
     geometry = None;
     costs = Mutps_mem.Costs.default;
     link = Mutps_net.Link.default_config;
-    parse_cycles = 30;
-    rtc_extra_cycles = 150;
-    poll_idle_cycles = 120;
     batch = 8;
-    flush_cycles = 4_000;
     crmr_slots = 16;
     dlb = false;
     hot_k = 10_000;
@@ -63,6 +45,25 @@ let default ?(cores = 8) ?(index = Tree) ~capacity () =
     refresh_cycles = 50_000_000;
     seed = 42;
   }
+
+(* request header parse / dispatch *)
+let parse_cycles = 30
+
+(* Per-request front-end overhead of run-to-completion workers: the
+   monolithic poll→index→copy→respond function blows the instruction
+   cache, branch predictors and prefetcher state that μTPS's small stage
+   loops keep warm.  §2.2.1's replay experiment measures stage separation
+   alone at 1.22-1.54× on ~500-cycle operations, i.e. 110-270 cycles; we
+   use 150 (60 ns at 2.5 GHz). *)
+let rtc_extra_cycles = 150
+
+(* backoff when a poll finds nothing *)
+let poll_idle_cycles = 120
+
+(* Max time a partially filled CR-MR batch may wait before being pushed
+   (bounds queueing latency at low load without giving up batching at
+   saturation). *)
+let flush_cycles = 4_000
 
 let total_cores t = t.cores + 1
 let manager_core t = t.cores

@@ -17,15 +17,7 @@ type t = {
           footprint-to-LLC ratio (a 10M-item store vs 42 MB). *)
   costs : Mutps_mem.Costs.t;
   link : Mutps_net.Link.config;
-  parse_cycles : int;  (** request header parse / dispatch *)
-  rtc_extra_cycles : int;
-      (** per-request front-end overhead of run-to-completion workers
-          (§2.2.1's replay experiment); 0 to ablate *)
-  poll_idle_cycles : int;  (** backoff when a poll finds nothing *)
   batch : int;  (** CR-MR batch size; also the RTC pipeline batch *)
-  flush_cycles : int;
-      (** max time a partially filled CR-MR batch may wait before being
-          pushed *)
   crmr_slots : int;  (** ring slots per CR-MR pair *)
   dlb : bool;  (** offload the CR-MR queue to a DLB-style hardware queue *)
   hot_k : int;  (** hot-cache capacity (items) *)
@@ -35,6 +27,21 @@ type t = {
 }
 
 val default : ?cores:int -> ?index:index_kind -> capacity:int -> unit -> t
+
+val parse_cycles : int
+(** Request header parse / dispatch, per request (30). *)
+
+val rtc_extra_cycles : int
+(** Per-request front-end overhead of run-to-completion workers (150):
+    §2.2.1's replay experiment measures stage separation alone at
+    110-270 cycles per op. *)
+
+val poll_idle_cycles : int
+(** Back-off when a poll finds nothing (120). *)
+
+val flush_cycles : int
+(** Max time a partially filled CR-MR batch may wait before being pushed
+    (4,000). *)
 
 val total_cores : t -> int
 (** Worker cores plus the housekeeping core. *)

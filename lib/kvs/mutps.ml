@@ -108,10 +108,7 @@ let create ?ncr ?transport (config : Config.t) =
     Hotcache.create backend.Backend.layout ~mode
       ~max_items:(max config.Config.hot_k 1)
   in
-  let tracker =
-    Tracker.create ~sample_every:config.Config.sample_every
-      ~seed:config.Config.seed ()
-  in
+  let tracker = Tracker.create ~sample_every:config.Config.sample_every in
   let t =
     {
       backend;
@@ -311,7 +308,7 @@ let cr_step t ex env w st =
     match t.transport.Transport.poll env ~worker:w with
   | Some (seq, msg) ->
     progressed := true;
-    Env.compute env cfg.Config.parse_cycles;
+    Env.compute env Config.parse_cycles;
     let req = msg.Message.req in
     let key = req.Request.key in
     Tracker.record t.tracker key;
@@ -357,7 +354,7 @@ let cr_step t ex env w st =
        CR-MR queue and the MR layer's prefetch overlap *)
     if
       st.pending_n > 0
-      && Env.now env - st.oldest_at >= cfg.Config.flush_cycles
+      && Env.now env - st.oldest_at >= Config.flush_cycles
       && flush_pending t env w st
     then progressed := true
   end;
@@ -434,12 +431,9 @@ let try_switch_when_idle t env w st =
     end
   | Cr, Cr | Mr, Mr -> ()
 
-let worker_body ?substrate t w ctx =
-  let cfg = t.backend.Backend.config in
-  let sub =
-    Option.value substrate ~default:(Substrate.sim cfg ~hier:t.backend.Backend.hier)
-  in
-  let env = sub.Substrate.make_env ctx ~core:w in
+(* One step of worker [w] over [env], by its current role; a step that
+   made no progress is followed by the role-switch attempt (§3.5). *)
+let stepper t w env =
   let tr = t.transport in
   (* one execution stage per role: the CR layer's hot hits answer through
      the transport, the MR layer's batches through [record] *)
@@ -453,29 +447,36 @@ let worker_body ?substrate t w ctx =
       ~respond:(record mr) env
   in
   let st = { pending = []; pending_n = 0; oldest_at = 0 } in
-  (* hoisted: the empty-poll path runs millions of times per worker and
-     must not allocate a fresh idle thunk each iteration *)
-  let idle_thunk () = Env.compute env cfg.Config.poll_idle_cycles in
-  while true do
-    let before = Simthread.now ctx in
+  fun () ->
     let progressed =
       match t.current.(w) with
       | Cr -> cr_step t cr_ex env w st
       | Mr -> mr_step t mr_ex mr env w
     in
-    if not progressed then begin
-      if t.desired.(w) <> t.current.(w) then try_switch_when_idle t env w st;
-      (* attribute the poll backoff to an "idle" site so the profile
-         separates wasted polls from useful work *)
-      Env.tagged env "idle" idle_thunk;
-      sub.Substrate.flush ctx
-    end
-    else begin
-      sub.Substrate.flush ctx;
+    if (not progressed) && t.desired.(w) <> t.current.(w) then
+      try_switch_when_idle t env w st;
+    progressed
+
+let worker_body t w ctx =
+  let env = Env.make ~ctx ~hier:t.backend.Backend.hier ~core:w in
+  let step = stepper t w env in
+  (* hoisted: the empty-poll path runs millions of times per worker and
+     must not allocate a fresh idle thunk each iteration *)
+  let idle_thunk () = Env.compute env Config.poll_idle_cycles in
+  while true do
+    let before = Simthread.now ctx in
+    if step () then begin
+      Simthread.commit ctx;
       let spent = Simthread.now ctx - before in
       match t.current.(w) with
       | Cr -> t.cr_busy <- t.cr_busy + spent
       | Mr -> t.mr_busy <- t.mr_busy + spent
+    end
+    else begin
+      (* attribute the poll backoff to an "idle" site so the profile
+         separates wasted polls from useful work *)
+      Env.tagged env "idle" idle_thunk;
+      Simthread.commit ctx
     end
   done
 
@@ -513,16 +514,15 @@ let refresh_hotset t env =
         ~arg:(string_of_int (Array.length entries))
   end
 
-let manager_body ?substrate t ctx =
+let manager_body t ctx =
   let cfg = t.backend.Backend.config in
-  let sub =
-    Option.value substrate ~default:(Substrate.sim cfg ~hier:t.backend.Backend.hier)
+  let env =
+    Env.make ~ctx ~hier:t.backend.Backend.hier ~core:(Config.manager_core cfg)
   in
-  let env = sub.Substrate.make_env ctx ~core:(Config.manager_core cfg) in
   let slice = max 1 (cfg.Config.refresh_cycles / 32) in
   let elapsed = ref 0 in
   while true do
-    sub.Substrate.delay ctx slice;
+    Simthread.delay ctx slice;
     elapsed := !elapsed + slice;
     if t.refresh_asap || !elapsed >= cfg.Config.refresh_cycles then begin
       t.refresh_asap <- false;

@@ -24,17 +24,19 @@ val start : t -> unit
 (** Spawn the worker threads and the manager thread.  Call after
     pre-population. *)
 
-val worker_body :
-  ?substrate:Substrate.t -> t -> int -> Mutps_sim.Simthread.ctx -> unit
-(** Worker [w]'s infinite loop: a CR step or an MR step, by its current
-    role.  {!start} runs it as a simulated thread under the default
-    substrate; under a native substrate it runs as a fiber and exits by
-    the substrate raising. *)
+val stepper : t -> int -> Mutps_mem.Env.t -> unit -> bool
+(** [stepper t w env] is worker [w]'s loop body over [env]: each call
+    takes one CR step or one MR step, by the worker's current role, and
+    returns whether it made progress; a step that made none is followed
+    by the role-switch attempt (§3.5).  {!start}'s simulated workers wrap
+    it with the commit, the idle back-off and the per-layer busy
+    accounting; the native backend calls it from a shard fiber over a
+    free-running [env]. *)
 
-val manager_body :
-  ?substrate:Substrate.t -> t -> Mutps_sim.Simthread.ctx -> unit
-(** The manager's infinite loop: rebuild and publish the hot set every
-    [refresh_cycles] (§3.2.2), sleeping through {!Substrate.t.delay}. *)
+val refresh_hotset : t -> Mutps_mem.Env.t -> unit
+(** Rebuild the hot set from the tracker's samples and publish it
+    (§3.2.2): the manager's work, which {!start}'s manager thread runs
+    every [refresh_cycles] and the native backend on its own clock. *)
 
 (** {1 Observability} *)
 

@@ -18,29 +18,25 @@ type stats = { mutable ops : int; mutable batches : int }
 
 let make_stats () = { ops = 0; batches = 0 }
 
-let worker_body ?substrate (backend : Backend.t) (tr : Transport.t) ~lock
-    ~worker (stats : stats) ctx =
+let stepper (backend : Backend.t) (tr : Transport.t) ~lock ~worker
+    (stats : stats) env =
   let cfg = backend.Backend.config in
-  let sub =
-    Option.value substrate ~default:(Substrate.sim cfg ~hier:backend.Backend.hier)
-  in
-  let env = sub.Substrate.make_env ctx ~core:worker in
   let ex =
     Exec.create backend tr ~lock ~worker ~respond:tr.Transport.post_response env
   in
-  while true do
+  fun () ->
     (* drain up to a batch of requests from our slots *)
     let n = ref 0 in
     let continue = ref true in
     while !continue && !n < cfg.Config.batch do
       match tr.Transport.poll env ~worker with
       | Some (seq, msg) ->
-        Env.compute env (cfg.Config.parse_cycles + cfg.Config.rtc_extra_cycles);
+        Env.compute env (Config.parse_cycles + Config.rtc_extra_cycles);
         Exec.add ex ~seq ~prefix:[] msg;
         incr n
       | None -> continue := false
     done;
-    if !n = 0 then sub.Substrate.idle ctx
+    if !n = 0 then false
     else begin
       stats.batches <- stats.batches + 1;
       stats.ops <- stats.ops + !n;
@@ -48,8 +44,15 @@ let worker_body ?substrate (backend : Backend.t) (tr : Transport.t) ~lock
       for i = 0 to !n - 1 do
         Exec.execute ex i
       done;
-      sub.Substrate.flush ctx
+      true
     end
+
+let worker_body (backend : Backend.t) tr ~lock ~worker stats ctx =
+  let env = Env.make ~ctx ~hier:backend.Backend.hier ~core:worker in
+  let step = stepper backend tr ~lock ~worker stats env in
+  while true do
+    if step () then Simthread.commit ctx
+    else Simthread.delay ctx Config.poll_idle_cycles
   done
 
 let start backend tr ~lock ~workers =

@@ -9,6 +9,3 @@
 [@@@lint.allow "R1"]
 
 let now_ns () = int_of_float (Unix.gettimeofday () *. 1e9)
-let now_s () = Unix.gettimeofday ()
-let elapsed_ns ~since = now_ns () - since
-let ns_to_us ns = float_of_int ns /. 1e3

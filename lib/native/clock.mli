@@ -5,10 +5,5 @@
     nondeterministic surface reviewable). *)
 
 val now_ns : unit -> int
-(** Wall time in integer nanoseconds (latency timestamps). *)
-
-val now_s : unit -> float
-(** Wall time in seconds (durations, rate denominators). *)
-
-val elapsed_ns : since:int -> int
-val ns_to_us : int -> float
+(** Wall time in integer nanoseconds (latency timestamps, durations,
+    deadlines). *)

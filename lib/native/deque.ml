@@ -40,13 +40,9 @@ let create ?(capacity = 8192) () =
     back = Atomic.make 0;
   }
 
-let capacity t = t.mask + 1
-
 let length t =
   let b = Atomic.get t.back and f = Atomic.get t.front in
   max 0 (b - f)
-
-let is_empty t = length t = 0
 
 (* Owner only.  Returns [false] when the ring is full (caller overflows
    to a locked injector rather than dropping work). *)

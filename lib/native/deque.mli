@@ -10,8 +10,6 @@ type 'a t
 val create : ?capacity:int -> unit -> 'a t
 (** [capacity] rounds up to a power of two (≥ 8, default 8192). *)
 
-val capacity : 'a t -> int
-
 val push : 'a t -> 'a -> bool
 (** Owner only.  [false] when full — the caller must overflow elsewhere
     (the scheduler falls back to its locked injector) rather than drop. *)
@@ -21,5 +19,3 @@ val take : 'a t -> 'a option
 
 val length : 'a t -> int
 (** Racy snapshot (monitoring only). *)
-
-val is_empty : 'a t -> bool

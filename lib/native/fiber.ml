@@ -15,9 +15,9 @@ open Effect.Deep
 type _ Effect.t += Yield : unit Effect.t
 
 exception Stop
-(* Cooperative-shutdown signal: long-running fiber loops raise it from
-   their idle path when the server stops; [run] treats it as a normal
-   exit. *)
+(* Cooperative-shutdown signal: the server's shard and poller fibers
+   raise it at a turn boundary once the server stops; [run] treats it as
+   a normal exit. *)
 
 let yield () = perform Yield
 

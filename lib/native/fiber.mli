@@ -5,8 +5,9 @@
     through the same handler. *)
 
 exception Stop
-(** Cooperative-shutdown signal: fiber loops raise it from their idle path
-    when the server stops; {!run} treats it as a normal exit. *)
+(** Cooperative-shutdown signal: the server's shard and poller fibers
+    raise it at a turn boundary once the server stops; {!run} treats it
+    as a normal exit. *)
 
 val yield : unit -> unit
 (** Hand the calling fiber's continuation to its [schedule] (under

@@ -1,16 +1,14 @@
 (* Native socket server: the real-machine twin of the simulated KVS.
 
    One listener (TCP or Unix-domain) feeds share-nothing shards (key mod
-   nshards); every shard runs the simulator's own loops — [Rtc.worker_body]
-   for the run-to-completion systems, and for the μTPS split a 2-core
-   [Mutps]'s CR worker, MR worker and hot-set manager — as coroutines
-   inside one {!Sched} fiber per shard, instead of simulated threads.  The
-   loops reach the runtime through a native {!Substrate}: free-running
-   memory environments ([Env.make_freerun]: charging is a no-op and no
-   DES effect is ever performed), yields back to the shard fiber, and
-   wall-clock sleeps.  A shard fiber switches between its loops itself, so
-   they run one at a time, as under the simulator, and a forwarded op is
-   answered in the scheduler turn that delivered it.
+   nshards); every shard is one {!Sched} fiber that calls the simulator's
+   own loop bodies — [Rtc.stepper] for the run-to-completion systems, and
+   for the μTPS split a 2-core [Mutps]'s CR and MR steppers plus
+   [Mutps.refresh_hotset] every 200 ms — over free-running memory
+   environments ([Env.make_freerun]: charging is a no-op and no DES
+   effect is ever performed).  The steps run one at a time, as under the
+   simulator, and a forwarded op is answered in the scheduler turn that
+   delivered it.
 
    Wire protocol: {!Resp} (GET/SET/DEL/PING).  Per-connection response
    order equals request order: every parsed command queues a reply slot
@@ -19,7 +17,7 @@
 
    Threading picture (D rules): the poller fiber owns every connection —
    its socket, read side, reply slots and reply buffer — and the request
-   id table; a shard fiber owns its KVS and its loops.  The only
+   id table; a shard fiber owns its KVS.  The only
    cross-fiber state is each shard's request queue and reply queue, both
    under the shard's one lock ([rx_lock]), never nested. *)
 
@@ -32,7 +30,6 @@ module Transport = Mutps_net.Transport
 module Backend = Mutps_kvs.Backend
 module Config = Mutps_kvs.Config
 module Exec = Mutps_kvs.Exec
-module Substrate = Mutps_kvs.Substrate
 module Rtc = Mutps_kvs.Rtc
 module Mutps = Mutps_kvs.Mutps
 
@@ -82,20 +79,17 @@ type summary = {
 (* Native transport: the same first-class interface the simulated     *)
 (* transports implement, over in-process handoff queues.  A message's *)
 (* seq is the request id the poller gave it, and a reply goes back to *)
-(* the poller as [(seq, value)].  Addresses are synthetic — the       *)
-(* free-running Env never dereferences them.                          *)
+(* the poller as [(seq, value)].  Every address is 0: a free-running  *)
+(* Env never charges one.                                             *)
 (* ------------------------------------------------------------------ *)
 
 type native_tr = {
   rx_lock : Mutex.t;  (* guards rx and replies *)
   rx : (int * Message.t) Queue.t;
   replies : (int * bytes option) Queue.t;
-  resp_top : int Atomic.t;
   inflight : int Atomic.t;
   responded : int Atomic.t;
 }
-
-let slot_stride = 4096
 
 let make_transport () =
   let nt =
@@ -103,7 +97,6 @@ let make_transport () =
       rx_lock = Mutex.create ();
       rx = Queue.create ();
       replies = Queue.create ();
-      resp_top = Atomic.make 0x4000_0000;
       inflight = Atomic.make 0;
       responded = Atomic.make 0;
     }
@@ -123,10 +116,9 @@ let make_transport () =
           let m = Queue.take_opt nt.rx in
           Mutex.unlock nt.rx_lock;
           m);
-      slot_addr = (fun seq -> 0x1000_0000 + (seq * slot_stride));
-      slot_len = (fun _ -> slot_stride);
-      resp_alloc =
-        (fun ~worker:_ ~bytes -> Atomic.fetch_and_add nt.resp_top (max 64 bytes));
+      slot_addr = (fun _ -> 0);
+      slot_len = (fun _ -> 0);
+      resp_alloc = (fun ~worker:_ ~bytes:_ -> 0);
       post_response =
         (fun _env ~seq ~resp_addr:_ ~bytes:_ ~value ->
           Mutex.lock nt.rx_lock;
@@ -135,10 +127,8 @@ let make_transport () =
           Atomic.decr nt.inflight;
           Atomic.incr nt.responded);
       set_on_response = (fun _ -> ());
-      workers = (fun () -> 1);
       set_workers = (fun _ -> ());
       reconfig_in_progress = (fun () -> false);
-      outstanding = (fun () -> Atomic.get nt.inflight);
     }
   in
   (nt, tr)
@@ -155,13 +145,7 @@ type shard = {
   tr : Transport.t;
   kvs : kvs;
   stop : bool Atomic.t;  (* the server-wide stop flag, shared *)
-  slots : (unit -> unit) option array;
-      (* each loop's resume, cleared when taken: CR 0, MR 1, manager 2, or
-         the Rtc worker at 0 *)
-  mutable wake_at : int;  (* the parked manager's wall-clock deadline *)
 }
-
-let manager_slot = 2
 
 let shard_of_key ~shards key =
   Int64.to_int (Int64.rem (Int64.logand key Int64.max_int) (Int64.of_int shards))
@@ -197,92 +181,52 @@ let make_shard cfg ~stop sid =
     Backend.populate backend
       ~owned:(fun key -> shard_of_key ~shards:cfg.shards key = sid)
       ~keyspace:cfg.keyspace ~value_size:cfg.value_size;
-  { backend; nt; tr; kvs; stop; slots = Array.make (manager_slot + 1) None;
-    wake_at = max_int }
+  { backend; nt; tr; kvs; stop }
 
-let check_stop shard = if Atomic.get shard.stop then raise Fiber.Stop
-
-(* Sleep through the model's cycles in wall time.  Only the manager
-   sleeps and it yields nowhere else, so its full slot means it is parked
-   until [wake_at]. *)
-let sleep_cycles shard cycles =
-  let costs = shard.backend.Backend.config.Config.costs in
-  shard.wake_at <-
-    Clock.now_ns () + int_of_float (Costs.ns_of_cycles costs cycles);
-  Fiber.yield ()
-
-(* The simulator's loops, verbatim, over free-running environments:
-   charging is a no-op and no DES effect is ever performed.  A loop's
-   [Fiber.yield] returns to its shard fiber ([start_loop]). *)
-let native_substrate shard =
-  let yield _ctx =
-    check_stop shard;
-    Fiber.yield ()
-  in
-  {
-    Substrate.make_env =
-      (fun ctx ~core -> Env.make_freerun ~ctx ~hier:shard.backend.Backend.hier ~core);
-    idle = yield;
-    flush = yield;
-    delay = (fun _ctx cycles -> sleep_cycles shard cycles);
-  }
-
-(* A loop ends only by raising, and [on_done] raises it on into the shard
-   fiber that ran the loop: [Fiber.Stop] ends the shard fiber quietly,
-   anything else reaches [Sched.run].  The parked loops are dropped. *)
-let start_loop shard i (name, body) =
-  let ctx = Simthread.detached ~name shard.backend.Backend.engine in
-  Fiber.run (fun () -> body ctx)
-    ~schedule:(fun resume -> shard.slots.(i) <- Some resume)
-    ~on_done:(fun err -> raise (Option.value err ~default:Fiber.Stop))
-
-let resume_loop shard i =
-  match shard.slots.(i) with
-  | None -> ()
-  | Some resume ->
-    shard.slots.(i) <- None;
-    resume ()
-
-(* One fiber runs a shard's loops, starting them all in its first turn so
-   the manager's clock starts at spawn.  A turn resumes the manager once
-   its deadline has passed, then runs local rounds — each loop to its
-   next yield, CR before MR — while the shard has work in flight, and
-   only then yields to the scheduler.  A round advances every op in
-   flight (the CR polls or reaps, the MR executes), so the drain ends and
-   a forward is answered in the turn that polled it.  Loops wait in fixed
-   slots, not a [Queue], whose cells would all be promoted (DESIGN.md
-   §11). *)
-let shard_fiber shard loops () =
-  Array.iteri (start_loop shard) loops;
-  while true do
-    if Option.is_some shard.slots.(manager_slot)
-       && Clock.now_ns () >= shard.wake_at
-    then resume_loop shard manager_slot;
-    while Atomic.get shard.nt.inflight > 0 do
-      for i = 0 to manager_slot - 1 do
-        resume_loop shard i
-      done
-    done;
-    check_stop shard;
-    Fiber.yield ()
-  done
-
-(* Rtc shards run one worker loop; Split shards run Mutps's CR and MR
-   workers and its hot-set manager. *)
-let spawn_shard sched shard =
-  let substrate = native_substrate shard in
-  let loops =
+(* A shard fiber's turn rebuilds a Split shard's hot set once its
+   deadline has passed, then runs rounds — the CR step then the MR step,
+   or the one Rtc step — while the shard has work in flight, and only
+   then checks stop and yields to the scheduler.  A round advances every
+   op in flight (the CR polls or reaps, the MR executes), so the drain
+   ends and a forward is answered in the turn that polled it. *)
+let shard_fiber shard () =
+  let backend = shard.backend in
+  let ctx = Simthread.detached ~name:"native-shard" backend.Backend.engine in
+  let env core = Env.make_freerun ~ctx ~hier:backend.Backend.hier ~core in
+  let round, rebuild =
     match shard.kvs with
     | Rtc_shard lock ->
-      [| ( "native-rtc",
-           Rtc.worker_body ~substrate shard.backend shard.tr ~lock ~worker:0
-             (Rtc.make_stats ()) ) |]
+      let step =
+        Rtc.stepper backend shard.tr ~lock ~worker:0 (Rtc.make_stats ()) (env 0)
+      in
+      ((fun () -> ignore (step ())), ignore)
     | Split_shard kv ->
-      [| ("native-cr", Mutps.worker_body ~substrate kv 0);
-         ("native-mr", Mutps.worker_body ~substrate kv 1);
-         ("native-manager", Mutps.manager_body ~substrate kv) |]
+      let cr = Mutps.stepper kv 0 (env 0) and mr = Mutps.stepper kv 1 (env 1) in
+      let cfg = backend.Backend.config in
+      let manager = env (Config.manager_core cfg) in
+      let period =
+        int_of_float
+          (Costs.ns_of_cycles cfg.Config.costs cfg.Config.refresh_cycles)
+      in
+      let deadline = ref (Clock.now_ns () + period) in
+      ( (fun () ->
+          ignore (cr ());
+          ignore (mr ())),
+        fun () ->
+          let now = Clock.now_ns () in
+          if now >= !deadline then begin
+            Mutps.refresh_hotset kv manager;
+            deadline := now + period
+          end )
   in
-  Sched.spawn sched (shard_fiber shard loops)
+  while true do
+    rebuild ();
+    while Atomic.get shard.nt.inflight > 0 do
+      round ()
+    done;
+    if Atomic.get shard.stop then raise Fiber.Stop;
+    Fiber.yield ()
+  done
 
 (* ------------------------------------------------------------------ *)
 (* Connections and the socket poller                                   *)
@@ -649,7 +593,7 @@ let prepare (cfg : config) =
       closing_conns = 0;
     }
   in
-  Array.iter (spawn_shard st.sched) shards;
+  Array.iter (fun shard -> Sched.spawn st.sched (shard_fiber shard)) shards;
   Sched.spawn st.sched (poller_fiber st);
   cfg.log
     (Printf.sprintf "native server: %s, %d shard(s), %d domain(s), %s"

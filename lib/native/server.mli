@@ -2,13 +2,12 @@
 
     A TCP or Unix-domain listener speaking {!Resp} feeds share-nothing
     backend shards (key mod shards).  Each shard is one fiber on the
-    {!Sched} work-stealing pool, running the simulator's own loops —
-    {!Mutps_kvs.Rtc.worker_body} for the run-to-completion systems
-    ([Rtc_pool]), or a 2-core {!Mutps_kvs.Mutps} ([Split]) — as coroutines
-    through a native {!Mutps_kvs.Substrate}: free-running memory
-    environments ({!Mutps_mem.Env.make_freerun}), so no simulated charge
-    or DES effect is ever produced, yields back to the shard fiber and
-    wall-clock sleeps.  So a shard's loops run one at a time, on any
+    {!Sched} work-stealing pool that calls the simulator's own loop
+    bodies — {!Mutps_kvs.Rtc.stepper} for the run-to-completion systems
+    ([Rtc_pool]), or a 2-core {!Mutps_kvs.Mutps}'s steppers ([Split]) —
+    over free-running memory environments
+    ({!Mutps_mem.Env.make_freerun}), so no simulated charge or DES effect
+    is ever produced.  So a shard's steps run one at a time, on any
     domain, and a shard answers what it was given before it yields to the
     scheduler; shards run in parallel.
 
@@ -27,9 +26,9 @@ type mode =
   | Rtc_pool of Mutps_kvs.Exec.lock_mode
       (** run-to-completion: [Locked] = BaseKV, [Exclusive] = eRPC-KV *)
   | Split
-      (** μTPS: {!Mutps_kvs.Mutps.worker_body} as the CR and as the MR
-          loop, {!Mutps_kvs.Mutps.manager_body} rebuilding the CR hot
-          set every 200 ms *)
+      (** μTPS: {!Mutps_kvs.Mutps.stepper} as the CR and as the MR step,
+          {!Mutps_kvs.Mutps.refresh_hotset} rebuilding the CR hot set
+          every 200 ms *)
 
 type listen = Unix_path of string | Tcp of string * int  (** host, port *)
 
@@ -78,5 +77,3 @@ val stop : handle -> unit
 
 val wait : handle -> summary
 (** Join the serving domain. *)
-
-val listen_to_string : listen -> string

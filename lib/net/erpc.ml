@@ -164,11 +164,9 @@ let transport t =
       (fun env ~seq ~resp_addr ~bytes ~value ->
         post_response t env ~seq ~resp_addr ~bytes ~value);
     set_on_response = (fun f -> t.on_response <- Some f);
-    workers = (fun () -> t.workers);
     set_workers =
       (fun _ ->
         invalid_arg
           "Erpc: changing the worker count requires client coordination");
     reconfig_in_progress = (fun () -> false);
-    outstanding = (fun () -> t.outstanding);
   }

@@ -248,8 +248,6 @@ let transport t =
       (fun env ~seq ~resp_addr ~bytes ~value ->
         post_response t env ~seq ~resp_addr ~bytes ~value);
     set_on_response = (fun f -> t.on_response <- Some f);
-    workers = (fun () -> workers t);
     set_workers = (fun n -> set_workers t n);
     reconfig_in_progress = (fun () -> reconfig_in_progress t);
-    outstanding = (fun () -> outstanding t);
   }

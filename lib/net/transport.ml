@@ -23,8 +23,6 @@ type t = {
     value:bytes option ->
     unit;
   set_on_response : (Message.t -> bytes option -> unit) -> unit;
-  workers : unit -> int;
   set_workers : int -> unit;
   reconfig_in_progress : unit -> bool;
-  outstanding : unit -> int;
 }

@@ -10,3 +10,144 @@ let escape b s =
       | c when Char.code c < 0x20 -> Printf.bprintf b "\\u%04x" (Char.code c)
       | c -> Buffer.add_char b c)
     s
+
+type t =
+  | Null
+  | Bool of bool
+  | Num of float
+  | Str of string
+  | Arr of t list
+  | Obj of (string * t) list
+
+exception Parse_error of string
+
+(* General recursive descent: accepts any JSON document, not only the
+   canonical renderings the writers produce. *)
+let parse (s : string) : t =
+  let n = String.length s in
+  let pos = ref 0 in
+  let fail msg = raise (Parse_error (Printf.sprintf "%s at byte %d" msg !pos)) in
+  let peek () = if !pos < n then Some s.[!pos] else None in
+  let advance () = incr pos in
+  let rec skip_ws () =
+    match peek () with
+    | Some (' ' | '\t' | '\n' | '\r') ->
+      advance ();
+      skip_ws ()
+    | _ -> ()
+  in
+  let expect c =
+    match peek () with
+    | Some c' when c' = c -> advance ()
+    | _ -> fail (Printf.sprintf "expected %C" c)
+  in
+  let literal word v =
+    String.iter expect word;
+    v
+  in
+  let parse_string () =
+    expect '"';
+    let b = Buffer.create 16 in
+    let rec go () =
+      if !pos >= n then fail "unterminated string";
+      let c = s.[!pos] in
+      advance ();
+      match c with
+      | '"' -> Buffer.contents b
+      | '\\' ->
+        (if !pos >= n then fail "unterminated escape";
+         let e = s.[!pos] in
+         advance ();
+         match e with
+         | '"' -> Buffer.add_char b '"'
+         | '\\' -> Buffer.add_char b '\\'
+         | '/' -> Buffer.add_char b '/'
+         | 'b' -> Buffer.add_char b '\b'
+         | 'f' -> Buffer.add_char b '\012'
+         | 'n' -> Buffer.add_char b '\n'
+         | 'r' -> Buffer.add_char b '\r'
+         | 't' -> Buffer.add_char b '\t'
+         | 'u' ->
+           if !pos + 4 > n then fail "truncated \\u escape";
+           let code = int_of_string ("0x" ^ String.sub s !pos 4) in
+           pos := !pos + 4;
+           (* canonical output only escapes control characters; decode the
+              BMP subset as UTF-8 for generality *)
+           if code < 0x80 then Buffer.add_char b (Char.chr code)
+           else if code < 0x800 then begin
+             Buffer.add_char b (Char.chr (0xC0 lor (code lsr 6)));
+             Buffer.add_char b (Char.chr (0x80 lor (code land 0x3F)))
+           end
+           else begin
+             Buffer.add_char b (Char.chr (0xE0 lor (code lsr 12)));
+             Buffer.add_char b (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
+             Buffer.add_char b (Char.chr (0x80 lor (code land 0x3F)))
+           end
+         | _ -> fail "bad escape");
+        go ()
+      | c -> Buffer.add_char b c; go ()
+    in
+    go ()
+  in
+  let parse_number () =
+    let start = !pos in
+    let num_char c =
+      (c >= '0' && c <= '9')
+      || c = '-' || c = '+' || c = '.' || c = 'e' || c = 'E'
+    in
+    while !pos < n && num_char s.[!pos] do
+      advance ()
+    done;
+    if !pos = start then fail "expected number";
+    match float_of_string_opt (String.sub s start (!pos - start)) with
+    | Some f -> f
+    | None -> fail "bad number"
+  in
+  let rec parse_value () =
+    skip_ws ();
+    match peek () with
+    | Some '"' -> Str (parse_string ())
+    | Some '{' ->
+      advance ();
+      skip_ws ();
+      if peek () = Some '}' then (advance (); Obj [])
+      else begin
+        let rec members acc =
+          skip_ws ();
+          let k = parse_string () in
+          skip_ws ();
+          expect ':';
+          let v = parse_value () in
+          skip_ws ();
+          match peek () with
+          | Some ',' -> advance (); members ((k, v) :: acc)
+          | Some '}' -> advance (); Obj (List.rev ((k, v) :: acc))
+          | _ -> fail "expected ',' or '}'"
+        in
+        members []
+      end
+    | Some '[' ->
+      advance ();
+      skip_ws ();
+      if peek () = Some ']' then (advance (); Arr [])
+      else begin
+        let rec elements acc =
+          let v = parse_value () in
+          skip_ws ();
+          match peek () with
+          | Some ',' -> advance (); elements (v :: acc)
+          | Some ']' -> advance (); Arr (List.rev (v :: acc))
+          | _ -> fail "expected ',' or ']'"
+        in
+        elements []
+      end
+    | Some 't' -> literal "true" (Bool true)
+    | Some 'f' -> literal "false" (Bool false)
+    | Some 'n' -> literal "null" Null
+    | Some _ -> Num (parse_number ())
+    | None -> fail "unexpected end of input"
+  in
+  let v = parse_value () in
+  skip_ws ();
+  if !pos <> n then fail "trailing garbage";
+  v

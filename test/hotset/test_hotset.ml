@@ -126,7 +126,7 @@ let prop_topk_matches_sort =
 (* ------------------------------------------------------------------ *)
 
 let test_tracker_finds_hotspot () =
-  let t = Tracker.create ~sample_every:4 ~seed:3 () in
+  let t = Tracker.create ~sample_every:4 in
   let r = Rng.create 5 in
   (* key 42 gets ~50% of traffic; rest uniform over 1000 *)
   for _ = 1 to 40_000 do
@@ -138,14 +138,14 @@ let test_tracker_finds_hotspot () =
   check_int "samples reset" 0 (Tracker.samples_pending t)
 
 let test_tracker_sampling_rate () =
-  let t = Tracker.create ~sample_every:10 ~seed:3 () in
+  let t = Tracker.create ~sample_every:10 in
   for _ = 1 to 1000 do
     Tracker.record t 1L
   done;
   check_int "one in ten sampled" 100 (Tracker.samples_pending t)
 
 let test_tracker_rebuild_resets () =
-  let t = Tracker.create ~sample_every:1 ~seed:3 () in
+  let t = Tracker.create ~sample_every:1 in
   Tracker.record t 9L;
   ignore (Tracker.rebuild t ~k:5);
   let top = Tracker.rebuild t ~k:5 in
@@ -278,7 +278,7 @@ let prop_hotcache_find_matches_publish =
 
 let test_tracker_adapts_to_shift () =
   (* hotspot moves: after one rebuild cycle the new top key must lead *)
-  let t = Tracker.create ~sample_every:2 ~seed:9 () in
+  let t = Tracker.create ~sample_every:2 in
   let r = Rng.create 21 in
   for _ = 1 to 30_000 do
     if Rng.bool r then Tracker.record t 100L

@@ -155,6 +155,125 @@ let test_exec_scan_on_hash_rejected () =
    with Invalid_argument _ -> ())
 
 (* ------------------------------------------------------------------ *)
+(* The steps a native shard drives, without sockets                    *)
+(* ------------------------------------------------------------------ *)
+
+(* A queue-backed transport, shaped like the native server's: a message's
+   seq is its id, and a reply lands in [answers]. *)
+type queue_tr = {
+  rx : (int * Message.t) Queue.t;
+  answers : (int, bytes option) Hashtbl.t;
+  mutable inflight : int;
+}
+
+let queue_transport () =
+  let q = { rx = Queue.create (); answers = Hashtbl.create 16; inflight = 0 } in
+  let tr =
+    {
+      Transport.name = "queue";
+      deliver =
+        (fun msg ->
+          Queue.push (msg.Message.id, msg) q.rx;
+          q.inflight <- q.inflight + 1);
+      poll = (fun _env ~worker:_ -> Queue.take_opt q.rx);
+      slot_addr = (fun _ -> 0);
+      slot_len = (fun _ -> 0);
+      resp_alloc = (fun ~worker:_ ~bytes:_ -> 0);
+      post_response =
+        (fun _env ~seq ~resp_addr:_ ~bytes:_ ~value ->
+          if Hashtbl.mem q.answers seq then
+            Alcotest.fail (Printf.sprintf "request %d answered twice" seq);
+          Hashtbl.replace q.answers seq value;
+          q.inflight <- q.inflight - 1);
+      set_on_response = (fun _ -> ());
+      set_workers = (fun _ -> ());
+      reconfig_in_progress = (fun () -> false);
+    }
+  in
+  (q, tr)
+
+let send_get tr ~id key =
+  tr.Transport.deliver
+    { Message.id; client = 0; sent_at = 0; target = -1;
+      req = Request.get ~key ~buf:0; value = None }
+
+let freerun (backend : Backend.t) core =
+  Env.make_freerun
+    ~ctx:(Simthread.detached backend.Backend.engine)
+    ~hier:backend.Backend.hier ~core
+
+(* A 2-core μTPS driven the way a native shard drives it: rounds of the
+   CR step then the MR step, until nothing is in flight.  A forward takes
+   two rounds (the MR executes it in the first, the CR reaps and answers
+   it in the second), a hot hit one. *)
+let test_mutps_rounds_per_op () =
+  let config =
+    { (Config.default ~cores:2 ~capacity:keyspace ()) with
+      Config.batch = 1; hot_k = 128; sample_every = 1 }
+  in
+  let q, tr = queue_transport () in
+  let kv = Mutps.create ~transport:tr config in
+  let b = Mutps.backend kv in
+  Backend.populate b ~keyspace ~value_size;
+  let cr = Mutps.stepper kv 0 (freerun b 0)
+  and mr = Mutps.stepper kv 1 (freerun b 1) in
+  let next_id = ref 0 in
+  let get key =
+    let id = !next_id in
+    incr next_id;
+    send_get tr ~id key;
+    let rounds = ref 0 in
+    while q.inflight > 0 && !rounds < 10 do
+      ignore (cr ());
+      ignore (mr ());
+      incr rounds
+    done;
+    match Hashtbl.find_opt q.answers id with
+    | Some (Some v) ->
+      check_bool "preloaded payload" true
+        (Bytes.equal v (Client.payload ~key ~size:value_size));
+      !rounds
+    | Some None | None -> Alcotest.fail "GET of a preloaded key unanswered"
+  in
+  check_int "cold GET: two rounds" 2 (get 5L);
+  check_int "forwarded" 1 (Mutps.forwarded kv);
+  Mutps.refresh_hotset kv (freerun b (Config.manager_core config));
+  check_int "hot GET: one round" 1 (get 5L);
+  check_int "answered at the CR layer" 1 (Mutps.cr_hits kv);
+  check_int "cold key: still two rounds" 2 (get 6L);
+  check_int "every reply posted" 3 (Mutps.responded kv)
+
+(* One RTC step polls up to a batch and answers all of it; an empty poll
+   returns [false]. *)
+let test_rtc_step_answers_batch () =
+  let config = Config.default ~cores:1 ~capacity:keyspace () in
+  let backend = Backend.create config in
+  Backend.populate backend ~keyspace ~value_size;
+  let q, tr = queue_transport () in
+  let stats = Rtc.make_stats () in
+  let step =
+    Rtc.stepper backend tr ~lock:Exec.Locked ~worker:0 stats (freerun backend 0)
+  in
+  let batch = config.Config.batch in
+  for id = 0 to batch + 1 do
+    send_get tr ~id (Int64.of_int id)
+  done;
+  check_bool "first step" true (step ());
+  check_int "a whole batch answered" batch (Hashtbl.length q.answers);
+  check_bool "second step" true (step ());
+  check_int "the rest answered" (batch + 2) (Hashtbl.length q.answers);
+  check_bool "empty poll" false (step ());
+  check_int "two batches" 2 stats.Rtc.batches;
+  for id = 0 to batch + 1 do
+    let key = Int64.of_int id in
+    match Hashtbl.find_opt q.answers id with
+    | Some (Some v) ->
+      check_bool "preloaded payload" true
+        (Bytes.equal v (Client.payload ~key ~size:value_size))
+    | Some None | None -> Alcotest.fail "GET of a preloaded key unanswered"
+  done
+
+(* ------------------------------------------------------------------ *)
 (* RTC loop behaviour through BaseKV                                   *)
 (* ------------------------------------------------------------------ *)
 
@@ -418,4 +537,9 @@ let () =
         ] );
       ( "delete",
         [ Alcotest.test_case "hot key" `Quick test_mutps_delete_hot_key ] );
+      ( "steps",
+        [
+          Alcotest.test_case "mutps rounds per op" `Quick test_mutps_rounds_per_op;
+          Alcotest.test_case "rtc step answers a batch" `Quick test_rtc_step_answers_batch;
+        ] );
     ]

@@ -136,7 +136,7 @@ let test_rpc_response_roundtrip () =
     check_bool "arrives after rtt/2" true
       (at >= (Link.config w.link).Link.rtt / 2)
   | _ -> Alcotest.fail "no response");
-  check_int "outstanding drained" 0 (tr.Transport.outstanding ());
+  check_int "outstanding drained" 0 (Reconf_rpc.outstanding rpc);
   check_int "responded" 1 (Reconf_rpc.responded rpc)
 
 let test_rpc_double_response_rejected () =

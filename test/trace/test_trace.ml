@@ -16,131 +16,14 @@ let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 let check_string = Alcotest.(check string)
 
-(* ------------------------------------------------------------------ *)
-(* A minimal JSON parser — enough to validate the exporter's output    *)
-(* structurally rather than by substring matching.                     *)
-(* ------------------------------------------------------------------ *)
+(* The exporters' output is validated structurally, through the shared
+   JSON reader, rather than by substring matching. *)
 
-module Json = struct
-  type t =
-    | Null
-    | Bool of bool
-    | Num of float
-    | Str of string
-    | List of t list
-    | Obj of (string * t) list
+module Json = Mutps_trace.Json
 
-  exception Bad of string
-
-  let parse s =
-    let n = String.length s in
-    let pos = ref 0 in
-    let peek () = if !pos < n then s.[!pos] else raise (Bad "eof") in
-    let next () =
-      let c = peek () in
-      incr pos;
-      c
-    in
-    let rec skip_ws () =
-      if !pos < n then
-        match s.[!pos] with
-        | ' ' | '\t' | '\n' | '\r' ->
-          incr pos;
-          skip_ws ()
-        | _ -> ()
-    in
-    let expect c =
-      if next () <> c then raise (Bad (Printf.sprintf "expected %c" c))
-    in
-    let parse_string () =
-      expect '"';
-      let b = Buffer.create 16 in
-      let rec go () =
-        match next () with
-        | '"' -> Buffer.contents b
-        | '\\' -> (
-          match next () with
-          | '"' -> Buffer.add_char b '"'; go ()
-          | '\\' -> Buffer.add_char b '\\'; go ()
-          | '/' -> Buffer.add_char b '/'; go ()
-          | 'n' -> Buffer.add_char b '\n'; go ()
-          | 't' -> Buffer.add_char b '\t'; go ()
-          | 'r' -> Buffer.add_char b '\r'; go ()
-          | 'b' -> Buffer.add_char b '\b'; go ()
-          | 'f' -> Buffer.add_char b '\012'; go ()
-          | 'u' ->
-            let hex = String.sub s !pos 4 in
-            pos := !pos + 4;
-            Buffer.add_char b (Char.chr (int_of_string ("0x" ^ hex) land 0xff));
-            go ()
-          | c -> raise (Bad (Printf.sprintf "bad escape %c" c)))
-        | c -> Buffer.add_char b c; go ()
-      in
-      go ()
-    in
-    let rec parse_value () =
-      skip_ws ();
-      match peek () with
-      | '"' -> Str (parse_string ())
-      | '{' ->
-        expect '{';
-        skip_ws ();
-        if peek () = '}' then (incr pos; Obj [])
-        else begin
-          let rec members acc =
-            skip_ws ();
-            let k = parse_string () in
-            skip_ws ();
-            expect ':';
-            let v = parse_value () in
-            skip_ws ();
-            match next () with
-            | ',' -> members ((k, v) :: acc)
-            | '}' -> Obj (List.rev ((k, v) :: acc))
-            | c -> raise (Bad (Printf.sprintf "in object: %c" c))
-          in
-          members []
-        end
-      | '[' ->
-        expect '[';
-        skip_ws ();
-        if peek () = ']' then (incr pos; List [])
-        else begin
-          let rec elems acc =
-            let v = parse_value () in
-            skip_ws ();
-            match next () with
-            | ',' -> elems (v :: acc)
-            | ']' -> List (List.rev (v :: acc))
-            | c -> raise (Bad (Printf.sprintf "in list: %c" c))
-          in
-          elems []
-        end
-      | 't' -> pos := !pos + 4; Bool true
-      | 'f' -> pos := !pos + 5; Bool false
-      | 'n' -> pos := !pos + 4; Null
-      | _ ->
-        let start = !pos in
-        while
-          !pos < n
-          && (match s.[!pos] with
-             | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-             | _ -> false)
-        do
-          incr pos
-        done;
-        if !pos = start then raise (Bad "bad value");
-        Num (float_of_string (String.sub s start (!pos - start)))
-    in
-    let v = parse_value () in
-    skip_ws ();
-    if !pos <> n then raise (Bad "trailing garbage");
-    v
-
-  let mem k = function Obj kvs -> List.assoc_opt k kvs | _ -> None
-  let str = function Str s -> s | _ -> raise (Bad "not a string")
-  let num = function Num f -> f | _ -> raise (Bad "not a number")
-end
+let mem k = function Json.Obj kvs -> List.assoc_opt k kvs | _ -> None
+let str = function Json.Str s -> s | _ -> Alcotest.fail "not a string"
+let num = function Json.Num f -> f | _ -> Alcotest.fail "not a number"
 
 (* ------------------------------------------------------------------ *)
 (* Driving a small simulation through the instrumented Env             *)
@@ -216,11 +99,11 @@ let test_perfetto_valid_json () =
   let json = Perfetto.to_json traces in
   let root = Json.parse json in
   let events =
-    match Json.mem "traceEvents" root with
-    | Some (Json.List l) -> l
+    match mem "traceEvents" root with
+    | Some (Json.Arr l) -> l
     | _ -> Alcotest.fail "no traceEvents array"
   in
-  let ph e = match Json.mem "ph" e with Some v -> Json.str v | None -> "" in
+  let ph e = match mem "ph" e with Some v -> str v | None -> "" in
   let slices = List.filter (fun e -> ph e = "X") events in
   let counters = List.filter (fun e -> ph e = "C") events in
   let instants = List.filter (fun e -> ph e = "i") events in
@@ -233,7 +116,7 @@ let test_perfetto_valid_json () =
   let distinct_counter_tracks =
     List.sort_uniq compare
       (List.map
-         (fun e -> Json.str (Option.get (Json.mem "name" e)))
+         (fun e -> str (Option.get (mem "name" e)))
          counters)
   in
   check_bool "at least 3 counter tracks" true
@@ -241,12 +124,12 @@ let test_perfetto_valid_json () =
   List.iter
     (fun e ->
       check_int "slice pid is engine id" (Engine.id engine)
-        (int_of_float (Json.num (Option.get (Json.mem "pid" e))));
+        (int_of_float (num (Option.get (mem "pid" e))));
       check_bool "slice tid is a thread track" true
-        (let tid = int_of_float (Json.num (Option.get (Json.mem "tid" e))) in
+        (let tid = int_of_float (num (Option.get (mem "tid" e))) in
          tid = 1 || tid = 2);
       check_bool "dur non-negative" true
-        (Json.num (Option.get (Json.mem "dur" e)) >= 0.0))
+        (num (Option.get (mem "dur" e)) >= 0.0))
     slices;
   (* ts is cycles scaled to microseconds at the given clock *)
   let json2 = Perfetto.to_json ~ghz:1.0 traces in
@@ -303,10 +186,10 @@ let test_metrics_json_valid () =
       Float.infinity);
   Metrics.register reg ~subsystem:"s" ~name:"v" (fun () -> 1.25);
   match Json.parse (Metrics.to_json reg) with
-  | Json.List [ a; _ ] ->
+  | Json.Arr [ a; _ ] ->
     (* non-finite values must still be parseable (rendered as 0) *)
     check_bool "inf rendered finite" true
-      (Json.num (Option.get (Json.mem "value" a)) = 0.0)
+      (num (Option.get (mem "value" a)) = 0.0)
   | _ -> Alcotest.fail "metrics JSON shape"
 
 let test_metrics_sampled_into_counters () =
