@@ -46,29 +46,22 @@ let build_system = function
         transport = Mutps.transport kv;
         dispatch = Client.uniform_dispatch;
       } )
-  | `Basekv ->
-    let kv = Basekv.create (base_config ()) in
-    Backend.populate (Basekv.backend kv) ~keyspace ~value_size;
-    Basekv.start kv;
-    let b = Basekv.backend kv in
-    ( "BaseKV",
+  | (`Basekv | `Erpckv) as sys ->
+    let name, make =
+      match sys with
+      | `Basekv -> ("BaseKV", Rtc.basekv)
+      | `Erpckv -> ("eRPC-KV", Rtc.erpckv)
+    in
+    let kv = make (base_config ()) in
+    Backend.populate (Rtc.backend kv) ~keyspace ~value_size;
+    Rtc.start kv;
+    let b = Rtc.backend kv in
+    ( name,
       {
         engine = b.Backend.engine;
         link = b.Backend.link;
-        transport = Basekv.transport kv;
-        dispatch = Client.uniform_dispatch;
-      } )
-  | `Erpckv ->
-    let kv = Erpckv.create (base_config ()) in
-    Backend.populate (Erpckv.backend kv) ~keyspace ~value_size;
-    Erpckv.start kv;
-    let b = Erpckv.backend kv in
-    ( "eRPC-KV",
-      {
-        engine = b.Backend.engine;
-        link = b.Backend.link;
-        transport = Erpckv.transport kv;
-        dispatch = Erpckv.dispatch kv;
+        transport = Rtc.transport kv;
+        dispatch = Rtc.dispatch kv;
       } )
 
 let () =

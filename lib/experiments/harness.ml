@@ -126,53 +126,37 @@ let build ?index ?ncr ?tweak system (scale : scale) (spec : Opgen.spec) =
   | Some reg -> Mutps_trace.Metrics.set_scope reg (system_name system)
   | None -> ());
   let config = mk_config ?index ?tweak scale in
-  let vsize = populate_size spec in
-  match system with
-  | Basekv ->
-    let kv = Kvs.Basekv.create config in
-    Kvs.Backend.populate
-      ~size_of:(Opgen.size_for_key spec)
-      (Kvs.Basekv.backend kv) ~keyspace:scale.keyspace ~value_size:vsize;
-    Kvs.Basekv.start kv;
-    let b = Kvs.Basekv.backend kv in
-    {
-      engine = b.Kvs.Backend.engine;
-      link = b.Kvs.Backend.link;
-      transport = Kvs.Basekv.transport kv;
-      dispatch = Client.uniform_dispatch;
-      kv_mutps = None;
-      backend = b;
-    }
-  | Erpckv ->
-    let kv = Kvs.Erpckv.create config in
-    Kvs.Backend.populate
-      ~size_of:(Opgen.size_for_key spec)
-      (Kvs.Erpckv.backend kv) ~keyspace:scale.keyspace ~value_size:vsize;
-    Kvs.Erpckv.start kv;
-    let b = Kvs.Erpckv.backend kv in
-    {
-      engine = b.Kvs.Backend.engine;
-      link = b.Kvs.Backend.link;
-      transport = Kvs.Erpckv.transport kv;
-      dispatch = Kvs.Erpckv.dispatch kv;
-      kv_mutps = None;
-      backend = b;
-    }
-  | Mutps ->
-    let kv = Kvs.Mutps.create ?ncr config in
-    Kvs.Backend.populate
-      ~size_of:(Opgen.size_for_key spec)
-      (Kvs.Mutps.backend kv) ~keyspace:scale.keyspace ~value_size:vsize;
-    Kvs.Mutps.start kv;
-    let b = Kvs.Mutps.backend kv in
-    {
-      engine = b.Kvs.Backend.engine;
-      link = b.Kvs.Backend.link;
-      transport = Kvs.Mutps.transport kv;
-      dispatch = Client.uniform_dispatch;
-      kv_mutps = Some kv;
-      backend = b;
-    }
+  let backend, transport, dispatch, start, kv_mutps =
+    match system with
+    | Mutps ->
+      let kv = Kvs.Mutps.create ?ncr config in
+      ( Kvs.Mutps.backend kv,
+        Kvs.Mutps.transport kv,
+        Client.uniform_dispatch,
+        (fun () -> Kvs.Mutps.start kv),
+        Some kv )
+    | Basekv | Erpckv ->
+      let kv =
+        (if system = Basekv then Kvs.Rtc.basekv else Kvs.Rtc.erpckv) config
+      in
+      ( Kvs.Rtc.backend kv,
+        Kvs.Rtc.transport kv,
+        Kvs.Rtc.dispatch kv,
+        (fun () -> Kvs.Rtc.start kv),
+        None )
+  in
+  Kvs.Backend.populate
+    ~size_of:(Opgen.size_for_key spec)
+    backend ~keyspace:scale.keyspace ~value_size:(populate_size spec);
+  start ();
+  {
+    engine = backend.Kvs.Backend.engine;
+    link = backend.Kvs.Backend.link;
+    transport;
+    dispatch;
+    kv_mutps;
+    backend;
+  }
 
 let start_clients built (scale : scale) spec =
   Client.start ~engine:built.engine ~link:built.link ~transport:built.transport

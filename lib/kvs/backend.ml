@@ -83,12 +83,12 @@ let create (config : Config.t) =
     | Config.Hash ->
       Mutps_index.Cuckoo.ops
         (Mutps_index.Cuckoo.create layout ~capacity:config.Config.capacity
-           ~seed:config.Config.seed)
+           ~seed:Config.seed)
     | Config.Tree ->
       Mutps_index.Btree.ops
-        (Mutps_index.Btree.create layout ~seed:config.Config.seed)
+        (Mutps_index.Btree.create layout ~seed:Config.seed)
   in
-  let link = Mutps_net.Link.create ~config:config.Config.link () in
+  let link = Mutps_net.Link.create ~config:Config.link () in
   let t = { config; engine; hier; layout; slab; index; link } in
   register_metrics t;
   t

@@ -16,7 +16,6 @@ type t = {
           Scaled-down experiments shrink the LLC to keep the paper's
           footprint-to-LLC ratio (a 10M-item store vs 42 MB). *)
   costs : Mutps_mem.Costs.t;
-  link : Mutps_net.Link.config;
   batch : int;  (** CR-MR batch size; also the RTC pipeline batch *)
   crmr_slots : int;  (** ring slots per CR-MR pair *)
   dlb : bool;
@@ -25,7 +24,6 @@ type t = {
   hot_k : int;  (** hot-cache capacity (items) *)
   sample_every : int;  (** hot-set sampling rate *)
   refresh_cycles : int;  (** hot-set refresh period *)
-  seed : int;
 }
 
 let default ?(cores = 8) ?(index = Tree) ~capacity () =
@@ -35,7 +33,6 @@ let default ?(cores = 8) ?(index = Tree) ~capacity () =
     capacity;
     geometry = None;
     costs = Mutps_mem.Costs.default;
-    link = Mutps_net.Link.default_config;
     batch = 8;
     crmr_slots = 16;
     dlb = false;
@@ -43,8 +40,13 @@ let default ?(cores = 8) ?(index = Tree) ~capacity () =
     sample_every = 16;
     (* 20 ms at 2.5 GHz *)
     refresh_cycles = 50_000_000;
-    seed = 42;
   }
+
+(* the simulated network link *)
+let link = Mutps_net.Link.default_config
+
+(* seeds the cuckoo index's hash salt and eviction choices *)
+let seed = 42
 
 (* request header parse / dispatch *)
 let parse_cycles = 30

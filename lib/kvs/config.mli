@@ -16,17 +16,21 @@ type t = {
           Scaled-down experiments shrink the LLC to keep the paper's
           footprint-to-LLC ratio (a 10M-item store vs 42 MB). *)
   costs : Mutps_mem.Costs.t;
-  link : Mutps_net.Link.config;
   batch : int;  (** CR-MR batch size; also the RTC pipeline batch *)
   crmr_slots : int;  (** ring slots per CR-MR pair *)
   dlb : bool;  (** offload the CR-MR queue to a DLB-style hardware queue *)
   hot_k : int;  (** hot-cache capacity (items) *)
   sample_every : int;  (** hot-set sampling rate *)
   refresh_cycles : int;  (** hot-set refresh period *)
-  seed : int;
 }
 
 val default : ?cores:int -> ?index:index_kind -> capacity:int -> unit -> t
+
+val link : Mutps_net.Link.config
+(** The simulated network link ([Link.default_config]). *)
+
+val seed : int
+(** Seed of the cuckoo index's hash salt and eviction choices (42). *)
 
 val parse_cycles : int
 (** Request header parse / dispatch, per request (30). *)

@@ -22,6 +22,7 @@ type t = {
   current : role array;
   mutable cr_list : int array; (* threads currently in the CR role *)
   mutable mr_list : int array; (* threads currently in the MR role *)
+  mutable push_list : int array; (* MR threads a CR thread may push to *)
   mutable target_ncr : int;
   mutable hot_target : int;
   mutable refresh_asap : bool;
@@ -74,6 +75,25 @@ let register_metrics t =
         if seen = 0 then 0.0
         else float_of_int t.cr_hits /. float_of_int seen)
 
+(* --- role bookkeeping --- *)
+
+(* The targets a CR thread may push to: threads settled in the MR role
+   that are to stay there.  Recomputed where either input changes, a role
+   switch or a new split, not on every push. *)
+let recompute_push_list t =
+  t.push_list <-
+    Array.of_list
+      (List.filter (fun w -> t.desired.(w) = Mr) (Array.to_list t.mr_list))
+
+let recompute_lists t =
+  let crs = ref [] and mrs = ref [] in
+  Array.iteri
+    (fun w r -> match r with Cr -> crs := w :: !crs | Mr -> mrs := w :: !mrs)
+    t.current;
+  t.cr_list <- Array.of_list (List.rev !crs);
+  t.mr_list <- Array.of_list (List.rev !mrs);
+  recompute_push_list t
+
 let create ?ncr ?transport (config : Config.t) =
   let cores = config.Config.cores in
   if cores < 2 then invalid_arg "Mutps.create: needs at least 2 worker cores";
@@ -120,6 +140,7 @@ let create ?ncr ?transport (config : Config.t) =
       current = Array.init cores (fun w -> if w < ncr then Cr else Mr);
       cr_list = [||];
       mr_list = [||];
+      push_list = [||];
       target_ncr = ncr;
       hot_target = config.Config.hot_k;
       refresh_asap = false;
@@ -133,8 +154,7 @@ let create ?ncr ?transport (config : Config.t) =
       mr_scans = 0;
     }
   in
-  t.cr_list <- Array.init ncr Fun.id;
-  t.mr_list <- Array.init (cores - ncr) (fun i -> ncr + i);
+  recompute_lists t;
   register_metrics t;
   t
 
@@ -153,16 +173,6 @@ let responded t = t.responded
 let reconfig_settled t =
   (not (t.transport.Transport.reconfig_in_progress ()))
   && Array.for_all2 (fun a b -> a = b) t.desired t.current
-
-(* --- role bookkeeping --- *)
-
-let recompute_lists t =
-  let crs = ref [] and mrs = ref [] in
-  Array.iteri
-    (fun w r -> match r with Cr -> crs := w :: !crs | Mr -> mrs := w :: !mrs)
-    t.current;
-  t.cr_list <- Array.of_list (List.rev !crs);
-  t.mr_list <- Array.of_list (List.rev !mrs)
 
 (* MR threads allocate into the rightmost [mr_ways] of the LLC; the CR
    layer and the manager keep the full mask (§3.5 "LLC allocation"). *)
@@ -191,6 +201,7 @@ let set_split t ~ncr =
   if ncr <> t.target_ncr then begin
     t.target_ncr <- ncr;
     Array.iteri (fun w _ -> t.desired.(w) <- (if w < ncr then Cr else Mr)) t.desired;
+    recompute_push_list t;
     (* arm the transport switch at the predefined slot *)
     t.transport.Transport.set_workers ncr
   end
@@ -203,13 +214,6 @@ let set_hot_target t k =
 
 let refresh_now t = t.refresh_asap <- true
 
-(* targets a CR thread may push to: threads settled in the MR role *)
-let push_targets t =
-  Array.of_list
-    (List.filter
-       (fun w -> t.desired.(w) = Mr)
-       (Array.to_list t.mr_list))
-
 (* --- CR layer (§3.2.3 FSM) --- *)
 
 type cr_state = {
@@ -221,7 +225,7 @@ type cr_state = {
 let flush_pending t env w st =
   if st.pending_n > 0 then begin
     let batch = Array.of_list (List.rev st.pending) in
-    let targets = push_targets t in
+    let targets = t.push_list in
     if Array.length targets > 0 && Crmr.push t.crmr env ~cr:w ~targets batch
     then begin
       st.pending <- [];

@@ -4,15 +4,18 @@
     indexes them together), matching the paper's BaseKV ("optimizations
     such as reconfigurable RPC, batching, and prefetching are enabled").
 
-    Parameterized by transport and lock mode, this pool is both BaseKV
-    (reconfigurable RPC + share-everything locking) and eRPC-KV (eRPC +
-    share-nothing exclusive writes).  The execution stage is {!Exec}'s,
-    the one μTPS's MR layer runs; a worker responds through the
-    transport. *)
+    Its two constructors differ only in transport, lock mode and client
+    dispatch: BaseKV (reconfigurable RPC + share-everything locking) and
+    eRPC-KV (eRPC + share-nothing exclusive writes, key mod n).  The
+    execution stage is {!Exec}'s, the one μTPS's MR layer runs; a worker
+    responds through the transport. *)
 
 module Env = Mutps_mem.Env
 module Simthread = Mutps_sim.Simthread
 module Transport = Mutps_net.Transport
+module Reconf_rpc = Mutps_net.Reconf_rpc
+module Erpc = Mutps_net.Erpc
+module Client = Mutps_net.Client
 
 type stats = { mutable ops : int; mutable batches : int }
 
@@ -55,11 +58,46 @@ let worker_body (backend : Backend.t) tr ~lock ~worker stats ctx =
     else Simthread.delay ctx Config.poll_idle_cycles
   done
 
-let start backend tr ~lock ~workers =
-  let stats = Array.init workers (fun _ -> make_stats ()) in
+type t = {
+  backend : Backend.t;
+  transport : Transport.t;
+  lock : Exec.lock_mode;
+  dispatch : Mutps_workload.Opgen.op -> int;
+  mutable stats : stats array;
+}
+
+let create (config : Config.t) ~lock ~dispatch rpc =
+  let backend = Backend.create config in
+  { backend; transport = rpc backend; lock; dispatch; stats = [||] }
+
+let basekv (config : Config.t) =
+  let cores = config.Config.cores in
+  create config ~lock:Exec.Locked ~dispatch:Client.uniform_dispatch
+    (fun (b : Backend.t) ->
+      Reconf_rpc.transport
+        (Reconf_rpc.create ~engine:b.Backend.engine ~hier:b.Backend.hier
+           ~layout:b.Backend.layout ~link:b.Backend.link ~max_workers:cores
+           ~workers:cores ()))
+
+let erpckv (config : Config.t) =
+  let cores = config.Config.cores in
+  create config ~lock:Exec.Exclusive
+    ~dispatch:(Client.mod_key_dispatch ~workers:cores) (fun (b : Backend.t) ->
+      Erpc.transport
+        (Erpc.create ~engine:b.Backend.engine ~hier:b.Backend.hier
+           ~layout:b.Backend.layout ~link:b.Backend.link ~workers:cores ()))
+
+let backend t = t.backend
+let transport t = t.transport
+let dispatch t = t.dispatch
+
+let start t =
+  let workers = t.backend.Backend.config.Config.cores in
+  t.stats <- Array.init workers (fun _ -> make_stats ());
   for w = 0 to workers - 1 do
-    Simthread.spawn backend.Backend.engine
+    Simthread.spawn t.backend.Backend.engine
       ~name:(Printf.sprintf "rtc-%d" w)
-      (worker_body backend tr ~lock ~worker:w stats.(w))
-  done;
-  stats
+      (worker_body t.backend t.transport ~lock:t.lock ~worker:w t.stats.(w))
+  done
+
+let ops_processed t = Array.fold_left (fun acc s -> acc + s.ops) 0 t.stats

@@ -36,7 +36,9 @@
 
    Approximations: call sites are syntactic applications of resolvable
    names ("Module.fn", or an unqualified name bound at the top level of
-   the same file); calls through closures, record fields and functors are
+   the same file); an application with fewer arguments than the target's
+   non-optional parameters is partial, and neither commits nor makes its
+   caller commit; calls through closures, record fields and functors are
    opaque; a bare
    (unapplied) reference to a known function marks it exposed, since the
    closure may run anywhere.  Lambdas passed to [Env.tagged] run exactly
@@ -57,6 +59,9 @@ type ev =
       loc : Location.t;
       r2_allow : Lint.allow_site option;
           (** the covering [@lint.allow "R2"], if any *)
+      partial : bool;
+          (** fewer arguments than the resolved target's parameters: the
+              application builds a closure and runs nothing *)
     }  (** syntactic application of a named target *)
   | Mention of string  (** bare reference: the target escapes as a closure *)
   | Read of {
@@ -142,7 +147,12 @@ let events (w : World.t) (b : World.binding) =
       args;
     (* the call itself comes after its arguments: a commit in an argument
        dominates the call *)
-    emit (Call { path; loc; r2_allow = allowed "R2" })
+    let partial =
+      match World.resolve w ~file:b.file path with
+      | Some g -> List.length args < World.arity g
+      | None -> false
+    in
+    emit (Call { path; loc; r2_allow = allowed "R2"; partial })
   in
   walk (World.body walk b.vb.pvb_expr);
   List.rev !buf
@@ -168,9 +178,9 @@ let replay ~commits evs =
           committed := c;
           decr depth
         | [] -> ())
-      | Call { path; _ } ->
+      | Call { path; partial; _ } ->
         out := (ev, !committed, !depth) :: !out;
-        if commits path then committed := true
+        if (not partial) && commits path then committed := true
       | Read _ | Mention _ -> out := (ev, !committed, !depth) :: !out)
     evs;
   List.rev !out
@@ -189,7 +199,9 @@ let check_project ?(on_suppressed = fun ~rule:_ ~loc:_ -> ()) (w : World.t) =
     List.concat_map
       (fun (b, evs) ->
         List.filter_map
-          (function Call { path; _ }, _, 0 -> Some (b, path) | _ -> None)
+          (function
+            | Call { path; partial = false; _ }, _, 0 -> Some (b, path)
+            | _ -> None)
           (replay ~commits:(fun _ -> false) evs))
       fns
   in
@@ -223,7 +235,7 @@ let check_project ?(on_suppressed = fun ~rule:_ ~loc:_ -> ()) (w : World.t) =
       (fun (b, evs) ->
         List.filter_map
           (function
-            | Call { path; loc; r2_allow }, dominated, _ ->
+            | Call { path; loc; r2_allow; _ }, dominated, _ ->
               Option.map
                 (fun g -> (b, g, dominated, loc, r2_allow))
                 (resolve b path)

@@ -153,6 +153,16 @@ let rec body walk (e : Parsetree.expression) =
   | Pexp_newtype (_, b) | Pexp_constraint (b, _) -> body walk b
   | _ -> e
 
+let arity b =
+  let rec go n (e : Parsetree.expression) =
+    match e.pexp_desc with
+    | Pexp_fun (Optional _, _, _, e) -> go n e
+    | Pexp_fun (_, _, _, e) -> go (n + 1) e
+    | Pexp_newtype (_, e) | Pexp_constraint (e, _) -> go n e
+    | _ -> n
+  in
+  go 0 b.vb.pvb_expr
+
 let children walk e =
   let it = { Ast_iterator.default_iterator with expr = (fun _ e -> walk e) } in
   Ast_iterator.default_iterator.expr it e

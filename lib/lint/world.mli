@@ -92,6 +92,10 @@ val body :
     default values with [walk].  A binding's parameters are the function
     itself, not a closure it builds. *)
 
+val arity : binding -> int
+(** The parameters of a binding's chain (as {!body} strips it), optional
+    ones excepted: an application with fewer arguments is partial. *)
+
 val children : (Parsetree.expression -> unit) -> Parsetree.expression -> unit
 (** Apply [walk] to every direct sub-expression. *)
 

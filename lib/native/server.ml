@@ -103,8 +103,7 @@ let make_transport () =
   in
   let tr =
     {
-      Transport.name = "native";
-      deliver =
+      Transport.deliver =
         (fun msg ->
           Mutex.lock nt.rx_lock;
           Queue.push (msg.Message.id, msg) nt.rx;
@@ -117,7 +116,6 @@ let make_transport () =
           Mutex.unlock nt.rx_lock;
           m);
       slot_addr = (fun _ -> 0);
-      slot_len = (fun _ -> 0);
       resp_alloc = (fun ~worker:_ ~bytes:_ -> 0);
       post_response =
         (fun _env ~seq ~resp_addr:_ ~bytes:_ ~value ->

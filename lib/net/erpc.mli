@@ -6,11 +6,12 @@
     RPC's (eRPC's highly tuned stack, §5.2.1), modelled as a smaller
     doorbell/parse cost, but the worker count is baked into client-side
     dispatch: [set_workers] raises, reproducing the coordination cost the
-    paper's §3.2.1 design avoids. *)
+    paper's §3.2.1 design avoids.  Slots, response buffers and the send
+    path are {!Nic}'s, shared with {!Reconf_rpc}. *)
 
 type t
 
-type config = {
+type config = Nic.config = {
   ring_bytes : int;  (** per-worker rx ring (default 1 MB) *)
   resp_buf_bytes : int;
   doorbell_cycles : int;
@@ -29,6 +30,3 @@ val create :
   t
 
 val transport : t -> Transport.t
-val workers : t -> int
-val delivered : t -> int
-val outstanding : t -> int

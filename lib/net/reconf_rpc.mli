@@ -8,11 +8,11 @@
     current write position (the "predefined slot" of §3.5) — slots below it
     are claimed under the old modulus, slots at or above under the new one,
     and no client coordination happens.  Each worker also owns a small
-    response buffer that is reused across batches. *)
+    response buffer that is reused across batches ({!Nic}). *)
 
 type t
 
-type config = {
+type config = Nic.config = {
   ring_bytes : int;  (** rx ring capacity (default 4 MB — sized to the LLC) *)
   resp_buf_bytes : int;  (** per-worker response buffer (default 64 KB) *)
   doorbell_cycles : int;  (** MMIO cost of posting a send *)
@@ -37,9 +37,5 @@ val workers : t -> int
 val set_workers : t -> int -> unit
 val reconfig_in_progress : t -> bool
 
-val delivered : t -> int
 val responded : t -> int
 val outstanding : t -> int
-
-val ring_base : t -> int
-val ring_bytes : t -> int

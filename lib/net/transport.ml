@@ -1,5 +1,6 @@
 (** First-class transport interface implemented by {!Reconf_rpc}
-    (μTPS / BaseKV) and {!Erpc} (the eRPC-KV baseline).
+    (μTPS / BaseKV) and {!Erpc} (the eRPC-KV baseline), both over the
+    NIC side in {!Nic}.
 
     Lifecycle of a message: a client calls [deliver] (at its arrival time);
     a worker discovers it with [poll] (returning the rx slot sequence
@@ -9,11 +10,9 @@
     client-side arrival time. *)
 
 type t = {
-  name : string;
   deliver : Message.t -> unit;
   poll : Mutps_mem.Env.t -> worker:int -> (int * Message.t) option;
   slot_addr : int -> int;  (** rx payload address of a slot seq *)
-  slot_len : int -> int;
   resp_alloc : worker:int -> bytes:int -> int;
   post_response :
     Mutps_mem.Env.t ->

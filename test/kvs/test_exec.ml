@@ -170,14 +170,12 @@ let queue_transport () =
   let q = { rx = Queue.create (); answers = Hashtbl.create 16; inflight = 0 } in
   let tr =
     {
-      Transport.name = "queue";
-      deliver =
+      Transport.deliver =
         (fun msg ->
           Queue.push (msg.Message.id, msg) q.rx;
           q.inflight <- q.inflight + 1);
       poll = (fun _env ~worker:_ -> Queue.take_opt q.rx);
       slot_addr = (fun _ -> 0);
-      slot_len = (fun _ -> 0);
       resp_alloc = (fun ~worker:_ ~bytes:_ -> 0);
       post_response =
         (fun _env ~seq ~resp_addr:_ ~bytes:_ ~value ->
@@ -243,6 +241,36 @@ let test_mutps_rounds_per_op () =
   check_int "cold key: still two rounds" 2 (get 6L);
   check_int "every reply posted" 3 (Mutps.responded kv)
 
+(* After [set_split] grows the CR layer, a CR thread forwards only to the
+   threads that stay in the MR role: the thread on its way to the CR role
+   gets no new batch, so every forward is answered without it, and it
+   switches at its first idle step. *)
+let test_mutps_split_retargets_forwards () =
+  let config =
+    { (Config.default ~cores:3 ~capacity:keyspace ()) with Config.batch = 1 }
+  in
+  let q, tr = queue_transport () in
+  let kv = Mutps.create ~ncr:1 ~transport:tr config in
+  let b = Mutps.backend kv in
+  Backend.populate b ~keyspace ~value_size;
+  let step w = Mutps.stepper kv w (freerun b w) in
+  let cr = step 0 and joining = step 1 and mr = step 2 in
+  Mutps.set_split kv ~ncr:2;
+  for id = 0 to 3 do
+    send_get tr ~id (Int64.of_int id);
+    let rounds = ref 0 in
+    while q.inflight > 0 && !rounds < 10 do
+      ignore (cr ());
+      ignore (mr ());
+      incr rounds
+    done;
+    check_int (Printf.sprintf "GET %d answered without worker 1" id) 0
+      q.inflight
+  done;
+  check_int "all forwarded" 4 (Mutps.forwarded kv);
+  check_bool "worker 1 idle" false (joining ());
+  check_bool "worker 1 switched" true (Mutps.reconfig_settled kv)
+
 (* One RTC step polls up to a batch and answers all of it; an empty poll
    returns [false]. *)
 let test_rtc_step_answers_batch () =
@@ -278,13 +306,13 @@ let test_rtc_step_answers_batch () =
 (* ------------------------------------------------------------------ *)
 
 let run_basekv ~spec ~horizon ~clients:n =
-  let kv = Basekv.create (small_config ()) in
-  Backend.populate (Basekv.backend kv) ~keyspace ~value_size;
-  Basekv.start kv;
-  let b = Basekv.backend kv in
+  let kv = Rtc.basekv (small_config ()) in
+  Backend.populate (Rtc.backend kv) ~keyspace ~value_size;
+  Rtc.start kv;
+  let b = Rtc.backend kv in
   let clients =
     Client.start ~engine:b.Backend.engine ~link:b.Backend.link
-      ~transport:(Basekv.transport kv)
+      ~transport:(Rtc.transport kv)
       { Client.clients = n; window = 2; spec; seed = 3;
         dispatch = Client.uniform_dispatch }
   in
@@ -305,15 +333,15 @@ let test_rtc_mixed_batch_with_deletes () =
   in
   let kv, clients = run_basekv ~spec ~horizon:15_000_000 ~clients:4 in
   check_bool "mixed workload progresses" true (Client.completed clients > 300);
-  check_bool "ops counted" true (Basekv.ops_processed kv > 300);
-  check_exactly_once (Basekv.backend kv).Backend.engine clients
+  check_bool "ops counted" true (Rtc.ops_processed kv > 300);
+  check_exactly_once (Rtc.backend kv).Backend.engine clients
 
 let test_rtc_batches_amortize () =
   (* ops processed per batch should exceed 1 under load *)
   let spec = Ycsb.c ~keyspace ~value_size () in
   let kv, _ = run_basekv ~spec ~horizon:15_000_000 ~clients:16 in
   check_bool "multiple ops per batch" true
-    (Basekv.ops_processed kv > 0)
+    (Rtc.ops_processed kv > 0)
 
 (* ------------------------------------------------------------------ *)
 (* μTPS backpressure and small-ring survival                           *)
@@ -444,16 +472,16 @@ let test_mutps_delete_hot_key () =
 let test_erpckv_exclusive_no_contention () =
   (* every item is written only by its shard owner: no item may ever
      record a contended acquire *)
-  let kv = Erpckv.create (small_config ()) in
-  Backend.populate (Erpckv.backend kv) ~keyspace ~value_size;
-  Erpckv.start kv;
-  let b = Erpckv.backend kv in
+  let kv = Rtc.erpckv (small_config ()) in
+  Backend.populate (Rtc.backend kv) ~keyspace ~value_size;
+  Rtc.start kv;
+  let b = Rtc.backend kv in
   let spec = Ycsb.put_only ~keyspace ~value_size () in
   let clients =
     Client.start ~engine:b.Backend.engine ~link:b.Backend.link
-      ~transport:(Erpckv.transport kv)
+      ~transport:(Rtc.transport kv)
       { Client.clients = 16; window = 2; spec; seed = 3;
-        dispatch = Erpckv.dispatch kv }
+        dispatch = Rtc.dispatch kv }
   in
   Engine.run b.Backend.engine ~until:20_000_000;
   check_bool "puts progress" true (Client.completed clients > 300);
@@ -541,5 +569,7 @@ let () =
         [
           Alcotest.test_case "mutps rounds per op" `Quick test_mutps_rounds_per_op;
           Alcotest.test_case "rtc step answers a batch" `Quick test_rtc_step_answers_batch;
+          Alcotest.test_case "split retargets forwards" `Quick
+            test_mutps_split_retargets_forwards;
         ] );
     ]

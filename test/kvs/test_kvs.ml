@@ -34,29 +34,16 @@ type sys = {
   mutps : Mutps.t option;
 }
 
-let build_basekv config =
-  let kv = Basekv.create config in
-  Backend.populate (Basekv.backend kv) ~keyspace ~value_size;
-  Basekv.start kv;
-  let b = Basekv.backend kv in
+let build_rtc make config =
+  let kv = make config in
+  Backend.populate (Rtc.backend kv) ~keyspace ~value_size;
+  Rtc.start kv;
+  let b = Rtc.backend kv in
   {
     engine = b.Backend.engine;
-    transport = Basekv.transport kv;
+    transport = Rtc.transport kv;
     link = b.Backend.link;
-    dispatch = Client.uniform_dispatch;
-    mutps = None;
-  }
-
-let build_erpckv config =
-  let kv = Erpckv.create config in
-  Backend.populate (Erpckv.backend kv) ~keyspace ~value_size;
-  Erpckv.start kv;
-  let b = Erpckv.backend kv in
-  {
-    engine = b.Backend.engine;
-    transport = Erpckv.transport kv;
-    link = b.Backend.link;
-    dispatch = Erpckv.dispatch kv;
+    dispatch = Rtc.dispatch kv;
     mutps = None;
   }
 
@@ -108,8 +95,8 @@ let test_end_to_end name build =
   check_int (name ^ ": value corruption") 0 failures;
   check_exactly_once name sys.engine clients
 
-let test_basekv_end_to_end () = test_end_to_end "basekv" build_basekv
-let test_erpckv_end_to_end () = test_end_to_end "erpckv" build_erpckv
+let test_basekv_end_to_end () = test_end_to_end "basekv" (build_rtc Rtc.basekv)
+let test_erpckv_end_to_end () = test_end_to_end "erpckv" (build_rtc Rtc.erpckv)
 let test_mutps_end_to_end () = test_end_to_end "mutps" (build_mutps ?ncr:None)
 
 let test_mutps_hash_end_to_end () =
@@ -259,8 +246,8 @@ let test_erpckv_suffers_under_skew () =
   let spec =
     { (Ycsb.c ~keyspace ~value_size ()) with Opgen.key_dist = Opgen.Zipfian 0.99 }
   in
-  let base = throughput build_basekv ~spec in
-  let erpc = throughput build_erpckv ~spec in
+  let base = throughput (build_rtc Rtc.basekv) ~spec in
+  let erpc = throughput (build_rtc Rtc.erpckv) ~spec in
   check_bool
     (Printf.sprintf "basekv (%d) > erpckv (%d) under skew" base erpc)
     true (base > erpc)
@@ -420,8 +407,8 @@ let test_bitwise_determinism () =
       check_int (name ^ " deterministic completions") a b;
       check_int (name ^ " deterministic failures") fa fb)
     [
-      ("basekv", build_basekv);
-      ("erpckv", build_erpckv);
+      ("basekv", build_rtc Rtc.basekv);
+      ("erpckv", build_rtc Rtc.erpckv);
       ("mutps", fun c -> build_mutps c);
     ]
 

@@ -125,6 +125,25 @@ let test_r3_bad () =
 let test_r3_good () =
   check_int "clean" 0 (List.length (r3_findings "good_r3.ml"))
 
+let test_r3_partial () =
+  (* [poll env] supplies one of [poll]'s two parameters: it builds a
+     closure and commits nothing, so the read after it is undominated;
+     the full application [poll env 0] still commits *)
+  let fs =
+    project
+      [
+        ( "lib/a/partial.ml",
+          "type r = { mutable version : int }\n\
+           let poll env x = Env.commit env; x\n\
+           let read_after_partial env (it : r) =\n\
+          \  let p = poll env in ignore p; it.version\n\
+           let read_after_full env (it : r) = ignore (poll env 0); it.version"
+        );
+      ]
+  in
+  check_int "read after a partial application flagged" 1 (count "R3" fs);
+  check_int "only that read" 1 (List.length fs)
+
 let test_interp_r3_proven () =
   (* an undominated read is fine when every call site is commit-dominated,
      even across files *)
@@ -797,6 +816,7 @@ let () =
           Alcotest.test_case "R2 lib/mem exempt" `Quick test_r2_mem_exempt;
           Alcotest.test_case "R3 bad" `Quick test_r3_bad;
           Alcotest.test_case "R3 good" `Quick test_r3_good;
+          Alcotest.test_case "R3 partial application" `Quick test_r3_partial;
           Alcotest.test_case "R4 bad" `Quick test_r4_bad;
           Alcotest.test_case "R4 good" `Quick test_r4_good;
           Alcotest.test_case "file suppression" `Quick test_file_suppression;

@@ -292,12 +292,12 @@ let sim_replies system ops =
   let transport, engine, cr_hits =
     match system with
     | `Basekv ->
-      let kv = Kvs.Basekv.create config in
-      Kvs.Backend.populate (Kvs.Basekv.backend kv) ~keyspace:preload_keys
+      let kv = Kvs.Rtc.basekv config in
+      Kvs.Backend.populate (Kvs.Rtc.backend kv) ~keyspace:preload_keys
         ~value_size:eq_value_size;
-      Kvs.Basekv.start kv;
-      ( Kvs.Basekv.transport kv,
-        (Kvs.Basekv.backend kv).Kvs.Backend.engine,
+      Kvs.Rtc.start kv;
+      ( Kvs.Rtc.transport kv,
+        (Kvs.Rtc.backend kv).Kvs.Backend.engine,
         fun () -> 0 )
     | `Mutps ->
       (* every op sampled and a refresh every few ops (each op below runs

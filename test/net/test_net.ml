@@ -80,6 +80,39 @@ let mk_rpc ?(workers = 2) ?(max_workers = 8) w =
   Reconf_rpc.create ~engine:w.engine ~hier:w.hier ~layout:w.layout
     ~link:w.link ~max_workers ~workers ()
 
+(* The two transports over the shared NIC side ({!Nic}), one worker each:
+   the cases that test that side run through both.  [name] is the module
+   every NIC error names; [make] takes a change to the transport's
+   default config. *)
+type nic_user = {
+  name : string;
+  make : (Nic.config -> Nic.config) -> world -> Transport.t;
+}
+
+let via_rpc =
+  {
+    name = "Reconf_rpc";
+    make =
+      (fun tweak w ->
+        Reconf_rpc.transport
+          (Reconf_rpc.create ~config:(tweak Reconf_rpc.default_config)
+             ~engine:w.engine ~hier:w.hier ~layout:w.layout ~link:w.link
+             ~max_workers:1 ~workers:1 ()));
+  }
+
+let via_erpc =
+  {
+    name = "Erpc";
+    make =
+      (fun tweak w ->
+        Erpc.transport
+          (Erpc.create ~config:(tweak Erpc.default_config) ~engine:w.engine
+             ~hier:w.hier ~layout:w.layout ~link:w.link ~workers:1 ()));
+  }
+
+let overflow nic =
+  Failure (nic.name ^ ": rx ring overflow (too many outstanding requests)")
+
 (* ------------------------------------------------------------------ *)
 (* Reconf_rpc                                                          *)
 (* ------------------------------------------------------------------ *)
@@ -139,18 +172,17 @@ let test_rpc_response_roundtrip () =
   check_int "outstanding drained" 0 (Reconf_rpc.outstanding rpc);
   check_int "responded" 1 (Reconf_rpc.responded rpc)
 
-let test_rpc_double_response_rejected () =
+let test_double_response_rejected nic () =
   let w = mk_world () in
-  let rpc = mk_rpc ~workers:1 w in
-  let tr = Reconf_rpc.transport rpc in
-  tr.Transport.deliver (mk_msg ~id:0 ~key:5L ());
+  let tr = nic.make Fun.id w in
+  tr.Transport.deliver (mk_msg ~id:0 ~target:0 ~key:5L ());
   in_thread w (fun env ->
       match tr.Transport.poll env ~worker:0 with
       | Some (seq, _) ->
         let addr = tr.Transport.resp_alloc ~worker:0 ~bytes:16 in
         tr.Transport.post_response env ~seq ~resp_addr:addr ~bytes:16 ~value:None;
         Alcotest.check_raises "double response"
-          (Invalid_argument (Printf.sprintf "Reconf_rpc: unknown slot %d" seq))
+          (Invalid_argument (Printf.sprintf "%s: unknown slot %d" nic.name seq))
           (fun () ->
             tr.Transport.post_response env ~seq ~resp_addr:addr ~bytes:16
               ~value:None)
@@ -166,11 +198,12 @@ let test_rpc_put_payload_accessible () =
       match tr.Transport.poll env ~worker:0 with
       | Some (seq, msg) ->
         check_bool "payload carried" true (msg.Message.value = Some v);
-        check_bool "slot sized for payload" true
-          (tr.Transport.slot_len seq >= 116);
-        (* the payload address is DMA-resident in the LLC *)
+        (* the message is DMA-resident in the LLC, from its first byte to
+           its last (16-byte header + 100-byte payload) *)
         check_bool "rx slot in LLC" true
-          (Hierarchy.probe_llc w.hier ~addr:(tr.Transport.slot_addr seq))
+          (Hierarchy.probe_llc w.hier ~addr:(tr.Transport.slot_addr seq));
+        check_bool "last byte in LLC" true
+          (Hierarchy.probe_llc w.hier ~addr:(tr.Transport.slot_addr seq + 115))
       | None -> Alcotest.fail "no slot")
 
 let test_rpc_grow_workers_mid_stream () =
@@ -339,6 +372,46 @@ let test_erpc_response_roundtrip () =
       | None -> Alcotest.fail "no slot");
   check_int "response delivered" 1 !got
 
+let test_erpc_per_ring_accounting () =
+  (* each worker's ring counts its own unanswered bytes: filling one
+     leaves the other open, and answering a ring's slots frees that ring *)
+  let w = mk_world () in
+  let config = { Erpc.default_config with Erpc.ring_bytes = 4096 } in
+  let tr =
+    Erpc.transport
+      (Erpc.create ~config ~engine:w.engine ~hier:w.hier ~layout:w.layout
+         ~link:w.link ~workers:2 ())
+  in
+  let id = ref 0 in
+  let send worker =
+    incr id;
+    tr.Transport.deliver (mk_msg ~id:!id ~target:worker ~key:(Int64.of_int !id) ())
+  in
+  (* a GET takes 16 bytes, so half a 4096-byte ring holds 128 *)
+  let fill worker =
+    for _ = 1 to 128 do
+      send worker
+    done;
+    Alcotest.check_raises
+      (Printf.sprintf "worker %d's ring full" worker)
+      (overflow via_erpc)
+      (fun () -> send worker)
+  in
+  fill 0;
+  fill 1;
+  in_thread w (fun env ->
+      for _ = 1 to 128 do
+        match tr.Transport.poll env ~worker:0 with
+        | Some (seq, _) ->
+          let addr = tr.Transport.resp_alloc ~worker:0 ~bytes:16 in
+          tr.Transport.post_response env ~seq ~resp_addr:addr ~bytes:16
+            ~value:None
+        | None -> Alcotest.fail "expected a slot"
+      done);
+  fill 0;
+  Alcotest.check_raises "worker 1's ring still full" (overflow via_erpc)
+    (fun () -> send 1)
+
 (* ------------------------------------------------------------------ *)
 (* Client                                                              *)
 (* ------------------------------------------------------------------ *)
@@ -439,10 +512,9 @@ let test_client_reset_stats () =
 (* Additional transport edge cases                                     *)
 (* ------------------------------------------------------------------ *)
 
-let test_rpc_resp_alloc_wraps () =
+let test_resp_alloc_wraps nic () =
   let w = mk_world () in
-  let rpc = mk_rpc ~workers:1 w in
-  let tr = Reconf_rpc.transport rpc in
+  let tr = nic.make Fun.id w in
   (* allocate more than the 64KB response buffer: the cursor must wrap and
      keep returning in-buffer addresses *)
   let first = tr.Transport.resp_alloc ~worker:0 ~bytes:4096 in
@@ -454,29 +526,19 @@ let test_rpc_resp_alloc_wraps () =
   done;
   check_bool "cursor wrapped" true !seen_first_again
 
-let test_rpc_resp_alloc_too_big () =
+let test_resp_alloc_too_big nic () =
   let w = mk_world () in
-  let rpc = mk_rpc ~workers:1 w in
-  let tr = Reconf_rpc.transport rpc in
+  let tr = nic.make Fun.id w in
   Alcotest.check_raises "over buffer size"
-    (Invalid_argument "Reconf_rpc.resp_alloc: too big") (fun () ->
+    (Invalid_argument (nic.name ^ ".resp_alloc: too big")) (fun () ->
       ignore (tr.Transport.resp_alloc ~worker:0 ~bytes:(1 lsl 20)))
 
-let test_rpc_ring_overflow_guard () =
+let test_ring_overflow_guard nic () =
   let w = mk_world () in
-  let config =
-    { Reconf_rpc.default_config with Reconf_rpc.ring_bytes = 4096 }
-  in
-  let rpc =
-    Reconf_rpc.create ~config ~engine:w.engine ~hier:w.hier ~layout:w.layout
-      ~link:w.link ~max_workers:1 ~workers:1 ()
-  in
-  let tr = Reconf_rpc.transport rpc in
-  Alcotest.check_raises "rx overflow detected"
-    (Failure "Reconf_rpc: rx ring overflow (too many outstanding requests)")
-    (fun () ->
+  let tr = nic.make (fun c -> { c with Reconf_rpc.ring_bytes = 4096 }) w in
+  Alcotest.check_raises "rx overflow detected" (overflow nic) (fun () ->
       for i = 0 to 300 do
-        tr.Transport.deliver (mk_msg ~id:i ~key:(Int64.of_int i) ())
+        tr.Transport.deliver (mk_msg ~id:i ~target:0 ~key:(Int64.of_int i) ())
       done)
 
 let test_rpc_interleaved_consume_and_reconfig () =
@@ -571,7 +633,8 @@ let () =
           Alcotest.test_case "mod-n ownership" `Quick test_rpc_mod_n_ownership;
           Alcotest.test_case "poll empty" `Quick test_rpc_poll_empty;
           Alcotest.test_case "response roundtrip" `Quick test_rpc_response_roundtrip;
-          Alcotest.test_case "double response" `Quick test_rpc_double_response_rejected;
+          Alcotest.test_case "double response" `Quick
+            (test_double_response_rejected via_rpc);
           Alcotest.test_case "put payload" `Quick test_rpc_put_payload_accessible;
           Alcotest.test_case "grow mid-stream" `Quick test_rpc_grow_workers_mid_stream;
           Alcotest.test_case "shrink mid-stream" `Quick test_rpc_shrink_workers_mid_stream;
@@ -579,9 +642,12 @@ let () =
         ] );
       ( "edge-cases",
         [
-          Alcotest.test_case "resp_alloc wraps" `Quick test_rpc_resp_alloc_wraps;
-          Alcotest.test_case "resp_alloc too big" `Quick test_rpc_resp_alloc_too_big;
-          Alcotest.test_case "ring overflow guard" `Quick test_rpc_ring_overflow_guard;
+          Alcotest.test_case "resp_alloc wraps" `Quick
+            (test_resp_alloc_wraps via_rpc);
+          Alcotest.test_case "resp_alloc too big" `Quick
+            (test_resp_alloc_too_big via_rpc);
+          Alcotest.test_case "ring overflow guard" `Quick
+            (test_ring_overflow_guard via_rpc);
           Alcotest.test_case "interleaved reconfig" `Quick test_rpc_interleaved_consume_and_reconfig;
           Alcotest.test_case "client set_spec" `Quick test_client_set_spec_switches_stream;
           Alcotest.test_case "client monitor" `Quick test_client_monitor_records_windows;
@@ -591,6 +657,16 @@ let () =
           Alcotest.test_case "targets ring" `Quick test_erpc_targets_ring;
           Alcotest.test_case "rejects untargeted" `Quick test_erpc_rejects_untargeted;
           Alcotest.test_case "response roundtrip" `Quick test_erpc_response_roundtrip;
+          Alcotest.test_case "double response" `Quick
+            (test_double_response_rejected via_erpc);
+          Alcotest.test_case "resp_alloc wraps" `Quick
+            (test_resp_alloc_wraps via_erpc);
+          Alcotest.test_case "resp_alloc too big" `Quick
+            (test_resp_alloc_too_big via_erpc);
+          Alcotest.test_case "ring overflow guard" `Quick
+            (test_ring_overflow_guard via_erpc);
+          Alcotest.test_case "per-ring accounting" `Quick
+            test_erpc_per_ring_accounting;
         ] );
       ( "client",
         [
