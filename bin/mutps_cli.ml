@@ -614,10 +614,9 @@ let serve_native scale system value_size
   let s = Server.run cfg in
   Harness.printf
     "native %s done: %d responded (%d CR hits, %d forwarded, %d MR ops), \
-     %d conns (%d refused), %d steals\n"
+     %d conns, %d steals\n"
     (Harness.system_name system) s.Server.responded s.Server.cr_hits
-    s.Server.forwarded s.Server.mr_ops s.Server.conns s.Server.refused
-    s.Server.steals
+    s.Server.forwarded s.Server.mr_ops s.Server.conns s.Server.steals
 
 let serve_cmd =
   let system =

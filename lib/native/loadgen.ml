@@ -3,7 +3,7 @@
    Each connection keeps exactly one request outstanding: it draws the
    next operation from its own deterministic {!Mutps_workload.Opgen}
    stream, sends it, and measures the wall-clock time to the full reply.
-   Connections are multiplexed with [Unix.select], so one generator
+   Connections are multiplexed with one [Nbio.poll], so one generator
    thread drives many closed loops — the native analogue of the
    simulator's {!Mutps_net.Client} pool.
 
@@ -44,16 +44,20 @@ type lg_conn = {
   mutable outstanding : bool;
 }
 
+exception Protocol_error of string
+
+(* Connected, then non-blocking: [Nbio]'s calls never wait. *)
 let connect_fd (target : Server.listen) =
-  match target with
-  | Server.Unix_path path ->
-    let fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-    Unix.connect fd (Unix.ADDR_UNIX path);
-    fd
-  | Server.Tcp (host, port) ->
-    let fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
-    Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_of_string host, port));
-    fd
+  let domain, addr =
+    match target with
+    | Server.Unix_path path -> (Unix.PF_UNIX, Unix.ADDR_UNIX path)
+    | Server.Tcp (host, port) ->
+      (Unix.PF_INET, Unix.ADDR_INET (Unix.inet_addr_of_string host, port))
+  in
+  let fd = Unix.socket ~cloexec:true domain Unix.SOCK_STREAM 0 in
+  Unix.connect fd addr;
+  Unix.set_nonblock fd;
+  fd
 
 (* Scans are not on the wire protocol; a spec that asks for one degrades
    to a GET of the scan's start key. *)
@@ -66,13 +70,16 @@ let command_of_op (op : Opgen.op) =
        Mutps_net.Client.payload ~key:op.Opgen.key ~size:(max 1 op.Opgen.size))
   | Request.Delete -> Resp.Del op.Opgen.key
 
-let send_all fd s =
-  let len = String.length s in
+(* One request is far below a socket's buffer, so a full buffer is rare
+   and short-lived: wait it out in place. *)
+let send_all fd b =
+  let len = Bytes.length b in
   let off = ref 0 in
   while !off < len do
-    match Unix.write_substring fd s !off (len - !off) with
-    | n -> off := !off + n
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
+    let n = Nbio.write fd b !off (len - !off) in
+    if n >= 0 then off := !off + n
+    else if n = Nbio.would_block then Domain.cpu_relax ()
+    else raise (Protocol_error "connection lost on write")
   done
 
 (* What [op] may be answered, every value being its key's deterministic
@@ -94,9 +101,27 @@ let send_next c =
   Resp.encode_command buf (command_of_op c.op);
   c.sent_ns <- Clock.now_ns ();
   c.outstanding <- true;
-  send_all c.fd (Buffer.contents buf)
+  send_all c.fd (Buffer.to_bytes buf)
 
-exception Protocol_error of string
+(* Read what [c]'s socket holds and take its reply, if it is whole. *)
+let receive c ~on_reply =
+  if Bytes.length c.rbuf - c.rlen < 4096 then begin
+    let bigger = Bytes.create (2 * Bytes.length c.rbuf) in
+    Bytes.blit c.rbuf 0 bigger 0 c.rlen;
+    c.rbuf <- bigger
+  end;
+  let n = Nbio.read c.fd c.rbuf c.rlen 4096 in
+  if n = 0 then raise (Protocol_error "server closed the connection")
+  else if n > 0 then c.rlen <- c.rlen + n
+  else if n <> Nbio.would_block then
+    raise (Protocol_error "connection lost on read");
+  match Resp.parse_reply c.rbuf ~len:c.rlen with
+  | `Need_more -> ()
+  | `Bad reason -> raise (Protocol_error reason)
+  | `Ok (reply, consumed) ->
+    Bytes.blit c.rbuf consumed c.rbuf 0 (c.rlen - consumed);
+    c.rlen <- c.rlen - consumed;
+    on_reply c reply
 
 let run cfg =
   if cfg.conns < 1 then invalid_arg "Loadgen: conns < 1";
@@ -135,47 +160,42 @@ let run cfg =
         send_next c
       end)
     conns;
+  let on_reply c reply =
+    Stats.Hist.add hist (Clock.now_ns () - c.sent_ns);
+    if not (owed c.op reply) then incr wrong;
+    (match reply with
+    | Resp.Value _ -> incr get_hits
+    | Resp.Nil -> incr get_misses
+    | Resp.Ok_simple _ -> ()
+    | Resp.Error _ -> incr errors);
+    incr completed;
+    c.outstanding <- false;
+    if !started < cfg.ops then begin
+      incr started;
+      send_next c
+    end
+  in
+  (* the connections awaiting a reply are polled, [polled.(k)] naming the
+     connection behind [fds.(k)] *)
+  let fds = Array.map (fun c -> c.fd) conns in
+  let polled = Array.make nconns 0 and ready = Array.make nconns 0 in
   while !completed < !started do
-    let watched =
-      Array.to_list conns
-      |> List.filter_map (fun c -> if c.outstanding then Some c.fd else None)
-    in
-    let readable, _, _ = Unix.select watched [] [] 1.0 in
-    Array.iter
-      (fun c ->
-        if c.outstanding && List.mem c.fd readable then begin
-          if Bytes.length c.rbuf - c.rlen < 4096 then begin
-            let bigger = Bytes.create (2 * Bytes.length c.rbuf) in
-            Bytes.blit c.rbuf 0 bigger 0 c.rlen;
-            c.rbuf <- bigger
-          end;
-          (match Unix.read c.fd c.rbuf c.rlen 4096 with
-          | 0 -> raise (Protocol_error "server closed the connection")
-          | n -> c.rlen <- c.rlen + n
-          | exception
-              Unix.Unix_error
-                ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) -> ());
-          match Resp.parse_reply c.rbuf ~len:c.rlen with
-          | `Need_more -> ()
-          | `Bad reason -> raise (Protocol_error reason)
-          | `Ok (reply, consumed) ->
-            Bytes.blit c.rbuf consumed c.rbuf 0 (c.rlen - consumed);
-            c.rlen <- c.rlen - consumed;
-            Stats.Hist.add hist (Clock.now_ns () - c.sent_ns);
-            if not (owed c.op reply) then incr wrong;
-            (match reply with
-            | Resp.Value _ -> incr get_hits
-            | Resp.Nil -> incr get_misses
-            | Resp.Ok_simple _ -> ()
-            | Resp.Error _ -> incr errors);
-            incr completed;
-            c.outstanding <- false;
-            if !started < cfg.ops then begin
-              incr started;
-              send_next c
-            end
+    let n = ref 0 in
+    Array.iteri
+      (fun i c ->
+        if c.outstanding then begin
+          fds.(!n) <- c.fd;
+          polled.(!n) <- i;
+          incr n
         end)
-      conns
+      conns;
+    let nready = Nbio.poll fds !n ready ~timeout_ms:1000 in
+    if nready < 0 && nready <> Nbio.would_block then
+      raise (Protocol_error "poll failed");
+    for k = 0 to !n - 1 do
+      if ready.(k) <> 0 then
+        receive conns.(polled.(k)) ~on_reply
+    done
   done;
   let elapsed_ns = Clock.now_ns () - t0 in
   Array.iter (fun c -> try Unix.close c.fd with Unix.Unix_error _ -> ()) conns;

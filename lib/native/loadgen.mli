@@ -2,9 +2,13 @@
 
     Each connection keeps exactly one request outstanding, drawing
     operations from its own deterministic {!Mutps_workload.Opgen} stream;
-    connections are multiplexed over [Unix.select] from the calling
-    thread.  Put payloads come from {!Mutps_net.Client.payload}, the same
-    deterministic bytes the simulated clients write. *)
+    the connections awaiting a reply are multiplexed over one
+    {!Nbio.poll} from the calling thread, which waits up to a second in
+    a blocking section, and each ready one is read by its index.
+    [poll] has no [FD_SETSIZE] limit, so [conns] is bounded by
+    [ulimit -n] alone.  Put payloads come from
+    {!Mutps_net.Client.payload}, the same deterministic bytes the
+    simulated clients write. *)
 
 type config = {
   connect : Server.listen;
@@ -28,6 +32,7 @@ type result = {
 }
 
 exception Protocol_error of string
+(** The server broke the protocol, closed a connection or lost one. *)
 
 val run : config -> result
 (** Connect, drive the closed loops until [ops] replies, disconnect. *)

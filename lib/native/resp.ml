@@ -89,15 +89,20 @@ let reply_for_op (kind : Mutps_queue.Request.kind) (value : bytes option) =
 
 type 'a parse = [ `Ok of 'a * int | `Need_more | `Bad of string ]
 
+(* The first "\r\n" at or after [pos] that ends before [lim], or -1. *)
+let crlf_index s ~pos ~lim =
+  let i = ref pos in
+  while
+    !i + 1 < lim && not (Bytes.get s !i = '\r' && Bytes.get s (!i + 1) = '\n')
+  do
+    incr i
+  done;
+  if !i + 1 < lim then !i else -1
+
 (* Find "\r\n" starting at [pos]; [None] if incomplete. *)
 let find_crlf s ~pos ~len =
-  let i = ref pos in
-  let found = ref (-1) in
-  while !found < 0 && !i + 1 < len do
-    if Bytes.get s !i = '\r' && Bytes.get s (!i + 1) = '\n' then found := !i
-    else incr i
-  done;
-  if !found < 0 then None else Some !found
+  let e = crlf_index s ~pos ~lim:len in
+  if e < 0 then None else Some e
 
 (* The longest integer header a frame may carry: the digits of [min_int]
    and its sign.  Past that a missing CRLF is a malformed frame, not a
@@ -113,67 +118,136 @@ let parse_int_line s ~pos ~len : (int * int) parse =
     | Some n -> `Ok ((n, e + 2), e + 2)
     | None -> `Bad "expected integer")
 
-(* $<n>\r\n<payload>\r\n  at [pos]; yields payload and next offset. *)
-let parse_bulk s ~pos ~len : (string * int) parse =
-  if pos >= len then `Need_more
-  else if Bytes.get s pos <> '$' then `Bad "expected bulk string"
+(* [parse_command] reads a frame where it lies: no substring, argument
+   array or upper-case copy.  A short frame raises [Short] and a malformed
+   one [Malformed reason], both caught at its entry. *)
+exception Short
+exception Malformed of string
+
+let malformed reason = raise_notrace (Malformed reason)
+
+(* The CRLF ending the integer header at [pos], under [parse_int_line]'s
+   bound. *)
+let header_end s ~pos ~len =
+  let window = pos + max_int_len + 2 in
+  let e = crlf_index s ~pos ~lim:(min len window) in
+  if e >= 0 then e
+  else if len >= window then malformed "integer header too long"
+  else raise_notrace Short
+
+(* [s.[pos .. e-1]] read in place when it is [-?[0-9]{1,18}], which no
+   int overflows; [min_int], which no such string spells, for any other
+   spelling. *)
+let plain_decimal s ~pos ~e =
+  let neg = pos < e && Bytes.get s pos = '-' in
+  let first = if neg then pos + 1 else pos in
+  if e - first < 1 || e - first > 18 then min_int
+  else begin
+    let v = ref 0 and i = ref first in
+    while !i < e && Bytes.get s !i >= '0' && Bytes.get s !i <= '9' do
+      v := (10 * !v) + Char.code (Bytes.get s !i) - Char.code '0';
+      incr i
+    done;
+    if !i < e then min_int else if neg then - !v else !v
+  end
+
+(* The integer header [s.[pos .. e-1]]: any spelling but plain decimal
+   goes through [int_of_string_opt] on a copy, as in [parse_int_line]. *)
+let header_int s ~pos ~e =
+  let v = plain_decimal s ~pos ~e in
+  if v <> min_int then v
   else
-    match parse_int_line s ~pos:(pos + 1) ~len with
-    | (`Need_more | `Bad _) as r -> r
-    | `Ok ((n, body), _) ->
-      if n < 0 then `Bad "negative bulk length"
-      else if n > Mutps_queue.Request.max_size then `Bad "bulk string too long"
-      else if body + n + 2 > len then `Need_more
-      else if Bytes.get s (body + n) <> '\r' || Bytes.get s (body + n + 1) <> '\n'
-      then `Bad "bulk string missing terminator"
-      else `Ok ((Bytes.sub_string s body n, body + n + 2), body + n + 2)
+    match int_of_string_opt (Bytes.sub_string s pos (e - pos)) with
+    | Some n -> n
+    | None -> malformed "expected integer"
+
+(* The CRLF ending the header of the bulk string at [pos]; its payload
+   starts 2 bytes later. *)
+let bulk_header s ~pos ~len =
+  if pos >= len then raise_notrace Short;
+  if Bytes.get s pos <> '$' then malformed "expected bulk string";
+  header_end s ~pos:(pos + 1) ~len
+
+(* The payload length of the bulk string at [pos], whose header ends at
+   [e], once the whole bulk string is in. *)
+let bulk_length s ~pos ~e ~len =
+  let n = header_int s ~pos:(pos + 1) ~e in
+  if n < 0 then malformed "negative bulk length";
+  if n > Mutps_queue.Request.max_size then malformed "bulk string too long";
+  let body = e + 2 in
+  if body + n + 2 > len then raise_notrace Short;
+  if Bytes.get s (body + n) <> '\r' || Bytes.get s (body + n + 1) <> '\n' then
+    malformed "bulk string missing terminator";
+  n
+
+(* [s.[pos .. pos+n-1]] is [name], an upper-case command, in any case. *)
+let is_name s ~pos ~n name =
+  n = String.length name
+  &&
+  let i = ref 0 in
+  while !i < n && Char.uppercase_ascii (Bytes.get s (pos + !i)) = name.[!i] do
+    incr i
+  done;
+  !i = n
+
+(* A key spelled [s.[pos .. pos+n-1]]: any spelling but plain decimal
+   goes through [Int64.of_string_opt] on a copy. *)
+let key_at s ~pos ~n =
+  let v = plain_decimal s ~pos ~e:(pos + n) in
+  if v <> min_int then Int64.of_int v
+  else
+    match Int64.of_string_opt (Bytes.sub_string s pos n) with
+    | Some k -> k
+    | None -> malformed "key must be a decimal integer"
+
+let wrong_arity name = malformed ("wrong number of arguments for " ^ name)
+
+let command_frame s ~len =
+  if len = 0 then raise_notrace Short;
+  if Bytes.get s 0 <> '*' then malformed "expected array";
+  let e = header_end s ~pos:1 ~len in
+  let argc = header_int s ~pos:1 ~e in
+  if argc < 1 || argc > 3 then malformed "wrong number of arguments";
+  (* every argument is framed before any is read: the name, key and value
+     payloads' offsets and lengths *)
+  let pos = ref (e + 2) in
+  let name = ref 0 and name_n = ref 0 and key = ref 0 and key_n = ref 0 in
+  let value = ref 0 and value_n = ref 0 in
+  for i = 0 to argc - 1 do
+    let e = bulk_header s ~pos:!pos ~len in
+    let n = bulk_length s ~pos:!pos ~e ~len in
+    (match i with
+    | 0 -> name := e + 2; name_n := n
+    | 1 -> key := e + 2; key_n := n
+    | _ -> value := e + 2; value_n := n);
+    pos := e + n + 4
+  done;
+  let name = !name and n = !name_n in
+  let cmd =
+    if is_name s ~pos:name ~n "GET" then
+      if argc = 2 then Get (key_at s ~pos:!key ~n:!key_n) else wrong_arity "GET"
+    else if is_name s ~pos:name ~n "SET" then
+      if argc = 3 then
+        let k = key_at s ~pos:!key ~n:!key_n in
+        Set (k, Bytes.sub s !value !value_n)
+      else wrong_arity "SET"
+    else if is_name s ~pos:name ~n "DEL" then
+      if argc = 2 then Del (key_at s ~pos:!key ~n:!key_n) else wrong_arity "DEL"
+    else if is_name s ~pos:name ~n "PING" then
+      if argc = 1 then Ping else wrong_arity "PING"
+    else
+      malformed
+        ("unknown command " ^ String.uppercase_ascii (Bytes.sub_string s name n))
+  in
+  (cmd, !pos)
 
 (* One command frame starting at offset 0 of [s] (first [len] bytes).
    [`Ok (cmd, consumed)] lets the caller shift its buffer. *)
 let parse_command s ~len : command parse =
-  if len = 0 then `Need_more
-  else if Bytes.get s 0 <> '*' then `Bad "expected array"
-  else
-    match parse_int_line s ~pos:1 ~len with
-    | (`Need_more | `Bad _) as r -> r
-    | `Ok ((argc, pos0), _) ->
-      if argc < 1 || argc > 3 then `Bad "wrong number of arguments"
-      else begin
-        let args = Array.make argc "" in
-        let rec collect i pos : command parse =
-          if i = argc then finish pos
-          else
-            match parse_bulk s ~pos ~len with
-            | (`Need_more | `Bad _) as r -> r
-            | `Ok ((a, next), _) ->
-              args.(i) <- a;
-              collect (i + 1) next
-        and key_of i : (int64, string) result =
-          match Int64.of_string_opt args.(i) with
-          | Some k -> Result.Ok k
-          | None -> Result.Error "key must be a decimal integer"
-        and finish consumed : command parse =
-          let cmd = String.uppercase_ascii args.(0) in
-          match cmd, argc with
-          | "PING", 1 -> `Ok (Ping, consumed)
-          | "GET", 2 -> (
-            match key_of 1 with
-            | Result.Ok k -> `Ok (Get k, consumed)
-            | Result.Error m -> `Bad m)
-          | "DEL", 2 -> (
-            match key_of 1 with
-            | Result.Ok k -> `Ok (Del k, consumed)
-            | Result.Error m -> `Bad m)
-          | "SET", 3 -> (
-            match key_of 1 with
-            | Result.Ok k -> `Ok (Set (k, Bytes.of_string args.(2)), consumed)
-            | Result.Error m -> `Bad m)
-          | ("PING" | "GET" | "DEL" | "SET"), _ ->
-            `Bad ("wrong number of arguments for " ^ cmd)
-          | _ -> `Bad ("unknown command " ^ cmd)
-        in
-        collect 0 pos0
-      end
+  match command_frame s ~len with
+  | frame -> `Ok frame
+  | exception Short -> `Need_more
+  | exception Malformed reason -> `Bad reason
 
 (* One reply frame starting at offset 0 (loadgen side). *)
 let parse_reply s ~len : reply parse =

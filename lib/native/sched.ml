@@ -1,7 +1,8 @@
 (* Work-stealing fiber scheduler: one worker per OCaml 5 domain, one
    lock-free SPMC run queue per worker, a mutex-guarded injector for
    spawns arriving from outside the pool (the control domain, or
-   overflow when a local queue is full).
+   overflow when a local queue is full), whose lock a dispatch takes
+   only while an [Atomic] count says the injector holds a task.
 
    Scheduling discipline (ebsl-style):
    - a worker checks the injector, then consumes its own queue FIFO (a
@@ -33,6 +34,10 @@ type t = {
   queues : (unit -> unit) Deque.t array;
   inj_lock : Mutex.t;
   injector : (unit -> unit) Queue.t;
+  injected : int Atomic.t;
+      (* tasks pushed on [injector] and not yet taken: bumped after the
+         push's unlock, dropped after a take, so it falls short of the
+         queue only while an [inject] is between its unlock and its bump *)
   live : int Atomic.t;  (* spawned fibers not yet completed *)
   steals : int Atomic.t;
   err_lock : Mutex.t;
@@ -47,6 +52,7 @@ let create ~workers () =
     queues = Array.init workers (fun _ -> Deque.create ());
     inj_lock = Mutex.create ();
     injector = Queue.create ();
+    injected = Atomic.make 0;
     live = Atomic.make 0;
     steals = Atomic.make 0;
     err_lock = Mutex.create ();
@@ -56,7 +62,8 @@ let create ~workers () =
 let inject t task =
   Mutex.lock t.inj_lock;
   Queue.push task t.injector;
-  Mutex.unlock t.inj_lock
+  Mutex.unlock t.inj_lock;
+  Atomic.incr t.injected
 
 (* Route a ready thunk: onto the calling worker's own queue when the
    caller belongs to this scheduler, else through the injector. *)
@@ -89,11 +96,13 @@ let steals t = Atomic.get t.steals
 let next_task t ~index rng =
   (* injector first: external submissions are rare, and checking them on
      every dispatch keeps a single worker fair — a fiber that yields back
-     onto the local queue can never starve work arriving from outside *)
+     onto the local queue can never starve work arriving from outside;
+     the lock is taken only when the count says there is work *)
   let from_injector =
-    if Mutex.try_lock t.inj_lock then begin
+    if Atomic.get t.injected > 0 && Mutex.try_lock t.inj_lock then begin
       let v = Queue.take_opt t.injector in
       Mutex.unlock t.inj_lock;
+      if Option.is_some v then Atomic.decr t.injected;
       v
     end
     else None

@@ -72,7 +72,6 @@ type summary = {
   mr_ops : int;
   steals : int;  (** scheduler cross-worker steals *)
   conns : int;  (** connections accepted *)
-  refused : int;  (** connections refused: fd beyond [select]'s reach *)
 }
 
 (* ------------------------------------------------------------------ *)
@@ -241,7 +240,8 @@ type conn = {
   mutable rlen : int;
   slots : slot Queue.t;  (* one per command not yet encoded, in request order *)
   obuf : Buffer.t;  (* in-order encoded replies awaiting the socket *)
-  mutable wpend : string;  (* write staging *)
+  mutable wbuf : bytes;  (* replies being written: [woff, wlen) still owed *)
+  mutable wlen : int;
   mutable woff : int;
   mutable closing : bool;  (* close once every reply has been flushed *)
 }
@@ -256,23 +256,24 @@ let obuf_limit = 16 * Request.max_size
 type state = {
   cfg : config;
   shards : shard array;
+  taken : int array;  (* each shard's [responded] when its replies were last taken *)
   sched : Sched.t;
   stop : bool Atomic.t;
   lfd : Unix.file_descr;
   mutable next_id : int;  (* the next request id, a transport seq *)
-  waiting : (int, conn * slot * Request.kind) Hashtbl.t;
+  waiting : (conn * slot * Request.kind) Message.Tbl.t;
       (* request id -> the slot its reply fills *)
   replies : (int * bytes option) Queue.t;  (* taken from the shards *)
   mutable accepted : int;
-  mutable refused : int;
   mutable live : conn list;  (* every open connection *)
-  by_fd : (Unix.file_descr, conn) Hashtbl.t;  (* readable fd -> its conn *)
-  mutable watched : Unix.file_descr list;  (* listener + non-closing conns *)
+  mutable watched : conn array;  (* the non-closing conns *)
+  mutable fds : Unix.file_descr array;  (* the listener, then [watched]'s *)
+  mutable ready : int array;  (* [Nbio.poll]'s answer for [fds] *)
   mutable rewatch : bool;  (* [watched] is stale: a conn opened or began closing *)
   mutable closing_conns : int;  (* live conns with [closing] set *)
 }
 
-(* Stop reading [conn]: it leaves the watched set at the next select and
+(* Stop reading [conn]: it leaves the watched set at the next poll and
    closes once its replies have drained. *)
 let begin_close st conn =
   if not conn.closing then begin
@@ -286,7 +287,7 @@ let begin_close st conn =
    arriving later fills a slot no longer queued and is never encoded. *)
 let conn_drop st conn =
   begin_close st conn;
-  conn.wpend <- "";
+  conn.wlen <- 0;
   conn.woff <- 0;
   Queue.clear conn.slots;
   Buffer.clear conn.obuf
@@ -302,20 +303,26 @@ let rec encode_filled st conn =
     else encode_filled st conn
   | Some { reply = None } | None -> ()
 
-(* Take every shard's replies; each fills the slot its request queued. *)
+(* Take every shard's replies; each fills the slot its request queued.  A
+   shard counts a reply after queueing it, so a shard whose count has not
+   moved since its replies were last taken is not locked. *)
 let collect_replies st =
-  Array.iter
-    (fun shard ->
-      Mutex.lock shard.nt.rx_lock;
-      Queue.transfer shard.nt.replies st.replies;
-      Mutex.unlock shard.nt.rx_lock)
-    st.shards;
+  for i = 0 to Array.length st.shards - 1 do
+    let nt = st.shards.(i).nt in
+    let responded = Atomic.get nt.responded in
+    if responded <> st.taken.(i) then begin
+      st.taken.(i) <- responded;
+      Mutex.lock nt.rx_lock;
+      Queue.transfer nt.replies st.replies;
+      Mutex.unlock nt.rx_lock
+    end
+  done;
   while not (Queue.is_empty st.replies) do
     let id, value = Queue.take st.replies in
-    match Hashtbl.find_opt st.waiting id with
+    match Message.Tbl.find_opt st.waiting id with
     | None -> invalid_arg "native server: reply to an unknown request id"
     | Some (conn, slot, kind) ->
-      Hashtbl.remove st.waiting id;
+      Message.Tbl.remove st.waiting id;
       slot.reply <- Some (Resp.reply_for_op kind value);
       encode_filled st conn
   done
@@ -334,7 +341,7 @@ let dispatch st conn cmd =
     st.next_id <- id + 1;
     let slot = { reply = None } in
     Queue.push slot conn.slots;
-    Hashtbl.replace st.waiting id (conn, slot, req.Request.kind);
+    Message.Tbl.replace st.waiting id (conn, slot, req.Request.kind);
     let shard =
       st.shards.(shard_of_key ~shards:(Array.length st.shards)
                    req.Request.key)
@@ -378,70 +385,49 @@ let conn_read st conn =
     Bytes.blit conn.rbuf 0 bigger 0 conn.rlen;
     conn.rbuf <- bigger
   end;
-  match Unix.read conn.fd conn.rbuf conn.rlen read_chunk with
-  | 0 -> begin_close st conn  (* peer shutdown; flush replies then close *)
-  | n ->
+  (* a read error of any kind, the peer gone or another, costs only this
+     connection *)
+  let n = Nbio.read conn.fd conn.rbuf conn.rlen read_chunk in
+  if n > 0 then begin
     conn.rlen <- conn.rlen + n;
     conn_parse st conn
-  | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
-    -> ()
-  | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) ->
-    conn_drop st conn
+  end
+  else if n = 0 then begin_close st conn  (* peer shutdown; flush replies then close *)
+  else if n <> Nbio.would_block then conn_drop st conn
 
-(* Move encoded replies to the socket. *)
+(* Move encoded replies to the socket, through [wbuf], which is reused. *)
 let conn_flush st conn =
-  if conn.woff >= String.length conn.wpend && Buffer.length conn.obuf > 0
-  then begin
-    conn.wpend <- Buffer.contents conn.obuf;
+  let pending = Buffer.length conn.obuf in
+  if conn.woff >= conn.wlen && pending > 0 then begin
+    if Bytes.length conn.wbuf < pending then
+      conn.wbuf <- Bytes.create (max pending (2 * Bytes.length conn.wbuf));
+    Buffer.blit conn.obuf 0 conn.wbuf 0 pending;
+    conn.wlen <- pending;
     conn.woff <- 0;
     Buffer.clear conn.obuf
   end;
-  let len = String.length conn.wpend - conn.woff in
-  if len > 0 then begin
-    match Unix.write_substring conn.fd conn.wpend conn.woff len with
-    | n -> conn.woff <- conn.woff + n
-    | exception
-        Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
-      -> ()
-    | exception Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) ->
-      conn_drop st conn
+  if conn.woff < conn.wlen then begin
+    let n = Nbio.write conn.fd conn.wbuf conn.woff (conn.wlen - conn.woff) in
+    if n >= 0 then conn.woff <- conn.woff + n
+    else if n <> Nbio.would_block then conn_drop st conn
   end
 
 (* A closing connection drains once every queued slot has its reply
    encoded and written. *)
 let conn_drained conn =
   Queue.is_empty conn.slots && Buffer.length conn.obuf = 0
-  && conn.woff >= String.length conn.wpend
+  && conn.woff >= conn.wlen
 
-let close_conn st conn =
-  Hashtbl.remove st.by_fd conn.fd;
-  (try Unix.close conn.fd with Unix.Unix_error _ -> ())
+let close_conn conn = try Unix.close conn.fd with Unix.Unix_error _ -> ()
 
-(* [Unix.select] cannot watch an fd at or above FD_SETSIZE: it raises
-   EINVAL before making the syscall.  Probing with the call itself keeps
-   the limit the platform's, at one zero-timeout select per accept. *)
-let rec selectable fd =
-  match Unix.select [ fd ] [] [] 0.0 with
-  | _ -> true
-  | exception Unix.Unix_error (Unix.EINVAL, _, _) -> false
-  | exception Unix.Unix_error (Unix.EINTR, _, _) -> selectable fd
-
-let too_many_clients = "-ERR max number of clients reached\r\n"
-
-let refuse st fd =
-  st.refused <- st.refused + 1;
-  (try
-     ignore
-       (Unix.write_substring fd too_many_clients 0
-          (String.length too_many_clients))
-   with Unix.Unix_error _ -> ());
-  try Unix.close fd with Unix.Unix_error _ -> ()
-
+(* Network errors pending on a connection that failed before it was
+   accepted end that accept alone, and accept(2) says to retry as after
+   EAGAIN.  [Unix] has no constructor for two of them, EPROTO and ENONET,
+   and for no other error accept can return on a listening stream socket. *)
 let accept_conns st =
   let continue = ref true in
   while !continue do
     match Unix.accept ~cloexec:true st.lfd with
-    | fd, _ when not (selectable fd) -> refuse st fd
     | fd, _ ->
       Unix.set_nonblock fd;
       let conn =
@@ -452,63 +438,69 @@ let accept_conns st =
           rlen = 0;
           slots = Queue.create ();
           obuf = Buffer.create 256;
-          wpend = "";
+          wbuf = Bytes.create 256;
+          wlen = 0;
           woff = 0;
           closing = false;
         }
       in
       st.accepted <- st.accepted + 1;
       st.live <- conn :: st.live;
-      Hashtbl.replace st.by_fd fd conn;
       st.rewatch <- true
     | exception
         Unix.Unix_error
           ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR | Unix.EMFILE
            | Unix.ENFILE), _, _)
       -> continue := false
-    | exception Unix.Unix_error (Unix.ECONNABORTED, _, _) -> ()
+    | exception
+        Unix.Unix_error
+          ( ( Unix.ECONNABORTED | Unix.ENETDOWN | Unix.ENOPROTOOPT
+            | Unix.EHOSTDOWN | Unix.EHOSTUNREACH | Unix.EOPNOTSUPP
+            | Unix.ENETUNREACH | Unix.EUNKNOWNERR _ ),
+            _,
+            _ ) ->
+      ()
   done
 
 let close_sweep st =
   match List.partition (fun c -> c.closing && conn_drained c) st.live with
   | [], _ -> ()
   | closed, kept ->
-    List.iter (close_conn st) closed;
+    List.iter close_conn closed;
     st.live <- kept;
     st.closing_conns <- st.closing_conns - List.length closed
 
+let rewatch st =
+  st.watched <- Array.of_list (List.filter (fun c -> not c.closing) st.live);
+  st.fds <- Array.append [| st.lfd |] (Array.map (fun c -> c.fd) st.watched);
+  st.ready <- Array.make (Array.length st.fds) 0;
+  st.rewatch <- false
+
 (* One poller turn, driven by readiness: the replies the shard fibers
    posted since the last turn are collected, encoded and leave first, then
-   one zero-timeout select names the sockets worth an accept or a read,
-   and nothing else is touched. *)
+   one poll names the sockets worth an accept or a read, by their index
+   in [fds], and nothing else is touched.  The poll does not wait while a
+   connection is open.  With none, it waits up to 1 ms for the listener:
+   the server has nothing else to do, and a domain spinning on a CPU it
+   shares delays the process's other threads (its start-up, on one pinned
+   CPU, by about 20 ms). *)
 let poll_turn st =
   collect_replies st;
   List.iter (conn_flush st) st.live;
-  if st.rewatch then begin
-    st.watched <-
-      st.lfd
-      :: List.filter_map
-           (fun c -> if c.closing then None else Some c.fd)
-           st.live;
-    st.rewatch <- false
+  if st.rewatch then rewatch st;
+  let n = Array.length st.fds in
+  let timeout_ms = match st.live with [] -> 1 | _ :: _ -> 0 in
+  if Nbio.poll st.fds n st.ready ~timeout_ms > 0 then begin
+    if st.ready.(0) <> 0 then accept_conns st;
+    for i = 1 to n - 1 do
+      if st.ready.(i) <> 0 then conn_read st st.watched.(i - 1)
+    done
   end;
-  let readable =
-    match Unix.select st.watched [] [] 0.0 with
-    | r, _, _ -> r
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> []
-  in
-  List.iter
-    (fun fd ->
-      if fd = st.lfd then accept_conns st
-      else
-        match Hashtbl.find_opt st.by_fd fd with
-        | Some conn -> conn_read st conn
-        | None -> ())
-    readable;
   if st.closing_conns > 0 then close_sweep st
 
 (* The poller fiber: owns the listener and every connection's socket I/O.
-   It never blocks (the select polls, accept/read/write are non-blocking)
+   It never blocks while a connection is open (the poll does not wait,
+   accept/read/write are non-blocking)
    and yields after every turn, like the shard fibers — the whole server
    is a busy-poll runtime. *)
 let poller_fiber st () =
@@ -523,7 +515,7 @@ let poller_fiber st () =
     | Some d when Clock.now_ns () >= d -> Atomic.set st.stop true
     | Some _ | None -> ());
     if Atomic.get st.stop then begin
-      List.iter (close_conn st) st.live;
+      List.iter close_conn st.live;
       st.live <- [];
       (try Unix.close st.lfd with Unix.Unix_error _ -> ());
       (match st.cfg.listen with
@@ -576,17 +568,18 @@ let prepare (cfg : config) =
     {
       cfg;
       shards;
+      taken = Array.make cfg.shards 0;
       sched = Sched.create ~workers:cfg.domains ();
       stop;
       lfd;
       next_id = 0;
-      waiting = Hashtbl.create 256;
+      waiting = Message.Tbl.create 256;
       replies = Queue.create ();
       accepted = 0;
-      refused = 0;
       live = [];
-      by_fd = Hashtbl.create 64;
-      watched = [ lfd ];
+      watched = [||];
+      fds = [| lfd |];
+      ready = [| 0 |];
       rewatch = false;
       closing_conns = 0;
     }
@@ -617,7 +610,6 @@ let summarize st =
     mr_ops = sum (split mr_ops);
     steals = Sched.steals st.sched;
     conns = st.accepted;
-    refused = st.refused;
   }
 
 let serve st =

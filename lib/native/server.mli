@@ -16,11 +16,25 @@
     each into the slot its request queued on its connection and encodes
     every connection's filled prefix, so replies leave in request order
     whichever shard fiber completes them.  It then writes, makes one
-    zero-timeout [Unix.select], and accepts or reads only where the
-    kernel reports readiness.  A connection that lets about 64 MiB of
-    replies queue up unread is dropped.  Starting a server sets
-    SIGPIPE to ignored for the whole process, so a vanished client costs
-    only its own connection. *)
+    [poll(2)] over the listener and every connection not closing, and
+    accepts or reads only where the kernel reports readiness.  The poll
+    does not wait while a connection is open; with none, it waits up to
+    1 ms for the listener.  Every socket is non-blocking, and reads and writes go
+    straight between the socket and the connection's own buffers
+    ({!Nbio}), so a turn neither waits nor copies through a stack
+    buffer.  [poll] has no [FD_SETSIZE] limit: the number of clients is
+    bounded by [ulimit -n] alone.
+
+    One connection's trouble costs only that connection.  A read or
+    write that fails, because the peer is gone ([EPIPE], [ECONNRESET])
+    or for any other reason ([ETIMEDOUT], [EHOSTUNREACH], ...), drops
+    it with the replies it is still owed; a connection that lets about
+    64 MiB of replies queue up unread is dropped too.  An accept that
+    fails with a network error pending on the new connection
+    ([ECONNABORTED], [ENETDOWN], [EPROTO], [ENOPROTOOPT], [EHOSTDOWN],
+    [ENONET], [EHOSTUNREACH], [EOPNOTSUPP], [ENETUNREACH]) is retried,
+    as accept(2) asks.  Starting a server sets SIGPIPE to ignored for
+    the whole process, so a vanished client cannot kill it. *)
 
 type mode =
   | Rtc_pool of Mutps_kvs.Exec.lock_mode
@@ -57,9 +71,6 @@ type summary = {
   mr_ops : int;  (** executed at the MR layer ([Split] mode) *)
   steals : int;  (** scheduler cross-worker steals *)
   conns : int;  (** connections accepted *)
-  refused : int;
-      (** connections refused with [-ERR max number of clients reached]:
-          their fd is at or above [FD_SETSIZE], beyond [Unix.select] *)
 }
 
 val run : config -> summary

@@ -120,6 +120,44 @@ let test_fiber_stop_is_clean () =
   Sched.run s;
   check_int "stop = normal completion" 0 (Sched.live s)
 
+(* A spawn from a foreign domain goes through the injector, and must be
+   dispatched while the worker's own fiber keeps yielding: one worker, so
+   its local queue is never empty and only the injector check can find
+   the task.  A hundred spawns, each awaited before the next, so every
+   one of them meets the count at its lowest.  The pool runs on its own
+   domain, so a task left behind fails the test instead of hanging it. *)
+let test_sched_foreign_spawn () =
+  let spawns = 100 in
+  let s = Sched.create ~workers:1 () in
+  let ran = Atomic.make 0 and started = Atomic.make false in
+  let give_up = Atomic.make false in
+  Sched.spawn s (fun () ->
+      Atomic.set started true;
+      while Atomic.get ran < spawns && not (Atomic.get give_up) do
+        Fiber.yield ()
+      done);
+  let pool = Domain.spawn (fun () -> Sched.run s) in
+  let deadline = Clock.now_ns () + 10_000_000_000 in
+  let await cond =
+    while (not (cond ())) && Clock.now_ns () < deadline do
+      Domain.cpu_relax ()
+    done;
+    cond ()
+  in
+  let rec spawn_from i =
+    i > spawns
+    || begin
+         Sched.spawn s (fun () -> Atomic.incr ran);
+         await (fun () -> Atomic.get ran >= i) && spawn_from (i + 1)
+       end
+  in
+  if not (await (fun () -> Atomic.get started) && spawn_from 1) then begin
+    Atomic.set give_up true;
+    Alcotest.failf "foreign spawn %d never ran" (Atomic.get ran + 1)
+  end;
+  Domain.join pool;
+  check_int "every foreign spawn ran" spawns (Atomic.get ran)
+
 (* QCheck law: for any worker count and fiber population (each yielding a
    varying number of times), the work-stealing scheduler completes every
    spawned fiber exactly once. *)
@@ -139,6 +177,79 @@ let qcheck_sched_exactly_once =
       Sched.run s;
       Sched.live s = 0
       && Array.for_all (fun c -> Atomic.get c = 1) runs)
+
+(* ------------------------------------------------------------------ *)
+(* Non-blocking I/O stubs                                              *)
+(* ------------------------------------------------------------------ *)
+
+let with_socketpair f =
+  let a, b = Unix.socketpair ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.set_nonblock a;
+  Unix.set_nonblock b;
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) [ a; b ])
+    (fun () -> f a b)
+
+let send fd s =
+  check_int "sent whole" (String.length s)
+    (Unix.write_substring fd s 0 (String.length s))
+
+let test_nbio_read () =
+  with_socketpair (fun a b ->
+      let buf = Bytes.make 16 '.' in
+      check_int "empty socket would block" Nbio.would_block
+        (Nbio.read a buf 0 16);
+      send b "hello";
+      check_int "bytes read" 5 (Nbio.read a buf 3 8);
+      check_string "landed at the offset" "...hello........"
+        (Bytes.to_string buf);
+      check_int "drained: would block again" Nbio.would_block
+        (Nbio.read a buf 0 16);
+      Unix.shutdown b Unix.SHUTDOWN_SEND;
+      check_int "end of file reads 0" 0 (Nbio.read a buf 0 16);
+      Alcotest.check_raises "range outside the buffer"
+        (Invalid_argument "Nbio.read") (fun () -> ignore (Nbio.read a buf 10 7)))
+
+let test_nbio_write_gone () =
+  let prev = Sys.signal Sys.sigpipe Sys.Signal_ignore in
+  Fun.protect ~finally:(fun () -> Sys.set_signal Sys.sigpipe prev) @@ fun () ->
+  with_socketpair (fun a b ->
+      let msg = Bytes.of_string "xxpingxx" in
+      check_int "bytes written" 4 (Nbio.write a msg 2 4);
+      let got = Bytes.create 8 in
+      check_int "peer got them" 4 (Unix.read b got 0 8);
+      check_string "from the offset" "ping" (Bytes.sub_string got 0 4);
+      Unix.close b;
+      check_int "write after the peer closed" Nbio.peer_gone
+        (Nbio.write a msg 0 8))
+
+let test_nbio_poll () =
+  with_socketpair (fun r0 r1 ->
+      with_socketpair (fun q0 _q1 ->
+          with_socketpair (fun h0 h1 ->
+              send r1 "x";
+              Unix.close h1;
+              let fds = [| r0; q0; h0; q0 |] and ready = Array.make 4 7 in
+              check_int "two ready" 2 (Nbio.poll fds 3 ready ~timeout_ms:0);
+              Alcotest.(check (array int))
+                "readable and hung up flagged, the quiet one not, past n \
+                 untouched"
+                [| 1; 0; 1; 7 |] ready;
+              let t0 = Clock.now_ns () in
+              check_int "nothing ready within the timeout" 0
+                (Nbio.poll [| q0 |] 1 ready ~timeout_ms:20);
+              check_bool "waited for it" true
+                (Clock.now_ns () - t0 >= 15_000_000);
+              check_int "nothing to poll" 0 (Nbio.poll fds 0 ready ~timeout_ms:0))))
+
+let test_nbio_closed_fd () =
+  let a, b = Unix.socketpair ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.close a;
+  Unix.close b;
+  let buf = Bytes.create 8 in
+  check_int "read of a closed fd" Nbio.failed (Nbio.read a buf 0 8);
+  check_int "write to a closed fd" Nbio.failed (Nbio.write a buf 0 8)
 
 (* ------------------------------------------------------------------ *)
 (* RESP codec                                                          *)
@@ -257,6 +368,189 @@ let test_resp_reply_roundtrip () =
       | `Bad _ -> ()
       | _ -> Alcotest.fail ("reply not refused: " ^ String.escaped s))
     [ "$1000000000000\r\n"; "$" ^ String.make 64 '9' ]
+
+(* [Resp.parse_command] as it was before it parsed frames in place:
+   substrings, an argument array and an upper-case copy of the name.  The
+   in-place parser must give every frame the same answer. *)
+module Reference_parser = struct
+  let find_crlf s ~pos ~len =
+    let i = ref pos in
+    let found = ref (-1) in
+    while !found < 0 && !i + 1 < len do
+      if Bytes.get s !i = '\r' && Bytes.get s (!i + 1) = '\n' then found := !i
+      else incr i
+    done;
+    if !found < 0 then None else Some !found
+
+  let max_int_len = String.length (string_of_int min_int)
+
+  let parse_int_line s ~pos ~len : (int * int) Resp.parse =
+    let window = pos + max_int_len + 2 in
+    match find_crlf s ~pos ~len:(min len window) with
+    | None -> if len >= window then `Bad "integer header too long" else `Need_more
+    | Some e -> (
+      match int_of_string_opt (Bytes.sub_string s pos (e - pos)) with
+      | Some n -> `Ok ((n, e + 2), e + 2)
+      | None -> `Bad "expected integer")
+
+  let parse_bulk s ~pos ~len : (string * int) Resp.parse =
+    if pos >= len then `Need_more
+    else if Bytes.get s pos <> '$' then `Bad "expected bulk string"
+    else
+      match parse_int_line s ~pos:(pos + 1) ~len with
+      | (`Need_more | `Bad _) as r -> r
+      | `Ok ((n, body), _) ->
+        if n < 0 then `Bad "negative bulk length"
+        else if n > Mutps_queue.Request.max_size then `Bad "bulk string too long"
+        else if body + n + 2 > len then `Need_more
+        else if Bytes.get s (body + n) <> '\r' || Bytes.get s (body + n + 1) <> '\n'
+        then `Bad "bulk string missing terminator"
+        else `Ok ((Bytes.sub_string s body n, body + n + 2), body + n + 2)
+
+  let parse_command s ~len : Resp.command Resp.parse =
+    if len = 0 then `Need_more
+    else if Bytes.get s 0 <> '*' then `Bad "expected array"
+    else
+      match parse_int_line s ~pos:1 ~len with
+      | (`Need_more | `Bad _) as r -> r
+      | `Ok ((argc, pos0), _) ->
+        if argc < 1 || argc > 3 then `Bad "wrong number of arguments"
+        else begin
+          let args = Array.make argc "" in
+          let rec collect i pos : Resp.command Resp.parse =
+            if i = argc then finish pos
+            else
+              match parse_bulk s ~pos ~len with
+              | (`Need_more | `Bad _) as r -> r
+              | `Ok ((a, next), _) ->
+                args.(i) <- a;
+                collect (i + 1) next
+          and key_of i : (int64, string) result =
+            match Int64.of_string_opt args.(i) with
+            | Some k -> Result.Ok k
+            | None -> Result.Error "key must be a decimal integer"
+          and finish consumed : Resp.command Resp.parse =
+            let cmd = String.uppercase_ascii args.(0) in
+            match cmd, argc with
+            | "PING", 1 -> `Ok (Resp.Ping, consumed)
+            | "GET", 2 -> (
+              match key_of 1 with
+              | Result.Ok k -> `Ok (Resp.Get k, consumed)
+              | Result.Error m -> `Bad m)
+            | "DEL", 2 -> (
+              match key_of 1 with
+              | Result.Ok k -> `Ok (Resp.Del k, consumed)
+              | Result.Error m -> `Bad m)
+            | "SET", 3 -> (
+              match key_of 1 with
+              | Result.Ok k ->
+                `Ok (Resp.Set (k, Bytes.of_string args.(2)), consumed)
+              | Result.Error m -> `Bad m)
+            | ("PING" | "GET" | "DEL" | "SET"), _ ->
+              `Bad ("wrong number of arguments for " ^ cmd)
+            | _ -> `Bad ("unknown command " ^ cmd)
+          in
+          collect 0 pos0
+        end
+end
+
+(* Frames built to reach every branch of both parsers: command names in
+   any case, keys in every spelling [Int64.of_string] takes or refuses
+   (signs, 0x/0o/0b/0u, underscores, leading zeros, 1 to 20 digits, the
+   int64 limits and one past them), and headers that are right, negative,
+   past [Request.max_size], spelled oddly, longer than [min_int] written
+   out, or not ended; payloads with or without their terminator.  Each
+   frame may be followed by the start of another. *)
+let resp_frame_gen =
+  let open QCheck.Gen in
+  let digits n = string_size ~gen:(char_range '0' '9') (return n) in
+  let any_case name =
+    map
+      (fun flips ->
+        String.mapi
+          (fun i c ->
+            if List.nth flips (i mod List.length flips) then
+              Char.lowercase_ascii c
+            else c)
+          name)
+      (list_size (return 4) bool)
+  in
+  let name =
+    oneofl [ "GET"; "SET"; "DEL"; "PING"; "NOPE"; "GETS"; "" ] >>= any_case
+  in
+  let key =
+    frequency
+      [
+        (3, map string_of_int small_signed_int);
+        (3, int_range 1 20 >>= digits);
+        (3, map (fun d -> "-" ^ d) (int_range 1 20 >>= digits));
+        ( 2,
+          oneofl
+            [
+              "+7"; "-0"; "0x1f"; "0X1F"; "-0x10"; "1_000"; "_1"; "1_"; "0b101";
+              "0o17"; "0u5"; "007"; "-007"; "000000000000000000";
+              Int64.to_string Int64.min_int; Int64.to_string Int64.max_int;
+              "9223372036854775808"; "-9223372036854775809";
+              "99999999999999999999"; ""; "-"; "+"; "abc"; " 1"; "1 "; "1\r2";
+              "0xffffffffffffffff";
+            ] );
+      ]
+  in
+  let value = string_size ~gen:(oneofl [ 'a'; 'z'; '\r'; '\n'; '\000'; '7' ]) (int_range 0 12) in
+  let header correct =
+    frequency
+      [
+        (12, return (string_of_int correct));
+        ( 1,
+          oneofl
+            [
+              "-1"; "-5"; string_of_int (Mutps_queue.Request.max_size + 1);
+              "+" ^ string_of_int correct; "0" ^ string_of_int correct;
+              Printf.sprintf "0x%x" correct; string_of_int correct ^ "_"; "";
+              "-"; "x"; String.make 21 '9'; String.make 20 '9';
+              string_of_int min_int; string_of_int max_int ^ "0";
+              string_of_int (correct + 1); string_of_int (max 0 (correct - 1));
+            ] );
+      ]
+  in
+  let terminator = frequency [ (12, return "\r\n"); (1, oneofl [ ""; "\r"; "\n"; "\rx" ]) ] in
+  let bulk payload =
+    frequency [ (15, return '$'); (1, return '+') ] >>= fun dollar ->
+    header (String.length payload) >>= fun h ->
+    terminator >>= fun t ->
+    return (Printf.sprintf "%c%s\r\n%s%s" dollar h payload t)
+  in
+  let frame =
+    int_range 0 3 >>= fun extra ->
+    name >>= fun n ->
+    key >>= fun k ->
+    value >>= fun v ->
+    let args = List.filteri (fun i _ -> i <= extra) [ n; k; v; v ] in
+    flatten_l (List.map bulk args) >>= fun bulks ->
+    frequency [ (15, return '*'); (1, return '$') ] >>= fun star ->
+    header (List.length args) >>= fun argc ->
+    return (Printf.sprintf "%c%s\r\n%s" star argc (String.concat "" bulks))
+  in
+  frame >>= fun f ->
+  frequency
+    [ (3, return f); (1, map (fun g -> f ^ String.sub g 0 (String.length g / 2)) frame) ]
+
+(* Every prefix of every generated frame gets the reference's answer:
+   the same command and [consumed], [`Need_more], or the same reason. *)
+let qcheck_resp_matches_reference =
+  QCheck.Test.make ~count:3000 ~name:"parse_command agrees with the reference"
+    (QCheck.make ~print:String.escaped resp_frame_gen)
+    (fun frame ->
+      let b = Bytes.of_string frame in
+      let agree len =
+        match (Resp.parse_command b ~len, Reference_parser.parse_command b ~len) with
+        | `Ok (c, n), `Ok (c', n') -> c = c' && n = n'
+        | `Need_more, `Need_more -> true
+        | `Bad m, `Bad m' -> String.equal m m'
+        | _ -> false
+      in
+      let rec all len = len > Bytes.length b || (agree len && all (len + 1)) in
+      all 0)
 
 (* ------------------------------------------------------------------ *)
 (* Sim-vs-native equivalence                                           *)
@@ -807,9 +1101,10 @@ let test_poller_churn () =
   let s = Server.wait handle in
   check_int "every connection accepted" 21 s.Server.conns
 
-(* Fill every fd below FD_SETSIZE so the server's next accept lands
-   beyond [select]'s reach: that client must be refused with an error,
-   and the server must go on serving the next one. *)
+(* Fill every fd below FD_SETSIZE, which [select] cannot watch past, so
+   the server's next accept and every client socket land beyond it: a
+   PING from such a client is answered, the client is counted, and a
+   loadgen round over such connections gets every reply it is owed. *)
 let test_poller_fd_setsize () =
   let path, handle = launch_poller_server "mutps-fdmax" in
   let spares = ref [] in
@@ -837,20 +1132,27 @@ let test_poller_fd_setsize () =
     ignore (Server.wait handle);
     Alcotest.skip ()
   end;
+  Fun.protect ~finally:release @@ fun () ->
   let fd = connect_unix path in
-  let refusal = "-ERR max number of clients reached\r\n" in
-  check_string "refused with an error" refusal
-    (read_exactly fd (String.length refusal));
-  check_int "then closed" 0 (Unix.read fd (Bytes.create 1) 0 1);
-  Unix.close fd;
-  release ();
-  let fd = connect_unix path in
+  check_bool "the client's fd is past FD_SETSIZE" false (selectable fd);
   ping_ok fd;
   Unix.close fd;
+  let ops = 400 in
+  let r =
+    Loadgen.run
+      {
+        Loadgen.connect = Server.Unix_path path;
+        conns = 4;
+        ops;
+        spec = poller_spec;
+        seed = 17;
+      }
+  in
+  check_int "every op answered" ops r.Loadgen.completed;
+  check_int "every reply the one owed" 0 r.Loadgen.wrong;
   Server.stop handle;
   let s = Server.wait handle in
-  check_int "refusal counted" 1 s.Server.refused;
-  check_int "the next client served" 1 s.Server.conns
+  check_int "every client counted" 5 s.Server.conns
 
 (* Read until the server closes the connection, failing rather than
    hanging if it does not. *)
@@ -976,6 +1278,16 @@ let () =
           Alcotest.test_case "Fiber.Stop is clean" `Quick
             test_fiber_stop_is_clean;
           qt qcheck_sched_exactly_once;
+          Alcotest.test_case "foreign spawn while local fibers yield" `Quick
+            test_sched_foreign_spawn;
+        ] );
+      ( "nbio",
+        [
+          Alcotest.test_case "read" `Quick test_nbio_read;
+          Alcotest.test_case "write to a vanished peer" `Quick
+            test_nbio_write_gone;
+          Alcotest.test_case "poll" `Quick test_nbio_poll;
+          Alcotest.test_case "closed fd" `Quick test_nbio_closed_fd;
         ] );
       ( "resp",
         [
@@ -985,6 +1297,7 @@ let () =
           Alcotest.test_case "bad input" `Quick test_resp_bad_input;
           Alcotest.test_case "reply roundtrip" `Quick test_resp_reply_roundtrip;
           Alcotest.test_case "max-size value" `Quick test_resp_max_value;
+          qt qcheck_resp_matches_reference;
         ] );
       ( "equivalence",
         [
@@ -1009,7 +1322,7 @@ let () =
             test_poller_many_conns;
           Alcotest.test_case "churn and vanishing clients" `Quick
             test_poller_churn;
-          Alcotest.test_case "fd beyond FD_SETSIZE refused" `Quick
+          Alcotest.test_case "a client past FD_SETSIZE is served" `Quick
             test_poller_fd_setsize;
           Alcotest.test_case "pipelined writes, erpckv" `Quick
             (test_poller_pipelined (Server.Rtc_pool Kvs.Exec.Exclusive));
