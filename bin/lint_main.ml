@@ -1,38 +1,38 @@
-(* Driver for the determinism & charge-discipline lint, the
-   zero-allocation certifier and the domain-safety certifier (lib/lint).
+(* Driver for the lint passes of lib/lint: the R rules (determinism and
+   charge discipline), the zero-allocation certifier and the
+   domain-safety certifier.
 
-   Usage: mutps_lint [--format text|json] [--strict-suppressions]
+   Usage: mutps-lint [--format text|json] [--strict-suppressions]
                      [--lock-graph FILE] [DIR-OR-FILE ...]
                                           (default roots: lib bin bench examples)
 
-   Every file is parsed once and checked with the per-file rules (R1,
-   R2, R4).  The parsed files then become one closed world
-   (lib/lint/world.ml: one walk over the top-level bindings, one function
-   index and resolver, one suppression registry, one worklist) that three
-   client passes judge: the interprocedural charge pass (interp.ml), the
-   one R3 rule, which judges commits across call sites and catches R2
-   leaks through sanctioned raw-access helpers; the allocation certifier
-   (alloc.ml), which proves every
-   function reachable from a [@hot] root free of heap allocation (A1),
-   boxing (A2) and observability escapes (A3); and the domain-safety
-   certifier (dom.ml), which proves module-level mutable state
-   synchronized (D1), spawn captures protected (D2), the lock-order
+   Every file is parsed once, and the parsed files become one closed
+   world (lib/lint/world.ml: one walk over the top-level bindings, one
+   function index and resolver, one suppression registry and scope, one
+   worklist) that three passes judge: the R pass (interp.ml), which
+   judges R1, R2 and R4 at each node of every binding and, over the call
+   graph, R3's commits across call sites and R2's leaks through
+   sanctioned raw-access helpers; the allocation certifier (alloc.ml),
+   which proves every function reachable from a [@hot] root free of heap
+   allocation (A1), boxing (A2) and observability escapes (A3); and the
+   domain-safety certifier (dom.ml), which proves module-level mutable
+   state synchronized (D1), spawn captures protected (D2), the lock-order
    graph acyclic (D3) and effect performs handler-dominated per domain
    (D4).  A lone file is a world of one: a function with no call site
    there is an entry point, so R3 judges it as if called uncommitted.
 
    Emits "file:line:col: [RULE] message" per finding (the shape the CI
    problem matcher parses), or a JSON object with [--format json], and
-   exits non-zero when any finding or parse error is produced.
+   exits 1 when any finding or parse error is produced.
    Suppressions are accounted per rule family (R vs A vs D) and stale
    sites of all three attributes ([@lint.allow], [@alloc.allow],
    [@dom.allow], one shared registry) — ones that no longer cover any
    would-be finding — are listed so they can be deleted;
-   [--strict-suppressions] turns any stale site into a non-zero exit (CI
-   runs this).  [--lock-graph FILE] writes the D3 lock-order graph as
-   DOT.  Wired to `dune build @lint`; see DESIGN.md §5 ("Determinism
-   invariants" and "The closed world the project passes share"), §9 and
-   §10. *)
+   [--strict-suppressions] turns any stale site into exit 1 (CI runs
+   this).  [--lock-graph FILE] writes the D3 lock-order graph as DOT.  A
+   malformed command line exits with Cmdliner's usage error.  Wired to
+   `dune build @lint`; see DESIGN.md §5 ("Determinism invariants" and
+   "The closed world the passes share"), §9 and §10. *)
 
 module Lint = Mutps_lint.Lint
 module Interp = Mutps_lint.Interp
@@ -130,37 +130,7 @@ let print_json findings ~r_suppressed ~(alloc : Alloc.result)
   Buffer.add_string b "]\n  }\n}\n";
   print_string (Buffer.contents b)
 
-let () =
-  let format = ref `Text
-  and strict_suppressions = ref false
-  and lock_graph = ref None in
-  let roots =
-    let rec parse acc = function
-      | "--format" :: "json" :: rest ->
-        format := `Json;
-        parse acc rest
-      | "--format" :: "text" :: rest ->
-        format := `Text;
-        parse acc rest
-      | "--format" :: _ ->
-        prerr_endline "mutps_lint: --format expects 'text' or 'json'";
-        exit 2
-      | "--strict-suppressions" :: rest ->
-        strict_suppressions := true;
-        parse acc rest
-      | "--lock-graph" :: file :: rest when file <> "" && file.[0] <> '-' ->
-        lock_graph := Some file;
-        parse acc rest
-      | "--lock-graph" :: _ ->
-        prerr_endline "mutps_lint: --lock-graph expects an output FILE";
-        exit 2
-      | r :: rest -> parse (r :: acc) rest
-      | [] -> List.rev acc
-    in
-    match parse [] (List.tl (Array.to_list Sys.argv)) with
-    | [] -> [ "lib"; "bin"; "bench"; "examples" ]
-    | roots -> roots
-  in
+let run format strict_suppressions lock_graph roots =
   let missing = List.filter (fun r -> not (Sys.file_exists r)) roots in
   List.iter (Printf.eprintf "mutps_lint: no such path %s\n%!") missing;
   let files =
@@ -168,7 +138,6 @@ let () =
     |> List.sort compare
   in
   let errors = ref (List.length missing) in
-  (* parse once; share the AST between the per-file and project passes *)
   let parsed =
     List.filter_map
       (fun f ->
@@ -190,18 +159,9 @@ let () =
   let on_suppressed ~rule ~loc:(_ : Location.t) =
     r_suppressed := (rule, ()) :: !r_suppressed
   in
-  (* one registry shared by every pass: use counters of all three
-     suppression families accumulate so a site is stale only if no pass
-     consumed it *)
-  let registry = Lint.new_allow_registry () in
-  let per_file =
-    List.concat_map
-      (fun (file, rule_path, str) ->
-        Lint.check_structure ~file ~rule_path ~on_suppressed ~registry str)
-      parsed
-  in
-  (* the project passes share one closed world *)
-  let world = World.build ~registry parsed in
+  (* one closed world, one registry: a suppression site of any family is
+     stale only if no pass consumed it *)
+  let world = World.build parsed in
   let interp = Interp.check_project ~on_suppressed world in
   let alloc = Alloc.check_project world in
   let dom = Dom.check_project world in
@@ -210,17 +170,17 @@ let () =
       let oc = open_out file in
       output_string oc (Dom.Lockgraph.to_dot dom.Dom.graph);
       close_out oc)
-    !lock_graph;
+    lock_graph;
   let findings =
     List.sort Lint.compare_finding
-      (per_file @ interp @ alloc.Alloc.findings @ dom.Dom.findings)
+      (interp @ alloc.Alloc.findings @ dom.Dom.findings)
   in
   (* the A sites are listed in their own "alloc" section *)
   let is_alloc (s : Lint.allow_site) = s.as_attr = "alloc.allow" in
   let lint_sites =
-    List.filter (fun s -> not (is_alloc s)) (Lint.allow_sites registry)
+    List.filter (fun s -> not (is_alloc s)) (Lint.allow_sites world.registry)
   in
-  (match !format with
+  (match format with
   | `Json ->
     print_json findings ~r_suppressed:!r_suppressed ~alloc ~dom ~lint_sites
   | `Text ->
@@ -252,7 +212,7 @@ let () =
   (* stale-suppression report: all three attribute families, the R and
      D sites first *)
   let a_stale, rd_stale =
-    List.partition is_alloc (Lint.stale_allow_sites registry)
+    List.partition is_alloc (Lint.stale_allow_sites world.registry)
   in
   List.iter
     (fun (s : Lint.allow_site) ->
@@ -262,23 +222,24 @@ let () =
         s.Lint.as_attr s.Lint.as_file s.Lint.as_line s.Lint.as_payload)
     (rd_stale @ a_stale);
   let n_stale = List.length rd_stale + List.length a_stale in
-  if !strict_suppressions && n_stale > 0 then begin
+  let n = List.length findings in
+  if strict_suppressions && n_stale > 0 then begin
     Printf.eprintf
       "mutps_lint: --strict-suppressions: %d stale suppression site%s\n"
       n_stale
       (if n_stale = 1 then "" else "s");
-    exit 1
-  end;
-  let n = List.length findings in
-  if n > 0 || !errors > 0 then begin
+    1
+  end
+  else if n > 0 || !errors > 0 then begin
     Printf.eprintf "mutps_lint: %d finding%s, %d error%s in %d files\n" n
       (if n = 1 then "" else "s")
       !errors
       (if !errors = 1 then "" else "s")
       (List.length files);
-    exit 1
+    1
   end
-  else if !format = `Text then begin
+  else begin
+    if format = `Text then begin
     Printf.printf
       "mutps_lint: clean (%d files, rules R1-R4 + interprocedural)\n"
       (List.length files);
@@ -311,4 +272,37 @@ let () =
       (if cycles = 1 then "" else "s")
       d_sites
       (if d_sites = 1 then "" else "s")
+  end;
+    0
   end
+
+open Cmdliner
+
+let () =
+  let format =
+    let doc = "Output: one $(b,text) line per finding, or a $(b,json) object." in
+    Arg.(
+      value
+      & opt (enum [ ("text", `Text); ("json", `Json) ]) `Text
+      & info [ "format" ] ~docv:"FORMAT" ~doc)
+  and strict_suppressions =
+    let doc = "Exit 1 when a suppression site covers no finding." in
+    Arg.(value & flag & info [ "strict-suppressions" ] ~doc)
+  and lock_graph =
+    let doc = "Write the D3 lock-order graph as DOT to $(docv)." in
+    Arg.(value & opt (some string) None & info [ "lock-graph" ] ~docv:"FILE" ~doc)
+  and roots =
+    let doc = "Directories and .ml files to lint." in
+    Arg.(
+      value
+      & pos_all string [ "lib"; "bin"; "bench"; "examples" ]
+      & info [] ~docv:"DIR-OR-FILE" ~doc)
+  in
+  let info =
+    Cmd.info "mutps-lint"
+      ~doc:"determinism, charge, allocation and domain-safety lint"
+  in
+  exit
+    (Cmd.eval'
+       (Cmd.v info
+          Term.(const run $ format $ strict_suppressions $ lock_graph $ roots)))

@@ -123,7 +123,7 @@ type site = {
   s_rule : string;  (* "A1" | "A2" | "A3" *)
   s_what : string;
   s_loc : Location.t;
-  s_allow : Lint.allow_site option;  (* covering [@alloc.allow] *)
+  s_scope : World.scope;  (* the [@alloc.allow] sites in force *)
 }
 
 type call = {
@@ -131,7 +131,7 @@ type call = {
   c_loc : Location.t;
   c_nargs : int;
   c_labeled : bool;  (* any labelled/optional argument *)
-  c_allow : Lint.allow_site option;
+  c_scope : World.scope;
 }
 
 type summary = {
@@ -139,7 +139,7 @@ type summary = {
   hot : bool;
   sites : site list;
   calls : call list;
-  mentions : (string * Lint.allow_site option) list;
+  mentions : (string * World.scope) list;
 }
 
 (* Literals, constant constructors, and structured constants built only
@@ -164,19 +164,19 @@ let is_some_pattern (p : Parsetree.pattern) =
     match Longident.last txt with "Some" -> true | _ -> false)
   | _ -> false
 
-(* Walk one binding.  [allow] is the innermost covering [@alloc.allow];
+(* Walk one binding.  [scope] holds the [@alloc.allow] sites in force;
    [live] is false inside diverging arguments and trace-guard branches. *)
 let summarize (w : World.t) (b : World.binding) =
   let sites = ref [] and calls = ref [] and mentions = ref [] in
-  let rec walk ~allow ~live (e : Parsetree.expression) =
-    let allow =
-      World.allow w ~file:b.file "alloc.allow" allow e.pexp_attributes
+  let rec walk ~scope ~live (e : Parsetree.expression) =
+    let scope =
+      World.enter w ~file:b.file "alloc.allow" scope e.pexp_attributes
     in
-    let walk' = walk ~allow ~live and dead = walk ~allow ~live:false in
+    let walk' = walk ~scope ~live and dead = walk ~scope ~live:false in
     let site rule what =
       if live then
         sites :=
-          { s_rule = rule; s_what = what; s_loc = e.pexp_loc; s_allow = allow }
+          { s_rule = rule; s_what = what; s_loc = e.pexp_loc; s_scope = scope }
           :: !sites
     in
     match e.pexp_desc with
@@ -219,13 +219,13 @@ let summarize (w : World.t) (b : World.binding) =
       ()
     | Pexp_ident { txt; _ } ->
       if live then
-        mentions := (strip_stdlib (path_of_lid txt), allow) :: !mentions
+        mentions := (strip_stdlib (path_of_lid txt), scope) :: !mentions
     | Pexp_apply (f, args) -> (
       match World.call f args with
-      | Named (path, _, args) when List.mem path diverging_calls ->
+      | Named (path, _, _, args) when List.mem path diverging_calls ->
         (* the call terminates the simulation; its message may allocate *)
         List.iter (fun (_, a) -> dead a) args
-      | Named (path, loc, args) ->
+      | Named (path, loc, _, args) ->
         List.iter (fun (_, a) -> walk' a) args;
         if live then
           calls :=
@@ -237,7 +237,7 @@ let summarize (w : World.t) (b : World.binding) =
                 List.exists
                   (fun ((l : Asttypes.arg_label), _) -> l <> Asttypes.Nolabel)
                   args;
-              c_allow = allow;
+              c_scope = scope;
             }
             :: !calls
       | Opaque parts ->
@@ -258,16 +258,15 @@ let summarize (w : World.t) (b : World.binding) =
       List.iter
         (fun (vb : Parsetree.value_binding) ->
           walk ~live vb.pvb_expr
-            ~allow:
-              (World.allow w ~file:b.file "alloc.allow" allow
+            ~scope:
+              (World.enter w ~file:b.file "alloc.allow" scope
                  vb.pvb_attributes))
         vbs;
       walk' let_body
     | _ -> World.children walk' e
   in
   let walk =
-    walk ~live:true
-      ~allow:(World.allow w ~file:b.file "alloc.allow" None b.vb.pvb_attributes)
+    walk ~live:true ~scope:(World.binding_scope w "alloc.allow" b)
   in
   walk (World.body walk b.vb.pvb_expr);
   {
@@ -357,8 +356,9 @@ let check_project (w : World.t) =
   let hot_roots =
     List.filter_map (fun f -> if f.hot then Some f.b.key else None) fns
   in
-  let edge f (path, allow) =
-    match (allow, World.resolve w ~file:f.b.file path) with
+  let edge f (path, scope) =
+    (* an [@alloc.allow] covers every A rule: no hot edge under one *)
+    match (World.allow scope "A1", World.resolve w ~file:f.b.file path) with
     | None, Some (g : World.binding) -> Some (f.b.key, g.key)
     | _ -> None
   in
@@ -366,14 +366,14 @@ let check_project (w : World.t) =
     World.reach
       (List.concat_map
          (fun f ->
-           List.filter_map (fun c -> edge f (c.c_path, c.c_allow)) f.calls
+           List.filter_map (fun c -> edge f (c.c_path, c.c_scope)) f.calls
            @ List.filter_map (edge f) f.mentions)
          fns)
       (List.map (fun r -> (r, r)) hot_roots)
   in
   let findings = ref [] in
-  let judge f allow rule loc msg =
-    match allow with
+  let judge f scope rule loc msg =
+    match World.allow scope rule with
     | Some site -> use site
     | None -> findings := finding rule ~file:f.b.file loc msg :: !findings
   in
@@ -388,7 +388,7 @@ let check_project (w : World.t) =
         in
         List.iter
           (fun s ->
-            judge f s.s_allow s.s_rule s.s_loc
+            judge f s.s_scope s.s_rule s.s_loc
               (Printf.sprintf
                  "%s in %s; the DES hot path must stay off the OCaml heap — \
                   hoist the value, encode it in ints, or justify with \
@@ -400,7 +400,7 @@ let check_project (w : World.t) =
             match classify_call w ~file:f.b.file c with
             | None -> ()
             | Some (rule, what) ->
-              judge f c.c_allow rule c.c_loc
+              judge f c.c_scope rule c.c_loc
                 (Printf.sprintf "%s in %s" what provenance))
           f.calls)
     fns;

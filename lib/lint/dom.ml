@@ -322,7 +322,7 @@ type ctx = {
   spawn : bool;  (** inside a Domain.spawn closure *)
   handled : bool;  (** under an effect-handler installer *)
   depth : int;  (** lambda depth *)
-  allow : Lint.allow_site option;  (** innermost covering [@dom.allow] *)
+  scope : World.scope;  (** the [@dom.allow] sites in force *)
 }
 
 type event =
@@ -386,10 +386,10 @@ let walk_binding (w : World.t) ~globals ~mutable_fields ~emit
         | _ -> ())
   in
   let rec walk ctx (e : Parsetree.expression) : SS.t =
-    let allow =
-      World.allow w ~file:b.file "dom.allow" ctx.allow e.pexp_attributes
+    let scope =
+      World.enter w ~file:b.file "dom.allow" ctx.scope e.pexp_attributes
     in
-    let ctx = { ctx with allow } in
+    let ctx = { ctx with scope } in
     match e.pexp_desc with
     | Pexp_ident { txt; loc } ->
       mention ctx ~loc ~write:false (path_of_lid txt);
@@ -408,7 +408,7 @@ let walk_binding (w : World.t) ~globals ~mutable_fields ~emit
       ctx.held
     | Pexp_apply (f, args) -> (
       match World.call f args with
-      | Named (p, loc, args) -> call ctx loc p args
+      | Named (p, loc, _, args) -> call ctx loc p args
       | Opaque parts ->
         List.iter (fun e -> ignore (walk ctx e)) parts;
         ctx.held)
@@ -550,14 +550,9 @@ let walk_binding (w : World.t) ~globals ~mutable_fields ~emit
       call_named inner loc (strip_stdlib (path_of_lid txt))
     | _ -> ignore (walk inner closure)
   in
-  (* a binding's own [@@dom.allow], else the file-level one in force *)
-  let allow =
-    World.allow w ~file:b.file "dom.allow"
-      (World.allow w ~file:b.file "dom.allow" None b.file_allows)
-      b.vb.pvb_attributes
-  in
+  let scope = World.binding_scope w "dom.allow" b in
   let ctx =
-    { held = SS.empty; spawn = false; handled = false; depth = 0; allow }
+    { held = SS.empty; spawn = false; handled = false; depth = 0; scope }
   in
   inline_lam ctx b.vb.pvb_expr
 
@@ -613,7 +608,7 @@ let check_project (w : World.t) =
   (* findings, with [@dom.allow] accounting *)
   let findings = ref [] and suppressed = ref 0 in
   let report rule s msg =
-    match s.ctx.allow with
+    match World.allow s.ctx.scope rule with
     | Some site ->
       use site;
       incr suppressed

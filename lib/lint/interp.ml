@@ -1,20 +1,30 @@
-(* Interprocedural charge-discipline analysis (project mode).
+(* The R rules over the closed world.
 
-   Two rules need the call graph:
+   One walk per binding of the closed world ({!World}: the whole tree,
+   lib, bin, bench and examples) judges the rules that need only the
+   node and its scope, and records the events the call-graph rules need.
+   The items no binding holds ({!World.t.loose}: top-level expressions,
+   functors, ...) get the same walk for the lexical rules alone.
 
+   - R1 (determinism): a mention of the wall clock, of ambient
+     randomness or of an unordered [Hashtbl] traversal, and
+     [Hashtbl.create ~random].
+   - R2 (charged memory): a mention of raw [Hierarchy.load]/[store]/
+     [prefetch_batch] outside [lib/mem]; and, over the call graph, a call
+     from [lib/] into a helper whose own raw access was locally
+     suppressed, which leaks the uncharged traffic to the caller.
    - R3 (commit discipline): a shared-field read needs a commit-family
      call before it, but that call may sit at every *call site* of the
      enclosing function rather than in it (e.g. [Ring.complete], whose
-     only callers run right after a committing [Crmr.next_batch]).  This
-     pass is R3's only judge.
-   - R2 (charged memory): [Lint] flags only *direct* [Hierarchy] traffic,
-     so a function can leak uncharged traffic by calling — rather than
-     containing — a helper whose raw access was sanctioned with a local
-     suppression.
+     only callers run right after a committing [Crmr.next_batch]).
+   - R4 (effect safety): a [Simthread] operation outside a simulated
+     thread, which is an enclosing [ctx]/[_ctx] parameter, a
+     [Simthread.spawn] callback or an [env.ctx] first argument (each
+     binding of a structure, a local module's included, starts outside
+     one; [lib/sim] is exempt);
+     [Obj.magic] and its kin; physical (in)equality.
 
-   This pass is a client of the shared closed world ({!World}: the whole
-   tree, lib, bin, bench and examples) and computes three relations over
-   its call graph:
+   The call-graph rules compute three relations:
 
    - [commits f] — f's body reaches a commit-family call at lambda depth
      zero, directly or by calling a committing function.  The
@@ -39,15 +49,101 @@
    the same file); an application with fewer arguments than the target's
    non-optional parameters is partial, and neither commits nor makes its
    caller commit; calls through closures, record fields and functors are
-   opaque; a bare
-   (unapplied) reference to a known function marks it exposed, since the
-   closure may run anywhere.  Lambdas passed to [Env.tagged] run exactly
-   once, inline, so their bodies are analyzed transparently at the
-   caller's depth; every other lambda saves and restores the domination
-   state. *)
+   opaque; a bare (unapplied) reference to a known function marks it
+   exposed, since the closure may run anywhere.  Lambdas passed to
+   [Env.tagged] run exactly once, inline, so their bodies are analyzed
+   transparently at the caller's depth; every other lambda saves and
+   restores the domination state. *)
 
-module SS = Set.Make (String)
 open Lint.Internal
+
+(* ------------------------------------------------------------------ *)
+(* The lexical rules                                                   *)
+(* ------------------------------------------------------------------ *)
+
+(* R1, R2 and R4 on a mention of [path], called or not *)
+let mentioned judge ~rule_path loc path =
+  let p = strip_stdlib path in
+  if List.mem p wallclock_idents then
+    judge "R1" loc
+      (Printf.sprintf
+         "%s reads the wall clock; simulated time must come from Engine.now \
+          / Simthread.now"
+         p);
+  if String.length p > 7 && String.sub p 0 7 = "Random." then
+    judge "R1" loc
+      (Printf.sprintf
+         "%s is ambient randomness; only Mutps_sim.Rng (seeded, splittable) \
+          may produce random values"
+         p);
+  if List.mem p unordered_traversals then
+    judge "R1" loc
+      (Printf.sprintf
+         "%s traverses in unspecified order, which can leak into simulated \
+          state; sort the keys (e.g. Hashtbl.to_seq + List.sort) or use an \
+          ordered map"
+         p);
+  if (not (in_dir "lib/mem" rule_path)) && matches_any hierarchy_traffic path
+  then
+    judge "R2" loc
+      (Printf.sprintf
+         "%s bypasses the charge discipline; route traffic through Env.load \
+          / Env.store / Env.prefetch_batch so cycles land in the thread's \
+          accumulator"
+         path);
+  if List.mem p forbidden_obj then
+    judge "R4" loc (p ^ " defeats the type system; forbidden in the simulation")
+
+(* R4: a parameter that binds the simulated-thread context *)
+let rec binds_ctx (p : Parsetree.pattern) =
+  match p.ppat_desc with
+  | Ppat_var { txt = "ctx" | "_ctx"; _ }
+  | Ppat_alias (_, { txt = "ctx" | "_ctx"; _ }) ->
+    true
+  | Ppat_alias (p, _) | Ppat_constraint (p, _) -> binds_ctx p
+  | Ppat_tuple ps -> List.exists binds_ctx ps
+  | _ -> false
+
+(* R1 and R4 on an application of [p]; [sim]: a thread context is held *)
+let applied judge ~rule_path ~sim loc p
+    (args : (Asttypes.arg_label * Parsetree.expression) list) =
+  if
+    matches "Hashtbl.create" p
+    && List.exists
+         (fun ((l : Asttypes.arg_label), (e : Parsetree.expression)) ->
+           match (l, e.pexp_desc) with
+           | ( (Labelled "random" | Optional "random"),
+               Pexp_construct ({ txt = Lident "false"; _ }, None) ) ->
+             false
+           | (Labelled "random" | Optional "random"), _ -> true
+           | _ -> false)
+         args
+  then
+    judge "R1" loc
+      "Hashtbl.create ~random:true seeds iteration order from the process; \
+       use the default deterministic layout";
+  if p = "==" || p = "!=" then
+    judge "R4" loc
+      "physical (in)equality on simulation values is \
+       representation-dependent; use structural comparison or an explicit id";
+  (* an [Env.t]'s [.ctx] as the first positional argument also proves the
+     caller holds a thread context *)
+  let ctx_field =
+    match List.find_opt (fun (l, _) -> l = Asttypes.Nolabel) args with
+    | Some (_, { pexp_desc = Pexp_field (_, { txt; _ }); _ }) ->
+      Longident.last txt = "ctx"
+    | _ -> false
+  in
+  if
+    matches_any simthread_ops p
+    && (not (in_dir "lib/sim" rule_path))
+    && (not sim) && not ctx_field
+  then
+    judge "R4" loc
+      (Printf.sprintf
+         "%s is only legal from a simulated thread (a [ctx] parameter, a \
+          Simthread.spawn callback, or an Env.t's .ctx)"
+         p)
 
 (* ------------------------------------------------------------------ *)
 (* Per-function event streams                                          *)
@@ -73,77 +169,117 @@ type ev =
   | Open_lam of bool  (** [true] = transparent (runs inline exactly once) *)
   | Close_lam
 
-(* Walk one binding body, producing its event stream. *)
-let events (w : World.t) (b : World.binding) =
+(* Walk one binding body: judge R1, R2 and R4 at each node through
+   [judge rule allow binding loc msg], and return its event stream.
+   [scope] holds the [@lint.allow] sites in force, [sim] whether a
+   simulated-thread context is. *)
+let events (w : World.t) ~judge (b : World.binding) =
   let buf = ref [] in
   let emit e = buf := e :: !buf in
-  let entries = allow_entries ~registry:w.registry ~file:b.file in
-  let allows = ref (entries (b.vb.pvb_attributes @ b.file_allows)) in
-  let allowed r =
-    match
-      List.find_opt (fun (s, _) -> SS.mem r s || SS.mem "all" s) !allows
-    with
-    | Some (_, site) -> site
-    | None -> None
+  let enter scope attrs =
+    World.enter w ~file:b.file "lint.allow" scope attrs
   in
-  let with_allows attrs f =
-    match entries attrs with
-    | [] -> f ()
-    | att ->
-      let saved = !allows in
-      allows := att @ !allows;
-      Fun.protect ~finally:(fun () -> allows := saved) f
-  in
-  let rec walk (e : Parsetree.expression) =
-    with_allows e.pexp_attributes @@ fun () ->
+  let rule_path = b.rule_path in
+  let judge scope rule loc msg = judge rule (World.allow scope rule) b loc msg in
+  let rec walk ~scope ~sim (e : Parsetree.expression) =
+    let scope = enter scope e.pexp_attributes in
+    let walk' = walk ~scope ~sim in
     match e.pexp_desc with
-    | Pexp_fun (_, default, _, body) ->
-      Option.iter walk default;
+    | Pexp_fun (_, default, pat, body) ->
+      let sim = sim || binds_ctx pat in
+      Option.iter (walk ~scope ~sim) default;
       emit (Open_lam false);
-      walk body;
+      walk ~scope ~sim body;
       emit Close_lam
     | Pexp_function cases ->
       emit (Open_lam false);
       List.iter
         (fun (c : Parsetree.case) ->
-          Option.iter walk c.pc_guard;
-          walk c.pc_rhs)
+          Option.iter walk' c.pc_guard;
+          walk' c.pc_rhs)
         cases;
       emit Close_lam
-    | Pexp_newtype (_, body) -> walk body
+    | Pexp_newtype (_, body) -> walk' body
     | Pexp_apply (f, args) -> (
       match World.call f args with
-      | Named (path, loc, args) -> call path loc args
-      | Opaque parts -> List.iter walk parts)
+      | Named (path, loc, attrs, args) ->
+        let scope = enter scope attrs in
+        mentioned (judge scope) ~rule_path loc path;
+        applied (judge scope) ~rule_path ~sim loc path args;
+        call ~scope ~sim path loc args
+      | Opaque parts -> List.iter walk' parts)
     | Pexp_field (inner, { txt; loc }) ->
-      walk inner;
+      walk' inner;
       let name = try Longident.last txt with _ -> "" in
       (match List.assoc_opt name shared_fields with
       | Some what ->
-        emit (Read { field = name; what; loc; r3_allow = allowed "R3" })
+        emit
+          (Read { field = name; what; loc; r3_allow = World.allow scope "R3" })
       | None -> ())
-    | Pexp_ident { txt; _ } ->
-      emit (Mention (strip_stdlib (path_of_lid txt)))
+    | Pexp_ident { txt; loc } ->
+      let path = path_of_lid txt in
+      mentioned (judge scope) ~rule_path loc path;
+      emit (Mention (strip_stdlib path))
     | Pexp_let (_, vbs, body) ->
       List.iter
         (fun (vb : Parsetree.value_binding) ->
-          with_allows vb.pvb_attributes (fun () -> walk vb.pvb_expr))
+          walk ~scope:(enter scope vb.pvb_attributes) ~sim vb.pvb_expr)
         vbs;
-      walk body
-    | _ -> World.children walk e
-  and call path loc args =
+      walk' body
+    | Pexp_letmodule (_, m, body) ->
+      modl ~scope m;
+      walk' body
+    | Pexp_pack m -> modl ~scope m
+    | _ -> World.children walk' e
+  (* a module's bindings start outside any simulated thread, under the
+     [@@@lint.allow]s before them *)
+  and modl ~scope (m : Parsetree.module_expr) =
+    match m.pmod_desc with
+    | Pmod_structure items -> structure ~scope items
+    | Pmod_functor (_, m) | Pmod_constraint (m, _) -> modl ~scope m
+    | Pmod_apply (f, m) ->
+      modl ~scope f;
+      modl ~scope m
+    | _ -> World.children (walk ~scope ~sim:false) (Ast_helper.Exp.pack m)
+  and structure ~scope = function
+    | [] -> ()
+    | { pstr_desc = Pstr_attribute a; _ } :: items ->
+      structure ~scope:(enter scope [ a ]) items
+    | si :: items ->
+      (match si.pstr_desc with
+      | Pstr_value (_, vbs) ->
+        List.iter
+          (fun (vb : Parsetree.value_binding) ->
+            walk ~scope:(enter scope vb.pvb_attributes) ~sim:false vb.pvb_expr)
+          vbs
+      | Pstr_module { pmb_expr = m; _ }
+      | Pstr_include { pincl_mod = m; _ }
+      | Pstr_open { popen_expr = m; _ } ->
+        modl ~scope m
+      | Pstr_recmodule mbs ->
+        List.iter
+          (fun (mb : Parsetree.module_binding) -> modl ~scope mb.pmb_expr)
+          mbs
+      | _ ->
+        World.children (walk ~scope ~sim:false)
+          Ast_helper.(Exp.pack (Mod.structure [ si ])));
+      structure ~scope items
+  and call ~scope ~sim path loc args =
     (* [Env.tagged env "site" (fun () -> ...)]: the lambda runs inline,
        exactly once — analyze it at the caller's depth so commits and
-       reads inside it belong to the enclosing function *)
-    let transparent = matches "Env.tagged" path in
+       reads inside it belong to the enclosing function; the lambda of
+       [Simthread.spawn] runs as a simulated thread *)
+    let transparent = matches "Env.tagged" path
+    and spawn = matches "Simthread.spawn" path in
     List.iter
       (fun ((_, a) : Asttypes.arg_label * Parsetree.expression) ->
         match a.pexp_desc with
         | (Pexp_fun _ | Pexp_function _) when transparent ->
           emit (Open_lam true);
-          walk (World.body walk a);
+          params ~scope ~sim a;
           emit Close_lam
-        | _ -> walk a)
+        | Pexp_fun _ | Pexp_function _ -> walk ~scope ~sim:(sim || spawn) a
+        | _ -> walk ~scope ~sim a)
       args;
     (* the call itself comes after its arguments: a commit in an argument
        dominates the call *)
@@ -152,9 +288,21 @@ let events (w : World.t) (b : World.binding) =
       | Some g -> List.length args < World.arity g
       | None -> false
     in
-    emit (Call { path; loc; r2_allow = allowed "R2"; partial })
+    emit (Call { path; loc; r2_allow = World.allow scope "R2"; partial })
+  (* a parameter chain as {!World.body} strips it: the defaults, then the
+     body, with no lambda frame *)
+  and params ~scope ~sim (e : Parsetree.expression) =
+    let inner = enter scope e.pexp_attributes in
+    match e.pexp_desc with
+    | Pexp_fun (_, default, pat, body) ->
+      let sim = sim || binds_ctx pat in
+      Option.iter (walk ~scope:inner ~sim) default;
+      params ~scope:inner ~sim body
+    | Pexp_newtype (_, body) | Pexp_constraint (body, _) ->
+      params ~scope:inner ~sim body
+    | _ -> walk ~scope ~sim e
   in
-  walk (World.body walk b.vb.pvb_expr);
+  params ~scope:(World.binding_scope w "lint.allow" b) ~sim:false b.vb.pvb_expr;
   List.rev !buf
 
 (* Replay an event stream: every call, read and mention with whether it
@@ -190,7 +338,16 @@ let replay ~commits evs =
 (* ------------------------------------------------------------------ *)
 
 let check_project ?(on_suppressed = fun ~rule:_ ~loc:_ -> ()) (w : World.t) =
-  let fns = List.map (fun b -> (b, events w b)) w.bindings in
+  let findings = ref [] in
+  let judge rule allow (b : World.binding) loc msg =
+    match allow with
+    | Some site ->
+      use site;
+      on_suppressed ~rule ~loc
+    | None -> findings := finding rule ~file:b.file loc msg :: !findings
+  in
+  let fns = List.map (fun b -> (b, events w ~judge b)) w.bindings in
+  List.iter (fun b -> ignore (events w ~judge b)) w.loose;
   let resolve (b : World.binding) path = World.resolve w ~file:b.file path in
   let in_mem (b : World.binding) = in_dir "lib/mem" b.rule_path in
   (* commits(f): f calls, at lambda depth zero, a commit-family function
@@ -270,14 +427,6 @@ let check_project ?(on_suppressed = fun ~rule:_ ~loc:_ -> ()) (w : World.t) =
                 | _ -> None)
               evs)
           replayed)
-  in
-  let findings = ref [] in
-  let judge rule allow (b : World.binding) loc msg =
-    match allow with
-    | Some site ->
-      use site;
-      on_suppressed ~rule ~loc
-    | None -> findings := finding rule ~file:b.file loc msg :: !findings
   in
   (* R3, interprocedural: an undominated read in an exposed function *)
   List.iter

@@ -23,6 +23,7 @@ type index = {
 type t = {
   sources : source list;
   bindings : binding list;
+  loose : binding list;
   registry : Lint.allow_registry;
   index : index;
 }
@@ -34,9 +35,10 @@ let is_allow (a : Parsetree.attribute) =
   List.mem a.attr_name.txt [ "lint.allow"; "alloc.allow"; "dom.allow" ]
 
 (* The top-level bindings of one file, nested [module X = struct ... end]
-   included; a [@@@*.allow] covers the rest of its structure. *)
+   included, and its loose items; a [@@@*.allow] covers the rest of its
+   structure. *)
 let file_bindings registry ((file, rule_path, str) : source) =
-  let anon = ref 0 in
+  let anon = ref 0 and loose = ref [] in
   let rec items prefix file_allows acc = function
     | [] -> acc
     | (si : Parsetree.structure_item) :: rest -> (
@@ -66,12 +68,21 @@ let file_bindings registry ((file, rule_path, str) : source) =
           } ->
         let acc = items (prefix ^ sub ^ ".") file_allows acc s in
         items prefix file_allows acc rest
-      | _ -> items prefix file_allows acc rest)
+      | _ ->
+        let vb =
+          Ast_helper.(Vb.mk (Pat.any ()) (Exp.pack (Mod.structure [ si ])))
+        in
+        let key = prefix ^ "<item>" in
+        loose := { key; file; rule_path; vb; file_allows } :: !loose;
+        items prefix file_allows acc rest)
   in
-  List.rev (items (module_name_of_file file ^ ".") [] [] str)
+  let bindings = items (module_name_of_file file ^ ".") [] [] str in
+  (List.rev bindings, List.rev !loose)
 
-let build ?(registry = Lint.new_allow_registry ()) sources =
-  let bindings = List.concat_map (file_bindings registry) sources in
+let build sources =
+  let registry = Lint.new_allow_registry () in
+  let files = List.map (file_bindings registry) sources in
+  let bindings = List.concat_map fst files in
   let by_key = Hashtbl.create 1024 and by_short = Hashtbl.create 1024 in
   let dups = ref [] in
   List.iter
@@ -88,7 +99,8 @@ let build ?(registry = Lint.new_allow_registry ()) sources =
       Hashtbl.add by_short (b.file, short) b)
     bindings;
   List.iter (Hashtbl.remove by_key) !dups;
-  { sources; bindings; registry; index = { by_key; by_short } }
+  let loose = List.concat_map snd files in
+  { sources; bindings; loose; registry; index = { by_key; by_short } }
 
 let resolve ?(among = fun _ -> true) w ~file path =
   if path = "" then None
@@ -112,26 +124,56 @@ let resolve ?(among = fun _ -> true) w ~file path =
       in
       match suffixes 0 [] with [ b ] -> Some b | _ -> None)
 
-let allow w ~file family outer (attrs : Parsetree.attributes) =
-  let first =
-    List.fold_left
-      (fun first (a : Parsetree.attribute) ->
-        if a.attr_name.txt <> family then first
-        else
-          let site = register w.registry ~file a in
-          if first = None then Some site else first)
-      None attrs
+(* each site with the rules its attribute lists, [None] for a family
+   that carries a reason *)
+type scope = (string list option * Lint.allow_site) list
+
+let enter w ~file family scope (attrs : Parsetree.attributes) =
+  List.filter_map
+    (fun (a : Parsetree.attribute) ->
+      if a.attr_name.txt <> family then None
+      else
+        let rules =
+          match (family, payload_string a.attr_payload) with
+          | "lint.allow", Some s ->
+            Some
+              (List.concat_map
+                 (String.split_on_char ',')
+                 (String.split_on_char ' ' s))
+          | "lint.allow", None -> Some []
+          | _ -> None
+        in
+        Some (rules, register w.registry ~file a))
+    attrs
+  @ scope
+
+let binding_scope w family b =
+  let file =
+    if family = "alloc.allow" then []
+    else enter w ~file:b.file family [] b.file_allows
   in
-  if first = None then outer else first
+  enter w ~file:b.file family file b.vb.pvb_attributes
+
+let allow scope rule =
+  List.find_map
+    (fun (rules, site) ->
+      match rules with
+      | Some rs when not (List.exists (fun r -> r = rule || r = "all") rs) ->
+        None
+      | _ -> Some site)
+    scope
 
 type call =
   | Named of
-      string * Location.t * (Asttypes.arg_label * Parsetree.expression) list
+      string
+      * Location.t
+      * Parsetree.attributes
+      * (Asttypes.arg_label * Parsetree.expression) list
   | Opaque of Parsetree.expression list
 
 let call (f : Parsetree.expression) args =
-  let named (lid : Longident.t Location.loc) args =
-    Named (strip_stdlib (path_of_lid lid.txt), lid.loc, args)
+  let named (g : Parsetree.expression) (lid : Longident.t Location.loc) args =
+    Named (strip_stdlib (path_of_lid lid.txt), lid.loc, g.pexp_attributes, args)
   in
   match f.pexp_desc with
   | Pexp_ident lid -> (
@@ -139,10 +181,10 @@ let call (f : Parsetree.expression) args =
     | "@@", [ (_, g); (_, x) ] | "|>", [ (_, x); (_, g) ] -> (
       match g.Parsetree.pexp_desc with
       | Pexp_apply ({ pexp_desc = Pexp_ident glid; _ }, gargs) ->
-        named glid (gargs @ [ (Asttypes.Nolabel, x) ])
-      | Pexp_ident glid -> named glid [ (Asttypes.Nolabel, x) ]
+        named g glid (gargs @ [ (Asttypes.Nolabel, x) ])
+      | Pexp_ident glid -> named g glid [ (Asttypes.Nolabel, x) ]
       | _ -> Opaque [ g; x ])
-    | _ -> named lid args)
+    | _ -> named f lid args)
   | _ -> Opaque (f :: List.map snd args)
 
 let rec body walk (e : Parsetree.expression) =

@@ -1,17 +1,19 @@
-(** The closed world the project passes share.
+(** The closed world every lint pass judges.
 
-    {!Interp} (R2/R3), {!Alloc} (A1-A3) and {!Dom} (D1-D4) judge the same
+    {!Interp} (R1-R4), {!Alloc} (A1-A3) and {!Dom} (D1-D4) judge the same
     parsed tree.  The world is built once from it and owns what they have
     in common: the walk over every top-level binding, the function index
-    and its single resolution policy, the suppression registry, the
-    Parsetree shapes every per-binding walk must recognise, and the
-    monotone worklist their fixpoints run on.  Each pass keeps only its
-    rule tables, its walk of a binding body and its judgments. *)
+    and its single resolution policy, the suppression registry and the
+    one scope of its three attribute families, the Parsetree shapes every
+    per-binding walk must recognise, and the monotone worklist their
+    fixpoints run on.  Each pass keeps only its rule tables, its walk of
+    a binding body and its judgments. *)
 
 type source = string * string * Parsetree.structure
 (** [(file, rule_path, ast)]: the path findings report, the path
-    directory-scoped rules test (see {!Lint.check_file}), and the parsed
-    implementation ({!Lint.parse_implementation}). *)
+    directory-scoped rules test (R2's [lib/mem] and R4's [lib/sim]
+    exemptions), and the parsed implementation
+    ({!Lint.parse_implementation}). *)
 
 type binding = {
   key : string;
@@ -23,9 +25,8 @@ type binding = {
   vb : Parsetree.value_binding;
   file_allows : Parsetree.attribute list;
       (** file-level [[\@\@\@lint.allow]], [[\@\@\@alloc.allow]] and
-          [[\@\@\@dom.allow]] in force, innermost first.  {!Alloc}
-          consults none: an [[\@alloc.allow]] covers only its binding or
-          expression, so a file-level one reads as stale. *)
+          [[\@\@\@dom.allow]] in force, innermost first (see
+          {!binding_scope}) *)
 }
 
 type index
@@ -33,15 +34,19 @@ type index
 type t = {
   sources : source list;
   bindings : binding list;  (** source order, then walk order *)
+  loose : binding list;
+      (** the items no index holds, each as a binding [let _ = (module
+          struct <item> end)]: a top-level expression, a functor, a
+          constrained module, a class...  Only {!Interp}'s lexical rules
+          (R1, R2, R4) judge them. *)
   registry : Lint.allow_registry;
   index : index;
 }
 
-val build : ?registry:Lint.allow_registry -> source list -> t
-(** Walk every top-level binding once and index them.  Pass the registry
-    shared with {!Lint.check_structure} so that suppression sites of all
-    three families accumulate their use counts in one place; file-level
-    sites register here. *)
+val build : source list -> t
+(** Walk every top-level binding once and index them.  Suppression sites
+    of all three families register in one registry, so that a site is
+    stale only if no pass used it; file-level sites register here. *)
 
 val resolve :
   ?among:(binding -> bool) -> t -> file:string -> string -> binding option
@@ -55,26 +60,46 @@ val resolve :
     ambiguous and resolves nowhere, so no pass depends on the order of the
     sources.  [None] also for stdlib names, locals and closures. *)
 
-val allow :
-  t ->
-  file:string ->
-  string ->
-  Lint.allow_site option ->
-  Parsetree.attributes ->
-  Lint.allow_site option
-(** [allow w ~file family outer attrs]: the innermost [[\@family]]
-    suppression (e.g. ["dom.allow"]) covering a node with attributes
-    [attrs] — the site of its first such attribute, else [outer].  Every
-    such attribute registers, so a redundant second one reads as
-    stale. *)
+(** {1 Suppression scope}
+
+    One scope for every family: [[\@lint.allow]] (R rules),
+    [[\@alloc.allow]] (A) and [[\@dom.allow]] (D), at the expression,
+    at the binding, or (R and D) for the rest of the file's structure. *)
+
+type scope
+(** The sites of one family in force at a node, innermost first. *)
+
+val enter :
+  t -> file:string -> string -> scope -> Parsetree.attributes -> scope
+(** [enter w ~file family outer attrs]: [outer] with the [[\@family]]
+    attributes of a node pushed, its first one innermost.  Every such
+    attribute registers, so a redundant second one reads as stale. *)
+
+val binding_scope : t -> string -> binding -> scope
+(** The scope a binding's body starts in: its own [[\@\@family]]
+    attributes inside the file-level ones in force.  An
+    [[\@alloc.allow]] covers only its binding or expression, so a
+    file-level one is left out and reads as stale. *)
+
+val allow : scope -> string -> Lint.allow_site option
+(** [allow scope rule]: the innermost site covering a finding of [rule].
+    A [[\@lint.allow]] covers the rules its payload lists, space- or
+    comma-separated, or every rule for ["all"]; an [[\@alloc.allow]] or
+    [[\@dom.allow]] carries a reason and covers every rule of its
+    family. *)
 
 (** {1 Shapes every walk recognises} *)
 
 type call =
   | Named of
-      string * Location.t * (Asttypes.arg_label * Parsetree.expression) list
-      (** a named callee (stdlib prefix stripped) and its arguments; the
-          [f @@ x] and [x |> f] spellings are rewritten to [f x] *)
+      string
+      * Location.t
+      * Parsetree.attributes
+      * (Asttypes.arg_label * Parsetree.expression) list
+      (** a named callee (stdlib prefix stripped), the location of its
+          name, the attributes of the function expression and the
+          arguments; the [f @@ x] and [x |> f] spellings are rewritten to
+          [f x] *)
   | Opaque of Parsetree.expression list
       (** a call through a closure or field: callee then arguments, in
           walk order *)

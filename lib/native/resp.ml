@@ -99,35 +99,21 @@ let crlf_index s ~pos ~lim =
   done;
   if !i + 1 < lim then !i else -1
 
-(* Find "\r\n" starting at [pos]; [None] if incomplete. *)
-let find_crlf s ~pos ~len =
-  let e = crlf_index s ~pos ~lim:len in
-  if e < 0 then None else Some e
-
 (* The longest integer header a frame may carry: the digits of [min_int]
    and its sign.  Past that a missing CRLF is a malformed frame, not a
    short read, so a peer cannot make the reader buffer without bound. *)
 let max_int_len = String.length (string_of_int min_int)
 
-let parse_int_line s ~pos ~len : (int * int) parse =
-  let window = pos + max_int_len + 2 in
-  match find_crlf s ~pos ~len:(min len window) with
-  | None -> if len >= window then `Bad "integer header too long" else `Need_more
-  | Some e -> (
-    match int_of_string_opt (Bytes.sub_string s pos (e - pos)) with
-    | Some n -> `Ok ((n, e + 2), e + 2)
-    | None -> `Bad "expected integer")
-
-(* [parse_command] reads a frame where it lies: no substring, argument
-   array or upper-case copy.  A short frame raises [Short] and a malformed
-   one [Malformed reason], both caught at its entry. *)
+(* The parsers read a frame where it lies: no substring, argument array
+   or upper-case copy.  A short frame raises [Short] and a malformed one
+   [Malformed reason], both caught at the parser's entry. *)
 exception Short
 exception Malformed of string
 
 let malformed reason = raise_notrace (Malformed reason)
 
-(* The CRLF ending the integer header at [pos], under [parse_int_line]'s
-   bound. *)
+(* The CRLF ending the integer header at [pos], at most [max_int_len]
+   bytes on. *)
 let header_end s ~pos ~len =
   let window = pos + max_int_len + 2 in
   let e = crlf_index s ~pos ~lim:(min len window) in
@@ -152,7 +138,7 @@ let plain_decimal s ~pos ~e =
   end
 
 (* The integer header [s.[pos .. e-1]]: any spelling but plain decimal
-   goes through [int_of_string_opt] on a copy, as in [parse_int_line]. *)
+   goes through [int_of_string_opt] on a copy. *)
 let header_int s ~pos ~e =
   let v = plain_decimal s ~pos ~e in
   if v <> min_int then v
@@ -249,36 +235,33 @@ let parse_command s ~len : command parse =
   | exception Short -> `Need_more
   | exception Malformed reason -> `Bad reason
 
-(* One reply frame starting at offset 0 (loadgen side). *)
+(* One reply frame starting at offset 0 of [s] (loadgen side).  A bulk
+   value's terminator is not checked. *)
+let reply_frame s ~len =
+  if len = 0 then raise_notrace Short;
+  match Bytes.get s 0 with
+  | ('+' | '-') as c ->
+    let e = crlf_index s ~pos:1 ~lim:len in
+    if e < 0 then raise_notrace Short;
+    let m = Bytes.sub_string s 1 (e - 1) in
+    if c = '+' then (Ok_simple m, e + 2)
+    else if String.length m >= 4 && String.sub m 0 4 = "ERR " then
+      (* strip the class marker the encoder prepends, so
+         encode/parse/encode is stable *)
+      (Error (String.sub m 4 (String.length m - 4)), e + 2)
+    else (Error m, e + 2)
+  | '$' ->
+    let e = header_end s ~pos:1 ~len in
+    let n = header_int s ~pos:1 ~e and body = e + 2 in
+    if n = -1 then (Nil, body)
+    else if n < -1 then malformed "negative bulk length"
+    else if n > Mutps_queue.Request.max_size then malformed "bulk string too long"
+    else if body + n + 2 > len then raise_notrace Short
+    else (Value (Bytes.sub s body n), body + n + 2)
+  | c -> malformed (Printf.sprintf "unexpected reply byte %C" c)
+
 let parse_reply s ~len : reply parse =
-  if len = 0 then `Need_more
-  else
-    match Bytes.get s 0 with
-    | '+' -> (
-      match find_crlf s ~pos:1 ~len with
-      | None -> `Need_more
-      | Some e -> `Ok (Ok_simple (Bytes.sub_string s 1 (e - 1)), e + 2))
-    | '-' -> (
-      match find_crlf s ~pos:1 ~len with
-      | None -> `Need_more
-      | Some e ->
-        let m = Bytes.sub_string s 1 (e - 1) in
-        (* strip the class marker the encoder prepends, so
-           encode/parse/encode is stable *)
-        let m =
-          if String.length m >= 4 && String.sub m 0 4 = "ERR " then
-            String.sub m 4 (String.length m - 4)
-          else m
-        in
-        `Ok (Error m, e + 2))
-    | '$' -> (
-      match parse_int_line s ~pos:1 ~len with
-      | `Need_more -> `Need_more
-      | `Bad m -> `Bad m
-      | `Ok ((n, body), _) ->
-        if n = -1 then `Ok (Nil, body)
-        else if n < -1 then `Bad "negative bulk length"
-        else if n > Mutps_queue.Request.max_size then `Bad "bulk string too long"
-        else if body + n + 2 > len then `Need_more
-        else `Ok (Value (Bytes.sub s body n), body + n + 2))
-    | c -> `Bad (Printf.sprintf "unexpected reply byte %C" c)
+  match reply_frame s ~len with
+  | frame -> `Ok frame
+  | exception Short -> `Need_more
+  | exception Malformed reason -> `Bad reason

@@ -86,8 +86,9 @@ type native_tr = {
   rx_lock : Mutex.t;  (* guards rx and replies *)
   rx : (int * Message.t) Queue.t;
   replies : (int * bytes option) Queue.t;
-  inflight : int Atomic.t;
-  responded : int Atomic.t;
+  delivered : int Atomic.t;  (* bumped after each push onto rx *)
+  responded : int Atomic.t;  (* bumped after each push onto replies *)
+  mutable taken : int;  (* messages the shard has taken from rx; its fiber alone polls *)
 }
 
 let make_transport () =
@@ -96,8 +97,9 @@ let make_transport () =
       rx_lock = Mutex.create ();
       rx = Queue.create ();
       replies = Queue.create ();
-      inflight = Atomic.make 0;
+      delivered = Atomic.make 0;
       responded = Atomic.make 0;
+      taken = 0;
     }
   in
   let tr =
@@ -107,13 +109,19 @@ let make_transport () =
           Mutex.lock nt.rx_lock;
           Queue.push (msg.Message.id, msg) nt.rx;
           Mutex.unlock nt.rx_lock;
-          Atomic.incr nt.inflight);
+          Atomic.incr nt.delivered);
+      (* a delivery counts after its push, so rx is empty, and is not
+         locked, while the count has not moved past what was taken *)
       poll =
         (fun _env ~worker:_ ->
-          Mutex.lock nt.rx_lock;
-          let m = Queue.take_opt nt.rx in
-          Mutex.unlock nt.rx_lock;
-          m);
+          if Atomic.get nt.delivered = nt.taken then None
+          else begin
+            Mutex.lock nt.rx_lock;
+            let m = Queue.take nt.rx in
+            Mutex.unlock nt.rx_lock;
+            nt.taken <- nt.taken + 1;
+            Some m
+          end);
       slot_addr = (fun _ -> 0);
       resp_alloc = (fun ~worker:_ ~bytes:_ -> 0);
       post_response =
@@ -121,7 +129,6 @@ let make_transport () =
           Mutex.lock nt.rx_lock;
           Queue.push (seq, value) nt.replies;
           Mutex.unlock nt.rx_lock;
-          Atomic.decr nt.inflight;
           Atomic.incr nt.responded);
       set_on_response = (fun _ -> ());
       set_workers = (fun _ -> ());
@@ -218,7 +225,7 @@ let shard_fiber shard () =
   in
   while true do
     rebuild ();
-    while Atomic.get shard.nt.inflight > 0 do
+    while Atomic.get shard.nt.delivered > Atomic.get shard.nt.responded do
       round ()
     done;
     if Atomic.get shard.stop then raise Fiber.Stop;

@@ -33,10 +33,25 @@ let lib_files () =
     Alcotest.failf "library tree %s not found" lib;
   List.sort compare (collect_ml [] lib)
 
+let parse ~file src =
+  let lexbuf = Lexing.from_string src in
+  Lexing.set_filename lexbuf file;
+  Parse.implementation lexbuf
+
+(* a closed world of inline sources, each file its own rule path *)
+let world_of_sources sources =
+  World.build
+    (List.map (fun (file, src) -> (file, file, parse ~file src)) sources)
+
+(* every R rule over a world of one inline source; [rule_path] is the path
+   its directory-scoped rules test *)
+let lint_string ?(file = "<string>") ?(rule_path = file) src =
+  Interp.check_project (World.build [ (file, rule_path, parse ~file src) ])
+
+(* the same over a world of one fixture *)
 let findings ?rule_path file =
-  match Lint.check_file ?rule_path (Filename.concat fixture_dir file) with
-  | Ok fs -> fs
-  | Error msg -> Alcotest.fail msg
+  let file = Filename.concat fixture_dir file in
+  lint_string ~file ?rule_path (In_channel.with_open_bin file In_channel.input_all)
 
 let count rule fs =
   List.length (List.filter (fun (f : Lint.finding) -> f.Lint.rule = rule) fs)
@@ -89,21 +104,46 @@ let test_finding_format () =
   | [] -> Alcotest.fail "expected findings"
 
 let test_check_string () =
-  match Lint.check_string "let t = Sys.time ()" with
-  | Ok fs -> check_int "inline source" 1 (count "R1" fs)
-  | Error m -> Alcotest.fail m
+  check_int "inline source" 1 (count "R1" (lint_string "let t = Sys.time ()"))
+
+(* one [@lint.allow] scope for every R rule, whether the walk judges it at
+   the node (R1) or over the call graph (R3): a site covers the rules it
+   lists, and a file-level one the bindings after it *)
+let test_shared_scope () =
+  let rules src =
+    List.map (fun (f : Lint.finding) -> f.Lint.rule) (lint_string src)
+  in
+  let binding allow =
+    "type r = { mutable version : int }\n\
+     let f (it : r) = ignore (Sys.time ()); it.version" ^ allow
+  in
+  let same = Alcotest.(check (list string)) in
+  same "unsuppressed" [ "R1"; "R3" ] (rules (binding ""));
+  same "R3 listed: R1 still fires" [ "R1" ]
+    (rules (binding " [@@lint.allow \"R3\"]"));
+  same "R1 and R3 listed" [] (rules (binding " [@@lint.allow \"R1 R3\"]"));
+  same "all" [] (rules (binding " [@@lint.allow \"all\"]"));
+  let w =
+    world_of_sources
+      [
+        ( "<string>",
+          "let before a b = a == b\n\
+           [@@@lint.allow \"R4\"]\n\
+           let after a b = ignore (Sys.time ()); a == b" );
+      ]
+  in
+  Alcotest.(check (list string))
+    "R4 before the file-level site, R1 after it"
+    [ "<string>:1:19: [R4]"; "<string>:3:24: [R1]" ]
+    (List.map
+       (fun (f : Lint.finding) ->
+         Printf.sprintf "%s:%d:%d: [%s]" f.Lint.file f.line f.col f.rule)
+       (Interp.check_project w));
+  match Lint.allow_sites w.World.registry with
+  | [ s ] -> check_int "the site covers the later R4" 1 s.Lint.as_uses
+  | _ -> Alcotest.fail "expected one [@lint.allow] site"
 
 (* --- interprocedural pass (project mode) --- *)
-
-(* a closed world of inline sources, each file its own rule path *)
-let world_of_sources sources =
-  World.build
-    (List.map
-       (fun (file, src) ->
-         let lexbuf = Lexing.from_string src in
-         Lexing.set_filename lexbuf file;
-         (file, file, Parse.implementation lexbuf))
-       sources)
 
 (* a closed world of parsed files *)
 let world_of_files files =
@@ -298,9 +338,15 @@ let test_alloc_hot_tree_certified () =
     r.Alloc.allow_sites
 
 let test_syntax_error () =
-  match Lint.check_string "let let let" with
-  | Ok _ -> Alcotest.fail "expected a parse error"
-  | Error _ -> ()
+  let path = Filename.temp_file "lint" ".ml" in
+  Out_channel.with_open_bin path (fun oc -> output_string oc "let let let");
+  let parsed =
+    match Lint.parse_implementation path with
+    | _ -> true
+    | exception Syntaxerr.Error _ -> false
+  in
+  Sys.remove path;
+  Alcotest.(check bool) "a parse error" false parsed
 
 (* --- domain-safety certifier (rule family D) --- *)
 
@@ -583,9 +629,7 @@ let test_lookalike_mem () =
   let raw = "let touch h = Hierarchy.load h ~core:0 ~addr:0 ~size:8" in
   List.iter
     (fun rule_path ->
-      (match Lint.check_string ~rule_path raw with
-      | Ok fs -> check_int (rule_path ^ ": intra R2") 1 (count "R2" fs)
-      | Error m -> Alcotest.fail m);
+      check_int (rule_path ^ ": intra R2") 1 (count "R2" (lint_string ~rule_path raw));
       (* a raw access sanctioned there leaks to its lib/ caller *)
       let fs =
         project
@@ -599,18 +643,13 @@ let test_lookalike_mem () =
       in
       check_int (rule_path ^ ": interprocedural R2") 1 (count "R2" fs))
     [ "examples/mylib/mem/x.ml"; "bench/notlib/mem/x.ml" ];
-  match Lint.check_string ~rule_path:"lib/mem/x.ml" raw with
-  | Ok fs -> check_int "lib/mem keeps its exemption" 0 (List.length fs)
-  | Error m -> Alcotest.fail m
+  check_int "lib/mem keeps its exemption" 0
+    (List.length (lint_string ~rule_path:"lib/mem/x.ml" raw))
 
 (* the same component rule for R4's lib/sim exemption *)
 let test_lookalike_sim () =
   let src = "let nap () = Simthread.yield ()" in
-  let r4 rule_path =
-    match Lint.check_string ~rule_path src with
-    | Ok fs -> count "R4" fs
-    | Error m -> Alcotest.fail m
-  in
+  let r4 rule_path = count "R4" (lint_string ~rule_path src) in
   check_int "examples/mylib/sim is not lib/sim" 1
     (r4 "examples/mylib/sim/x.ml");
   check_int "bench/notlib/sim is not lib/sim" 1 (r4 "bench/notlib/sim/x.ml");
@@ -822,6 +861,7 @@ let () =
           Alcotest.test_case "file suppression" `Quick test_file_suppression;
           Alcotest.test_case "finding format" `Quick test_finding_format;
           Alcotest.test_case "check_string" `Quick test_check_string;
+          Alcotest.test_case "one [@lint.allow] scope" `Quick test_shared_scope;
           Alcotest.test_case "syntax error" `Quick test_syntax_error;
         ] );
       ( "interprocedural",

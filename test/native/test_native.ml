@@ -369,9 +369,10 @@ let test_resp_reply_roundtrip () =
       | _ -> Alcotest.fail ("reply not refused: " ^ String.escaped s))
     [ "$1000000000000\r\n"; "$" ^ String.make 64 '9' ]
 
-(* [Resp.parse_command] as it was before it parsed frames in place:
-   substrings, an argument array and an upper-case copy of the name.  The
-   in-place parser must give every frame the same answer. *)
+(* [Resp]'s parsers as they were before they read frames in place:
+   substrings, an argument array and an upper-case copy of the name, and
+   a header reader of their own.  The in-place parsers must give every
+   frame the same answer. *)
 module Reference_parser = struct
   let find_crlf s ~pos ~len =
     let i = ref pos in
@@ -452,6 +453,39 @@ module Reference_parser = struct
           in
           collect 0 pos0
         end
+
+  (* [Resp.parse_reply] before it shared the command parser's header
+     readers *)
+  let parse_reply s ~len : Resp.reply Resp.parse =
+    if len = 0 then `Need_more
+    else
+      match Bytes.get s 0 with
+      | '+' -> (
+        match find_crlf s ~pos:1 ~len with
+        | None -> `Need_more
+        | Some e -> `Ok (Resp.Ok_simple (Bytes.sub_string s 1 (e - 1)), e + 2))
+      | '-' -> (
+        match find_crlf s ~pos:1 ~len with
+        | None -> `Need_more
+        | Some e ->
+          let m = Bytes.sub_string s 1 (e - 1) in
+          let m =
+            if String.length m >= 4 && String.sub m 0 4 = "ERR " then
+              String.sub m 4 (String.length m - 4)
+            else m
+          in
+          `Ok (Resp.Error m, e + 2))
+      | '$' -> (
+        match parse_int_line s ~pos:1 ~len with
+        | `Need_more -> `Need_more
+        | `Bad m -> `Bad m
+        | `Ok ((n, body), _) ->
+          if n = -1 then `Ok (Resp.Nil, body)
+          else if n < -1 then `Bad "negative bulk length"
+          else if n > Mutps_queue.Request.max_size then `Bad "bulk string too long"
+          else if body + n + 2 > len then `Need_more
+          else `Ok (Resp.Value (Bytes.sub s body n), body + n + 2))
+      | c -> `Bad (Printf.sprintf "unexpected reply byte %C" c)
 end
 
 (* Frames built to reach every branch of both parsers: command names in
@@ -461,8 +495,36 @@ end
    past [Request.max_size], spelled oddly, longer than [min_int] written
    out, or not ended; payloads with or without their terminator.  Each
    frame may be followed by the start of another. *)
+(* A payload: short, with stray CR, LF and NUL bytes. *)
+let resp_value =
+  QCheck.Gen.(string_size ~gen:(oneofl [ 'a'; 'z'; '\r'; '\n'; '\000'; '7' ]) (int_range 0 12))
+
+(* The integer header of a payload of [correct] bytes: mostly right, else
+   negative, too long for a bulk string, spelled oddly, longer than
+   [min_int] written out, or off by one. *)
+let resp_header correct =
+  let open QCheck.Gen in
+  frequency
+    [
+      (12, return (string_of_int correct));
+      ( 1,
+        oneofl
+          [
+            "-1"; "-2"; "-5"; string_of_int (Mutps_queue.Request.max_size + 1);
+            "+" ^ string_of_int correct; "0" ^ string_of_int correct;
+            Printf.sprintf "0x%x" correct; string_of_int correct ^ "_"; "";
+            "-"; "x"; String.make 21 '9'; String.make 20 '9';
+            string_of_int min_int; string_of_int max_int ^ "0";
+            string_of_int (correct + 1); string_of_int (max 0 (correct - 1));
+          ] );
+    ]
+
+let resp_terminator =
+  QCheck.Gen.(frequency [ (12, return "\r\n"); (1, oneofl [ ""; "\r"; "\n"; "\rx" ]) ])
+
 let resp_frame_gen =
   let open QCheck.Gen in
+  let value = resp_value and header = resp_header and terminator = resp_terminator in
   let digits n = string_size ~gen:(char_range '0' '9') (return n) in
   let any_case name =
     map
@@ -496,24 +558,6 @@ let resp_frame_gen =
             ] );
       ]
   in
-  let value = string_size ~gen:(oneofl [ 'a'; 'z'; '\r'; '\n'; '\000'; '7' ]) (int_range 0 12) in
-  let header correct =
-    frequency
-      [
-        (12, return (string_of_int correct));
-        ( 1,
-          oneofl
-            [
-              "-1"; "-5"; string_of_int (Mutps_queue.Request.max_size + 1);
-              "+" ^ string_of_int correct; "0" ^ string_of_int correct;
-              Printf.sprintf "0x%x" correct; string_of_int correct ^ "_"; "";
-              "-"; "x"; String.make 21 '9'; String.make 20 '9';
-              string_of_int min_int; string_of_int max_int ^ "0";
-              string_of_int (correct + 1); string_of_int (max 0 (correct - 1));
-            ] );
-      ]
-  in
-  let terminator = frequency [ (12, return "\r\n"); (1, oneofl [ ""; "\r"; "\n"; "\rx" ]) ] in
   let bulk payload =
     frequency [ (15, return '$'); (1, return '+') ] >>= fun dollar ->
     header (String.length payload) >>= fun h ->
@@ -545,6 +589,48 @@ let qcheck_resp_matches_reference =
       let agree len =
         match (Resp.parse_command b ~len, Reference_parser.parse_command b ~len) with
         | `Ok (c, n), `Ok (c', n') -> c = c' && n = n'
+        | `Need_more, `Need_more -> true
+        | `Bad m, `Bad m' -> String.equal m m'
+        | _ -> false
+      in
+      let rec all len = len > Bytes.length b || (agree len && all (len + 1)) in
+      all 0)
+
+(* Reply frames: values (CR and LF inside) under the headers above,
+   including nil and [$-2]; [+] and [-] lines, with and without the
+   encoder's "ERR " marker; and bytes no reply starts with.  Each may be
+   followed by the start of another. *)
+let reply_frame_gen =
+  let open QCheck.Gen in
+  let line = string_size ~gen:(oneofl [ 'O'; 'K'; ' '; '\r'; '\n'; 'x' ]) (int_range 0 8) in
+  let frame =
+    frequency
+      [
+        ( 6,
+          resp_value >>= fun v ->
+          resp_header (String.length v) >>= fun h ->
+          resp_terminator >>= fun t -> return (Printf.sprintf "$%s\r\n%s%s" h v t) );
+        (2, oneofl [ "$-1\r\n"; "$-2\r\n"; "$-0\r\n"; "$-1" ]);
+        ( 3,
+          oneofl [ '+'; '-' ] >>= fun c ->
+          oneofl [ ""; "ERR "; "ERR" ] >>= fun marker ->
+          line >>= fun l ->
+          resp_terminator >>= fun t -> return (Printf.sprintf "%c%s%s%s" c marker l t) );
+        (1, oneofl [ "*1\r\n"; ":1\r\n"; "x" ]);
+      ]
+  in
+  frame >>= fun f ->
+  frequency
+    [ (3, return f); (1, map (fun g -> f ^ String.sub g 0 (String.length g / 2)) frame) ]
+
+let qcheck_reply_matches_reference =
+  QCheck.Test.make ~count:3000 ~name:"parse_reply agrees with the reference"
+    (QCheck.make ~print:String.escaped reply_frame_gen)
+    (fun frame ->
+      let b = Bytes.of_string frame in
+      let agree len =
+        match (Resp.parse_reply b ~len, Reference_parser.parse_reply b ~len) with
+        | `Ok (r, n), `Ok (r', n') -> r = r' && n = n'
         | `Need_more, `Need_more -> true
         | `Bad m, `Bad m' -> String.equal m m'
         | _ -> false
@@ -1298,6 +1384,7 @@ let () =
           Alcotest.test_case "reply roundtrip" `Quick test_resp_reply_roundtrip;
           Alcotest.test_case "max-size value" `Quick test_resp_max_value;
           qt qcheck_resp_matches_reference;
+          qt qcheck_reply_matches_reference;
         ] );
       ( "equivalence",
         [
